@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Repeat benchmark runs over seeds, and compare sets of runs.
 
-    python3 bench/compare.py run --workload W --seeds 1-10 --out a.jsonl [--root DIR] [--trace 1]
+    python3 bench/compare.py run --workload W --seeds 1-10 --out a.jsonl [--root DIR] [--alternate DIR]
     python3 bench/compare.py spread a.jsonl
     python3 bench/compare.py diff parent.jsonl change.jsonl
 
 ``run`` calls ``bench/run.py`` of this directory once per seed, one run at
-a time, from ``--root`` (a source checkout; default: this one) and appends
-one JSON line per run.  ``--alternate DIR`` runs each seed in ``--root``
-and then in ``DIR`` (the order flips every seed) and writes the two
-sides to ``<out>.a`` and ``<out>.b``.  ``spread`` prints, per workload and
+a time and for BENCHMARK.json's ``run_seconds``, from ``--root`` (a source
+checkout; default: this one) and appends one JSON line per run.
+``--alternate DIR`` runs each seed in ``--root`` and then in ``DIR`` (the
+order flips every seed) and writes the two sides to ``<out>.a`` and
+``<out>.b``.  ``spread`` prints, per workload and
 metric, the median, the quartiles and their distance as a share of the
 median, next to the metric's bound in BENCHMARK.json.  ``diff`` prints
 both medians, the change, the pairs won by the second set and a verdict
@@ -37,19 +38,18 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def one_run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def one_run(root: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         raise SystemExit(f"{workload} seed {seed} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout.splitlines()[-1])
-    return {"workload": workload, "seed": seed, "trace": trace, "root": str(root), **result}
+    return {"workload": workload, "seed": seed, "root": str(root), **result}
 
 
 def cmd_run(args) -> None:
-    doc = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds or doc["run_seconds"]
+    seconds = load_benchmark()["run_seconds"]
     sides = [(Path(args.root).resolve(), Path(args.out))]
     if args.alternate:
         sides = [(sides[0][0], Path(args.out + ".a")),
@@ -57,7 +57,7 @@ def cmd_run(args) -> None:
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = sides if i % 2 == 0 else sides[::-1]
         for root, out in order:
-            rec = one_run(root, args.workload, seed, seconds, args.trace)
+            rec = one_run(root, args.workload, seed, seconds)
             with open(out, "a") as fh:
                 fh.write(json.dumps(rec) + "\n")
             metrics = ", ".join(f"{k}={v['value']:.6g}" for k, v in rec["metrics"].items())
@@ -78,9 +78,12 @@ def load(path) -> dict:
     return {"values": values, "shares": shares}
 
 
+def load_benchmark() -> dict:
+    return json.loads((HERE.parent / "BENCHMARK.json").read_text())
+
+
 def bounds() -> dict:
-    doc = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+    return {m["name"]: m["bound"] for m in load_benchmark()["end_to_end"]}
 
 
 def quartiles(vals):
@@ -130,8 +133,6 @@ def main(argv=None) -> None:
     p = sub.add_parser("run")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", type=int, default=None)
-    p.add_argument("--trace", type=int, default=0, choices=(0, 1))
     p.add_argument("--root", default=str(HERE.parent))
     p.add_argument("--alternate", default=None)
     p.add_argument("--out", required=True)

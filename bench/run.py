@@ -12,8 +12,8 @@ object with the keys ``correct``, ``attempted``, ``failed`` and
 the per-layer metrics (see README.md).  A run record with CPU time, steal
 time and library versions goes to ``bench/_work/runs/``.
 
-``python3 bench/run.py --write-benchmark-json`` regenerates the root
-``BENCHMARK.json`` from the tables below.
+The workload names, the run length and the metric names and units are
+read from ``BENCHMARK.json`` at the root of the checkout.
 """
 
 import time
@@ -39,56 +39,20 @@ ROOT = Path.cwd()  # the checkout under test
 SRC = ROOT / "src"
 WORK = HERE / "_work"
 
-RUN_SECONDS = 35
-SETUP_PROBES = 4  # extra fresh-process set-ups; with the run's own, 5 samples
+SETUP_PROBES = 10  # extra fresh-process set-ups; with the run's own, 11 samples
 TOL = 1e-10
-
-WORKLOADS = {
-    "stream_short": "library session: one 521-channel half-line sympow tight bank, "
-                    "short real and complex signals through analyze and synthesize",
-    "cli_long_audio": "CLI analyze --spectrogram then synthesize of one 2^18-sample "
-                      "WAV with an ERB tight spec: FFTs, WFBC I/O, rendering",
-    "cli_diagnose_tight": "CLI diagnose of five painless tight banks of four families: "
-                          "the sufficient bounds dominate",
-}
-
-END_TO_END = [
-    # name, unit, better, bound
-    ("op_ms_p50", "ms", "lower", 0.25),
-    ("setup_s", "s", "lower", 0.25),
-    ("peak_rss_mb", "MB", "lower", 0.1),
-    ("coeffs_per_sample", "coeffs/sample", "lower", 0.01),
-]
-
-PER_LAYER = [
-    # name, unit, better
-    ("transform.analyze_ms", "ms", "lower"),
-    ("transform.synthesize_ms", "ms", "lower"),
-    ("bank.build_bank_ms", "ms", "lower"),
-    ("bank.design_tight_ms", "ms", "lower"),
-    ("specfile.load_bank_spec_ms", "ms", "lower"),
-    ("bank.channels", "count", "lower"),
-    ("bank.empty_channels", "count", "lower"),
-    ("bank.frame_lengths", "count", "lower"),
-    ("transform.save_coefficients_ms", "ms", "lower"),
-    ("transform.load_coefficients_ms", "ms", "lower"),
-    ("transform.wfbc_mb", "MB", "lower"),
-    ("signal_io.read_wav_ms", "ms", "lower"),
-    ("signal_io.render_spectrogram_ms", "ms", "lower"),
-    ("signal_io.write_pgm_ms", "ms", "lower"),
-    ("signal_io.write_raw_ms", "ms", "lower"),
-    ("diagnostics.sufficient_bounds_ms", "ms", "lower"),
-    ("prototypes.window_points", "count", "lower"),
-    ("warping.map_points", "count", "lower"),
-    ("diagnostics.empirical_bounds_ms", "ms", "lower"),
-    ("diagnostics.frame_operator_applies", "count", "lower"),
-    ("cli.self_ms", "ms", "lower"),
-    ("trace.overhead_pct", "%", "lower"),
-]
+KNOWN_MISS = 1e-5  # power iteration misses this bank's bounds by 1.37e-7 of B; far more is a new fault
 
 
 class CheckFailure(Exception):
     """The program is missing, or a set-up step did not succeed."""
+
+
+def load_benchmark() -> dict:
+    try:
+        return json.loads((HERE.parent / "BENCHMARK.json").read_text())
+    except (OSError, ValueError) as exc:
+        raise CheckFailure(f"cannot read BENCHMARK.json: {exc}") from exc
 
 
 def import_program(cli: bool):
@@ -124,7 +88,10 @@ def design_spec(wb, path, args) -> None:
 #
 # setup() is the timed set-up (it runs after the import); prepare() makes
 # the seeded inputs and the references, untimed; op() is one timed op;
-# check() returns the problems found in one op's result.
+# check() returns one (known faults, problems) pair per counted operation
+# in an op.  A known fault is the named power-iteration miss (see
+# CliDiagnoseTight); it fails its operation but leaves `correct` true.
+# banks() gives the banks the per-layer counts describe.
 
 class StreamShort:
     length = 4096
@@ -155,8 +122,10 @@ class StreamShort:
         self.n_real = sum(oracle.frame_lengths(self.table)) + len(self.bank.residuals)
         self.n_complex = oracle.atom_count(self.table)
         self.oracle = oracle
-        self.banks = [self.bank]
         self.tables = [self.table]
+
+    def banks(self):
+        return [self.bank]
 
     def op(self, i):
         wb, bank = self.wb, self.bank
@@ -187,7 +156,7 @@ class StreamShort:
             err = oracle.relative_error(rec, f)
             if not err <= TOL:
                 problems.append(f"round trip error {err:.2e}")
-        return problems
+        return [([], problems)]
 
 
 class CliLongAudio:
@@ -225,8 +194,10 @@ class CliLongAudio:
         self.table = oracle.load_spec(self.spec)
         self.layout = oracle.wfbc_layout(self.table)
         self.oracle = oracle
-        self.banks = [self.wb.load_bank_spec(self.spec)]
         self.tables = [self.table]
+
+    def banks(self):
+        return [self.wb.load_bank_spec(self.spec)]
 
     def op(self, i):
         a = run_cli(self.wb, ["analyze", "--bank", str(self.spec), "--in", str(self.wav),
@@ -240,18 +211,17 @@ class CliLongAudio:
         oracle, problems = self.oracle, []
         for code, text in result:
             if code != 0:
-                return [f"exit code {code}: {text[-200:]}"]
+                return [([], [f"exit code {code}: {text[-200:]}"])]
         try:
             self.wfbc_bytes = self.wfbc.stat().st_size
-            entries = oracle.read_wfbc(self.wfbc, self.layout)
+            e = oracle.wfbc_energy(self.wfbc, self.layout)
             rows, cols = oracle.read_pgm_shape(self.pgm)
             rec = np.fromfile(self.raw, dtype="<f8")
         except (ValueError, OSError) as exc:
-            return [str(exc)]
+            return [([], [str(exc)])]
         finally:  # the next op must write its own outputs
             for path in (self.wfbc, self.pgm, self.raw):
                 path.unlink(missing_ok=True)
-        e = oracle.energy(entries)
         if abs(e - self.energy) > TOL * self.energy:
             problems.append(f"Parseval off by {abs(e - self.energy) / self.energy:.2e}")
         err = oracle.relative_error(rec, self.signal)
@@ -259,10 +229,17 @@ class CliLongAudio:
             problems.append(f"round trip error {err:.2e}")
         if (rows, cols) != (len(self.layout), max(n for _, n in self.layout)):
             problems.append(f"spectrogram is {rows}x{cols}")
-        return problems
+        return [([], problems)]
 
 
 class CliDiagnoseTight:
+    """Five painless tight banks, plus one non-painless bank whose frame
+    bounds come from power iteration: an ERB-like tight design (c=d=1,
+    fs=256, L=128) with every hop doubled.  Each of the six diagnose calls
+    is one counted operation.  The hop-doubled call fails on every op
+    today, because power iteration misses the dense eigenvalues by about
+    1e-7 of B; that is the known fault, counted in `failed`."""
+
     warmup = 1
     cli = True
     designs = {
@@ -276,37 +253,73 @@ class CliDiagnoseTight:
         "log": ["--warp", "log", "--warp-params", "c=4,d=1", "--L", "2048",
                 "--fs", "64", "--R", "3"],
     }
+    hops_base = ["--warp", "erb", "--warp-params", "c=1,d=1", "--L", "128",
+                 "--fs", "256", "--R", "3"]
+    hop_scale = 2
 
     def setup(self, wb, work):
-        self.wb = wb
+        self.wb, self.work = wb, work
         self.specs = []
         for name, args in self.designs.items():
             path = work / f"{name}.json"
             design_spec(wb, path, args)
             self.specs.append(path)
+        self.hops_base_spec = work / "erblet_hops_base.json"
+        design_spec(wb, self.hops_base_spec, self.hops_base)
 
     def prepare(self, rng, oracle):
         self.oracle = oracle
-        self.banks = [self.wb.load_bank_spec(p) for p in self.specs]
-        self.tables = [oracle.load_spec(p) for p in self.specs]
+        table = oracle.scale_hops(oracle.load_spec(self.hops_base_spec), self.hop_scale)
+        self.hops_spec = self.work / f"erblet_hops_x{self.hop_scale}.json"
+        with open(self.hops_spec, "w") as fh:
+            json.dump(table, fh, indent=2)
+        self.hops_bounds = oracle.dense_frame_bounds(table)
+        self.tables = [oracle.load_spec(p) for p in self.specs] + [table]
+
+    def banks(self):
+        return [self.wb.load_bank_spec(p) for p in self.specs + [self.hops_spec]]
 
     def op(self, i):
-        return [run_cli(self.wb, ["diagnose", "--bank", str(p)]) for p in self.specs]
+        return [run_cli(self.wb, ["diagnose", "--bank", str(p)])
+                for p in self.specs + [self.hops_spec]]
 
     def check(self, result):
+        outcomes = [([], self.check_tight(path, *res))
+                    for path, res in zip(self.specs, result)]
+        return outcomes + [self.check_hops(*result[-1])]
+
+    def check_tight(self, path, code, text):
+        rep = self.oracle.parse_report(text)
+        if code != 0 or len(rep) != 4:
+            return [f"{path.name}: exit code {code}: {text[-200:]}"]
         problems = []
-        for path, (code, text) in zip(self.specs, result):
-            rep = self.oracle.parse_report(text)
-            if code != 0 or len(rep) != 4:
-                problems.append(f"{path.name}: exit code {code}: {text[-200:]}")
-                continue
-            if abs(rep["A_emp"] - 1.0) > TOL or abs(rep["B_emp"] - 1.0) > TOL:
-                problems.append(f"{path.name}: tight bank reports A_emp {rep['A_emp']!r}, "
-                                f"B_emp {rep['B_emp']!r}")
-            if not (rep["A_suff"] <= 1.0 + 1e-12 and rep["B_suff"] >= 1.0 - 1e-12):
-                problems.append(f"{path.name}: sufficient bounds {rep['A_suff']!r}, "
-                                f"{rep['B_suff']!r} do not enclose 1")
+        if abs(rep["A_emp"] - 1.0) > TOL or abs(rep["B_emp"] - 1.0) > TOL:
+            problems.append(f"{path.name}: tight bank reports A_emp {rep['A_emp']!r}, "
+                            f"B_emp {rep['B_emp']!r}")
+        if not (rep["A_suff"] <= 1.0 + 1e-12 and rep["B_suff"] >= 1.0 - 1e-12):
+            problems.append(f"{path.name}: sufficient bounds {rep['A_suff']!r}, "
+                            f"{rep['B_suff']!r} do not enclose 1")
         return problems
+
+    def check_hops(self, code, text):
+        rep = self.oracle.parse_report(text)
+        if code != 0 or len(rep) != 4:
+            return [], [f"{self.hops_spec.name}: exit code {code}: {text[-200:]}"]
+        lo, hi = self.hops_bounds
+        slack = 1e-12 * hi
+        problems = []
+        if not (rep["A_suff"] <= lo + slack and hi <= rep["B_suff"] + slack):
+            problems.append(f"{self.hops_spec.name}: A_suff {rep['A_suff']!r} <= A {lo!r} "
+                            f"<= B {hi!r} <= B_suff {rep['B_suff']!r} does not hold")
+        faults = []
+        miss = max(abs(rep["A_emp"] - lo), abs(rep["B_emp"] - hi)) / hi
+        note = (f"{self.hops_spec.name}: power iteration misses the dense "
+                f"eigenvalues by {miss:.2e} of B")
+        if miss > KNOWN_MISS:  # worse than the known fault: a new one
+            problems.append(note)
+        elif miss > TOL:
+            faults.append(note)
+        return faults, problems
 
 
 WORKLOAD_CLASSES = {
@@ -365,15 +378,16 @@ def setup_probe_samples(args) -> list[float]:
     return samples
 
 
-def layer_metrics(tracer, op_roots, setup_root, op_counts, setup_counts,
+def layer_metrics(names, tracer, op_roots, setup_root, op_counts, setup_counts,
                   wfbc_sizes, workload, untraced, traced) -> dict:
     """Per-layer metrics: median per traced op; a layer that no op calls
     reports its set-up value instead."""
     op_self = [tracer.self_times(r) for r in op_roots]
     setup_self = tracer.self_times(setup_root)
+    banks = workload.banks()
     out = {}
-    for name, unit, _ in PER_LAYER:
-        if unit == "ms":
+    for name in names:
+        if name.endswith("_ms"):
             span = "cli.main" if name == "cli.self_ms" else name[:-3]
             per_op = [s.get(span, 0.0) * 1e3 for s in op_self]
             value = statistics.median(per_op) if any(per_op) else setup_self.get(span, 0.0) * 1e3
@@ -384,33 +398,34 @@ def layer_metrics(tracer, op_roots, setup_root, op_counts, setup_counts,
         elif name == "transform.wfbc_mb":
             value = statistics.median(wfbc_sizes) / 1e6
         elif name == "bank.channels":
-            value = sum(len(b.channels) for b in workload.banks)
+            value = sum(len(b.channels) for b in banks)
         elif name == "bank.empty_channels":
             value = sum(sum(1 for ch in b.channels if not ch.response.any())
-                        for b in workload.banks)
+                        for b in banks)
         elif name == "bank.frame_lengths":
-            value = sum(len({ch.n_frames for ch in b.channels}) for b in workload.banks)
+            value = sum(len({ch.n_frames for ch in b.channels}) for b in banks)
         elif name == "trace.overhead_pct":
             base = statistics.median(untraced)
             value = 100.0 * (statistics.median(traced) - base) / base
         else:
-            raise KeyError(name)
-        out[name] = {"value": value, "unit": unit}
+            raise CheckFailure(f"BENCHMARK.json names per-layer metric {name}, "
+                               "which run.py does not measure")
+        out[name] = value
     return out
 
 
-def run(args) -> dict:
+def run(args, doc) -> dict:
     os.environ.pop("WARPBANK_THREADS", None)
     workload = WORKLOAD_CLASSES[args.workload]()
     work = WORK / f"{args.workload}-{os.getpid()}"
     work.mkdir(parents=True, exist_ok=True)
     try:
-        return _run(args, workload, work)
+        return _run(args, doc, workload, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _run(args, workload, work) -> dict:
+def _run(args, doc, workload, work) -> dict:
     wb = import_program(workload.cli)
     tracer = None
     if args.trace:
@@ -434,6 +449,7 @@ def _run(args, workload, work) -> dict:
     setup_samples = [setup_own] if args.trace else [setup_own] + setup_probe_samples(args)
 
     problems: list[str] = []  # the first few, for the run record
+    known_fault: list[str] = []  # the first note of the known fault
     attempted = failed = bad_ops = 0
 
     def attempt(i: int, counted: bool = True, region=contextlib.nullcontext()) -> float:
@@ -444,15 +460,17 @@ def _run(args, workload, work) -> dict:
             with region:
                 result = workload.op(i)
             elapsed = time.perf_counter() - t
-            probs = workload.check(result)
+            outcomes = workload.check(result)
         except Exception:  # a crash is a failed op, not a lost run
             elapsed = time.perf_counter() - t
-            probs = [f"op {i} raised {traceback.format_exc(limit=-3)}"]
-        problems.extend(probs[:max(0, 5 - len(problems))])
-        bad_ops += bool(probs)
-        if counted:
-            attempted += 1
-            failed += bool(probs)
+            outcomes = [([], [f"op {i} raised {traceback.format_exc(limit=-3)}"])]
+        for faults, probs in outcomes:
+            problems.extend(probs[:max(0, 5 - len(problems))])
+            known_fault.extend(faults[:max(0, 1 - len(known_fault))])
+            bad_ops += bool(probs)
+            if counted:
+                attempted += 1
+                failed += bool(faults or probs)
         return elapsed
 
     for i in range(workload.warmup):
@@ -483,19 +501,24 @@ def _run(args, workload, work) -> dict:
     ref_after = reference_ms()
 
     if tracer is None:
-        metrics = {
-            "op_ms_p50": {"value": statistics.median(untraced) * 1e3, "unit": "ms"},
-            "setup_s": {"value": statistics.median(setup_samples), "unit": "s"},
-            "peak_rss_mb": {"value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                            "unit": "MB"},
-            "coeffs_per_sample": {
-                "value": sum(oracle.atom_count(t) for t in workload.tables)
-                / sum(int(t["grid"]["L"]) for t in workload.tables),
-                "unit": "coeffs/sample"},
+        declared = doc["end_to_end"]
+        values = {
+            "op_ms_p50": statistics.median(untraced) * 1e3,
+            "setup_s": statistics.median(setup_samples),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "coeffs_per_sample": sum(oracle.atom_count(t) for t in workload.tables)
+            / sum(int(t["grid"]["L"]) for t in workload.tables),
         }
+        if {m["name"] for m in declared} != set(values):
+            raise CheckFailure("BENCHMARK.json end_to_end names differ from "
+                               f"the metrics run.py measures: {sorted(values)}")
     else:
-        metrics = layer_metrics(tracer, op_roots, setup_region.sid, op_counts, setup_counts,
-                                wfbc_sizes, workload, untraced, traced)
+        declared = doc["per_layer"]
+        values = layer_metrics([m["name"] for m in declared], tracer, op_roots,
+                               setup_region.sid, op_counts, setup_counts,
+                               wfbc_sizes, workload, untraced, traced)
+    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in declared}
+    if tracer is not None:
         traces = WORK / "traces"
         traces.mkdir(parents=True, exist_ok=True)
         tracer.dump(traces / f"{args.workload}-seed{args.seed}-{os.getpid()}.json")
@@ -503,7 +526,7 @@ def _run(args, workload, work) -> dict:
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "attempted": attempted, "failed": failed,
-        "correct": bad_ops == 0, "problems": problems,
+        "correct": bad_ops == 0, "problems": problems, "known_fault": known_fault,
         "metrics": metrics, "setup_samples_s": setup_samples,
         "op_ms": [t * 1e3 for t in untraced], "traced_op_ms": [t * 1e3 for t in traced],
         "wall_s": wall, "cpu_s": cpu, "reference_ms": [ref_before, ref_after],
@@ -520,38 +543,25 @@ def _run(args, workload, work) -> dict:
     return record
 
 
-def write_benchmark_json() -> None:
-    doc = {
-        "command": ["python3", "bench/run.py"],
-        "paths": ["bench"],
-        "run_seconds": RUN_SECONDS,
-        "workloads": [{"name": n, "why": why} for n, why in WORKLOADS.items()],
-        "end_to_end": [{"name": n, "unit": u, "better": b, "bound": bound}
-                       for n, u, b, bound in END_TO_END],
-        "per_layer": [{"name": n, "unit": u, "better": b} for n, u, b in PER_LAYER],
-    }
-    with open(HERE.parent / "BENCHMARK.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def main(argv=None) -> int:
+    try:
+        doc = load_benchmark()
+    except CheckFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    names = [w["name"] for w in doc["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=names)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=RUN_SECONDS)
+    parser.add_argument("--seconds", type=float, default=doc["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--write-benchmark-json", action="store_true",
-                        help="regenerate BENCHMARK.json and exit")
     args = parser.parse_args(argv)
-    if args.write_benchmark_json:
-        write_benchmark_json()
-        return 0
-    if args.workload is None:
-        parser.error("--workload is required")
     try:
-        record = run(args)
+        if set(names) != set(WORKLOAD_CLASSES):
+            raise CheckFailure(f"BENCHMARK.json workloads {names} differ from "
+                               f"run.py's {sorted(WORKLOAD_CLASSES)}")
+        record = run(args, doc)
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -562,7 +572,7 @@ def main(argv=None) -> int:
         print(f"{name}: {m['value']:.6g} {m['unit']}")
     print(f"ops: {record['attempted']} attempted, {record['failed']} failed; "
           f"cpu {record['cpu_s']:.2f} s over {record['wall_s']:.2f} s wall")
-    for note in record["problems"]:
+    for note in record["known_fault"] + record["problems"]:
         print(f"note: {note}")
     print(json.dumps({"correct": record["correct"], "attempted": record["attempted"],
                       "failed": record["failed"], "metrics": record["metrics"]}))
