@@ -5,7 +5,9 @@
 
 Run from the root of a source checkout; the program is imported from
 ``src/`` of that checkout and nowhere else.  Each op is timed with wall
-clock, its outputs are checked against references built in
+clock and scaled by a fixed reference kernel timed next to it, which
+takes the machine's speed drift out (see ``Reference``); its outputs are
+checked against references built in
 ``bench/oracle.py``, and the last line of standard output is one JSON
 object with the keys ``correct``, ``attempted``, ``failed`` and
 ``metrics``.  ``--trace 0`` reports the end-to-end metrics, ``--trace 1``
@@ -91,11 +93,14 @@ def design_spec(wb, path, args) -> None:
 # check() returns one (known faults, problems) pair per counted operation
 # in an op.  A known fault is the named power-iteration miss (see
 # CliDiagnoseTight); it fails its operation but leaves `correct` true.
-# banks() gives the banks the per-layer counts describe.
+# banks() gives the banks the per-layer counts describe.  reference names
+# the Reference kernel; ref_passes is the number of its passes timed after
+# each op.
 
 class StreamShort:
     length = 4096
     warmup = 3
+    reference, ref_passes = "interpreter", 1
     cli = False
 
     def setup(self, wb, work):
@@ -163,6 +168,7 @@ class CliLongAudio:
     length = 2**18
     fs = 44100
     warmup = 1
+    reference, ref_passes = "memory", 8
     cli = True
 
     def setup(self, wb, work):
@@ -241,6 +247,7 @@ class CliDiagnoseTight:
     1e-7 of B; that is the known fault, counted in `failed`."""
 
     warmup = 1
+    reference, ref_passes = "interpreter", 8
     cli = True
     designs = {
         "erb_audio": ["--warp", "erb", "--L", "4096", "--fs", "44100", "--R", "3"],
@@ -350,22 +357,69 @@ def read_steal() -> float | None:
         return None
 
 
-def reference_ms() -> float:
-    """Median time of a fixed numpy kernel that no program change moves;
-    taken before and after the measured window, it shows machine drift."""
-    import numpy as np
-    x = np.random.default_rng(0).standard_normal(4096)
-    times = []
-    for _ in range(5):
+class Reference:
+    """A fixed numpy kernel that no program change moves.  Timed next to
+    every op, it gives the machine's speed at that moment; dividing by it
+    takes out the machine's drift.  A reported time is the wall time
+    scaled to a machine on which one pass of the kernel takes its nominal
+    time.  Each workload names the kernel whose work is most like its own,
+    because the machine's slow-downs hit cache-resident interpreter work
+    and large-array work by different factors:
+
+    * "interpreter": ten length-4096 FFT round trips and a loop of 150
+      length-64 FFTs (per-channel loops of small transforms);
+    * "memory": abs, log10 and a uint8 cast over an 89 x 8192 float64
+      array, as in rendering a spectrogram.  It writes into buffers made
+      once: a fresh allocation's cost depends on the allocator's state,
+      which the program's own allocations set.
+    """
+
+    NOMINAL_MS = {"interpreter": 2.5, "memory": 3.0}
+
+    def __init__(self, kind: str):
+        import numpy as np
+        rng = np.random.default_rng(0)
+        self.np = np
+        self.nominal_s = self.NOMINAL_MS[kind] / 1e3
+        self.kernel = getattr(self, "_" + kind)
+        if kind == "interpreter":
+            self.big = rng.standard_normal(4096)
+            self.small = [rng.standard_normal(64) for _ in range(8)]
+        else:  # 12 MB, a constant part of the workload's peak_rss_mb
+            self.image = rng.standard_normal((89, 8192))
+            self.db = np.empty_like(self.image)
+            self.pixels = np.empty(self.image.shape, np.uint8)
+
+    def _interpreter(self) -> None:
+        np = self.np
+        for _ in range(10):
+            np.fft.ifft(np.fft.fft(self.big))
+        for k in range(150):
+            y = self.small[k % 8]
+            np.fft.ifft(y * y)
+
+    def _memory(self) -> None:
+        np, db = self.np, self.db
+        np.abs(self.image, out=db)
+        np.add(db, 1e-3, out=db)
+        np.log10(db, out=db)
+        np.copyto(self.pixels, db, casting="unsafe")
+
+    def seconds(self, passes: int = 1) -> float:
+        """Mean wall time of one pass over `passes` consecutive passes."""
         t = time.perf_counter()
-        for _ in range(100):
-            np.fft.ifft(np.fft.fft(x))
-        times.append(time.perf_counter() - t)
-    return statistics.median(times) * 1e3
+        for _ in range(passes):
+            self.kernel()
+        return (time.perf_counter() - t) / passes
+
+    def scale(self, passes: int = 8) -> float:
+        """Nominal over the median of a few passes now."""
+        return self.nominal_s / statistics.median(self.seconds() for _ in range(passes))
 
 
-def setup_probe_samples(args) -> list[float]:
-    """Set-up time of fresh processes, measured inside each."""
+def setup_probe_samples(args) -> list[dict]:
+    """Set-up time of fresh processes, measured inside each: raw wall
+    seconds and scaled by the reference kernel run right after."""
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", "1", "--trace", "0", "--setup-probe"]
     samples = []
@@ -374,15 +428,16 @@ def setup_probe_samples(args) -> list[float]:
                               timeout=120)
         if proc.returncode != 0:
             raise CheckFailure(f"set-up probe exited {proc.returncode}: {proc.stderr[-300:]}")
-        samples.append(json.loads(proc.stdout.splitlines()[-1])["setup_s"])
+        samples.append(json.loads(proc.stdout.splitlines()[-1]))
     return samples
 
 
 def layer_metrics(names, tracer, op_roots, setup_root, op_counts, setup_counts,
-                  wfbc_sizes, workload, untraced, traced) -> dict:
+                  wfbc_sizes, workload, untraced, traced, op_scales, setup_scale) -> dict:
     """Per-layer metrics: median per traced op; a layer that no op calls
-    reports its set-up value instead."""
-    op_self = [tracer.self_times(r) for r in op_roots]
+    reports its set-up value instead.  Times are scaled like the ops."""
+    op_self = [{k: v * f for k, v in tracer.self_times(r).items()}
+               for r, f in zip(op_roots, op_scales)]
     setup_self = tracer.self_times(setup_root)
     banks = workload.banks()
     out = {}
@@ -390,7 +445,8 @@ def layer_metrics(names, tracer, op_roots, setup_root, op_counts, setup_counts,
         if name.endswith("_ms"):
             span = "cli.main" if name == "cli.self_ms" else name[:-3]
             per_op = [s.get(span, 0.0) * 1e3 for s in op_self]
-            value = statistics.median(per_op) if any(per_op) else setup_self.get(span, 0.0) * 1e3
+            value = (statistics.median(per_op) if any(per_op)
+                     else setup_self.get(span, 0.0) * 1e3 * setup_scale)
         elif name in ("prototypes.window_points", "warping.map_points",
                       "diagnostics.frame_operator_applies"):
             per_op = [c.get(name, 0) for c in op_counts]
@@ -438,15 +494,18 @@ def _run(args, doc, workload, work) -> dict:
         tracer.uninstall()
     else:
         workload.setup(wb, work)
-    setup_own = time.perf_counter() - _T0
+    setup_wall = time.perf_counter() - _T0
+    ref = Reference(workload.reference)
+    setup_own = {"raw_s": setup_wall, "scale": ref.scale()}
     if args.setup_probe:
-        return {"setup_s": setup_own}
+        return setup_own
 
     import numpy as np
     import scipy
     import oracle
     workload.prepare(np.random.default_rng(args.seed), oracle)
     setup_samples = [setup_own] if args.trace else [setup_own] + setup_probe_samples(args)
+    setup_scaled = [s["raw_s"] * s["scale"] for s in setup_samples]
 
     problems: list[str] = []  # the first few, for the run record
     known_fault: list[str] = []  # the first note of the known fault
@@ -476,18 +535,33 @@ def _run(args, doc, workload, work) -> dict:
     for i in range(workload.warmup):
         attempt(i, counted=False)
 
+    # every op is followed by `ref_passes` reference passes (4-13% of the
+    # op's time); an op's scale is the nominal pass time over the mean
+    # pass time just before and just after it
     untraced, traced, op_roots, op_counts, wfbc_sizes = [], [], [], [], []
-    ref_before = reference_ms()
+    raw_ms, ref_ms = [], [ref.seconds(workload.ref_passes) * 1e3]
+
+    def timed(i, **kw) -> tuple[float, float]:
+        """Wall seconds and scale of one op."""
+        elapsed = attempt(i, **kw)
+        ref_ms.append(ref.seconds(workload.ref_passes) * 1e3)
+        return elapsed, 2e3 * ref.nominal_s / (ref_ms[-2] + ref_ms[-1])
+
     steal0, cpu0, start = read_steal(), time.process_time(), time.perf_counter()
     i = workload.warmup
+    op_scales = []
     while True:
-        untraced.append(attempt(i))
+        elapsed, scale = timed(i)
+        raw_ms.append(elapsed * 1e3)
+        untraced.append(elapsed * scale)
         i += 1
         if tracer is not None:
             before = dict(tracer.counts)
             tracer.install()
             region = tracer.region("op")
-            traced.append(attempt(i, region=region))
+            elapsed, scale = timed(i, region=region)
+            traced.append(elapsed * scale)
+            op_scales.append(scale)
             tracer.uninstall()
             op_roots.append(region.sid)
             op_counts.append({k: v - before.get(k, 0) for k, v in tracer.counts.items()})
@@ -498,13 +572,12 @@ def _run(args, doc, workload, work) -> dict:
     wall = time.perf_counter() - start
     cpu = time.process_time() - cpu0
     steal1 = read_steal()
-    ref_after = reference_ms()
 
     if tracer is None:
         declared = doc["end_to_end"]
         values = {
-            "op_ms_p50": statistics.median(untraced) * 1e3,
-            "setup_s": statistics.median(setup_samples),
+            "op_scaled_ms_p50": statistics.median(untraced) * 1e3,
+            "setup_s": statistics.median(setup_scaled),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "coeffs_per_sample": sum(oracle.atom_count(t) for t in workload.tables)
             / sum(int(t["grid"]["L"]) for t in workload.tables),
@@ -516,7 +589,8 @@ def _run(args, doc, workload, work) -> dict:
         declared = doc["per_layer"]
         values = layer_metrics([m["name"] for m in declared], tracer, op_roots,
                                setup_region.sid, op_counts, setup_counts,
-                               wfbc_sizes, workload, untraced, traced)
+                               wfbc_sizes, workload, untraced, traced,
+                               op_scales, setup_own["scale"])
     metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in declared}
     if tracer is not None:
         traces = WORK / "traces"
@@ -527,9 +601,12 @@ def _run(args, doc, workload, work) -> dict:
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "attempted": attempted, "failed": failed,
         "correct": bad_ops == 0, "problems": problems, "known_fault": known_fault,
-        "metrics": metrics, "setup_samples_s": setup_samples,
-        "op_ms": [t * 1e3 for t in untraced], "traced_op_ms": [t * 1e3 for t in traced],
-        "wall_s": wall, "cpu_s": cpu, "reference_ms": [ref_before, ref_after],
+        "metrics": metrics, "setup_samples": setup_samples,
+        "op_scaled_ms": [t * 1e3 for t in untraced],
+        "traced_op_scaled_ms": [t * 1e3 for t in traced],
+        "op_wall_ms": raw_ms, "reference": workload.reference,
+        "reference_ms": ref_ms, "reference_nominal_ms": ref.nominal_s * 1e3,
+        "wall_s": wall, "cpu_s": cpu,
         "steal_s": None if steal0 is None or steal1 is None else steal1 - steal0,
         "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
         "numpy": np.__version__, "scipy": scipy.__version__,
@@ -572,6 +649,11 @@ def main(argv=None) -> int:
         print(f"{name}: {m['value']:.6g} {m['unit']}")
     print(f"ops: {record['attempted']} attempted, {record['failed']} failed; "
           f"cpu {record['cpu_s']:.2f} s over {record['wall_s']:.2f} s wall")
+    print(f"unscaled: op wall median {statistics.median(record['op_wall_ms']):.6g} ms, "
+          f"set-up median {statistics.median(s['raw_s'] for s in record['setup_samples']):.6g} s, "
+          f"{record['reference']} reference pass median "
+          f"{statistics.median(record['reference_ms']):.4g} ms "
+          f"(nominal {record['reference_nominal_ms']:g} ms)")
     for note in record["known_fault"] + record["problems"]:
         print(f"note: {note}")
     print(json.dumps({"correct": record["correct"], "attempted": record["attempted"],
