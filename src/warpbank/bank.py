@@ -18,8 +18,12 @@ reproduces the continuous squared-translate sum with no grid constant.
 Grids over the positive half line get two extra single-coefficient
 residual channels holding the DC and Nyquist bins, which a half-line
 warping cannot reach.  Each warped channel then also acts on the mirrored
-negative bins (see transform), so the bank covers all of C^L and real
-signals round-trip through conjugate symmetry.
+negative bins (L - bin) % L (see transform), so the bank covers all of C^L
+and real signals round-trip through conjugate symmetry.
+
+Analysis, synthesis, the diagonal and the dual all read one flat plan,
+built on first use and grouped by frame length N: hops snap to divisors
+of L, so a bank has few distinct N however many channels it has.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Mapping
 
 import numpy as np
@@ -119,6 +124,23 @@ class ResidualChannel:
 
 
 @dataclass
+class BankPlan:
+    """Flat sampled geometry.  ``bins`` (0..L-1) and ``response`` run group
+    after group, and the all-zero responses of empty channels follow at the
+    tail; channel i's response is a view at ``response[offsets[i]:]``.  Each
+    group (N, rows, span, slots) holds the nonempty channels of one frame
+    length N, row r being channel ``rows[r]``: its entries ``span`` fold at
+    ``slots`` = row * N + bin % N into a rows x N block."""
+
+    groups: list[tuple[int, list[int], slice, np.ndarray]]
+    empty: list[int]
+    bins: np.ndarray
+    mirror_bins: np.ndarray | None
+    response: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass
 class WarpedBank:
     warping: WarpingFunction
     window: object
@@ -129,14 +151,18 @@ class WarpedBank:
     policy_record: dict
     fingerprint: str
     _diag: np.ndarray | None = field(default=None, repr=False)
+    _plan: BankPlan | None = field(default=None, repr=False)
 
     @property
     def painless(self) -> bool:
         return all(ch.painless for ch in self.channels)
 
     @property
-    def m_range(self) -> tuple[int, int]:
-        return (self.channels[0].m, self.channels[-1].m)
+    def plan(self) -> BankPlan:
+        """The flat plan (built on first use, then cached)."""
+        if self._plan is None:
+            self._plan = _build_plan(self)
+        return self._plan
 
     def diagonal(self) -> np.ndarray:
         """Frame-operator diagonal over all L bins (cached)."""
@@ -189,22 +215,20 @@ def painless_factors(warping: WarpingFunction, support: tuple[float, float], m_r
     return 1.0 / width
 
 
-def _divisors(n: int) -> np.ndarray:
-    divs = []
-    for k in range(1, int(math.isqrt(n)) + 1):
-        if n % k == 0:
-            divs.append(k)
-            divs.append(n // k)
-    return np.unique(divs)
+def _snap_to_divisors(samples, length: int) -> np.ndarray:
+    """The largest divisor of ``length`` not exceeding each sample count,
+    floored at 1."""
+    small = [k for k in range(1, math.isqrt(length) + 1) if length % k == 0]
+    divs = np.unique(small + [length // k for k in small])
+    pos = np.searchsorted(divs, samples, side="right") - 1
+    return divs[np.clip(pos, 0, len(divs) - 1)].astype(np.int64)
 
 
 def round_factors_to_grid(a_real, grid: GridSpec) -> np.ndarray:
     """Convert continuous factors (seconds) to integer hops: the largest
     divisor of L not exceeding a_real * fs, floored at 1."""
     samples = np.atleast_1d(np.asarray(a_real, dtype=float)) * grid.fs
-    divs = _divisors(grid.length)
-    pos = np.searchsorted(divs, samples, side="right") - 1
-    return divs[np.clip(pos, 0, len(divs) - 1)].astype(np.int64)
+    return _snap_to_divisors(samples, grid.length)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +266,63 @@ def _sample_channel(warping, window, grid: GridSpec, m: int, a: int) -> Channel:
     )
 
 
+def _build_plan(bank: WarpedBank) -> BankPlan:
+    """Concatenate the sampled responses, nonempty channels first and
+    grouped by ascending N, and point each channel's response at its slice."""
+    chans = bank.channels
+    active = [bool(ch.response.any()) for ch in chans]
+    order = sorted(range(len(chans)), key=lambda i: (not active[i], chans[i].n_frames))
+    sizes = np.array([len(chans[i].response) for i in order], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    response = np.concatenate([chans[i].response for i in order] or [np.zeros(0)])
+    offsets = np.empty(len(chans), dtype=np.intp)
+    offsets[order] = starts
+    for i, start, size in zip(order, starts, sizes):
+        chans[i].response = response[start:start + size]
+    n_active = sum(active)
+    # bin of each active entry: its channel's start_bin plus its position
+    first = np.array([chans[i].start_bin for i in order[:n_active]], dtype=np.intp)
+    bins = np.repeat(first - starts[:n_active], sizes[:n_active])
+    bins += np.arange(len(bins))
+    half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
+    if not half:
+        bins %= bank.grid.length
+    groups, lo = [], 0
+    for n, rows in groupby(order[:n_active], key=lambda i: chans[i].n_frames):
+        rows = list(rows)
+        hi = lo + len(rows)
+        span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
+        slots = bins[span] % n
+        slots += np.repeat(np.arange(len(rows)) * n, sizes[lo:hi])
+        groups.append((n, rows, span, slots))
+        lo = hi
+    # (L - bin) % L without the modulo: half-line bins lie in 1..L/2-1
+    mirror = bank.grid.length - bins if half else None
+    return BankPlan(groups, order[n_active:], bins, mirror, response, offsets)
+
+
 def _accumulate_diagonal(bank: WarpedBank) -> np.ndarray:
     length = bank.grid.length
+    plan = bank.plan
+    # entry j of channel m adds N_m response_m[j]^2 at its bin (and mirror)
+    weights = np.concatenate([n * plan.response[span] ** 2
+                              for n, _, span, _ in plan.groups] or [np.zeros(0)])
     diag = np.zeros(length)
-    for ch in bank.channels:
-        if len(ch.response) == 0:
-            continue
-        idx = np.arange(ch.start_bin, ch.start_bin + len(ch.response)) % length
-        contrib = (length / ch.a) * ch.response**2
-        diag[idx] += contrib
-        if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
-            diag[(length - idx) % length] += contrib
+    for bins in (plan.bins, plan.mirror_bins):
+        if bins is not None:
+            diag += np.bincount(bins, weights, minlength=length)
     for res in bank.residuals:
         diag[res.bin_index] += res.response_value**2
     return diag
+
+
+def _require_coverage(bank: WarpedBank, consequence: str) -> None:
+    holes = int(np.count_nonzero(bank.diagonal() <= 0.0))
+    if holes:
+        raise CoverageError(
+            f"frame-operator diagonal vanishes on {holes} of {bank.grid.length} "
+            f"bins; {consequence}"
+        )
 
 
 def _geometry_fingerprint(warping, window, grid: GridSpec, factors: dict[int, int]) -> str:
@@ -331,19 +398,8 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
         fingerprint=_geometry_fingerprint(warping, window, grid, factors),
     )
     if check_coverage:
-        diag = bank.diagonal()
-        holes = int(np.count_nonzero(diag <= 0.0))
-        if holes:
-            raise CoverageError(
-                f"frame-operator diagonal vanishes on {holes} of {grid.length} bins; "
-                "the channel set does not cover the grid"
-            )
+        _require_coverage(bank, "the channel set does not cover the grid")
     return bank
-
-
-def diagonal(bank: WarpedBank) -> np.ndarray:
-    """Frame-operator diagonal d(xi_j) over all L bins."""
-    return bank.diagonal()
 
 
 def painless_dual(bank: WarpedBank) -> WarpedBank:
@@ -359,26 +415,21 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
             f"channels {offenders} have aliasing support bins; "
             "the pointwise dual formula does not apply"
         )
-    diag = bank.diagonal()
-    holes = int(np.count_nonzero(diag <= 0.0))
-    if holes:
-        raise CoverageError(
-            f"diagonal vanishes on {holes} of {bank.grid.length} bins; "
-            "the pointwise dual is undefined there"
-        )
-    length = bank.grid.length
-    dual_channels = []
-    for ch in bank.channels:
-        idx = np.arange(ch.start_bin, ch.start_bin + len(ch.response)) % length
-        resp = ch.response / diag[idx]
-        dual_channels.append(Channel(
-            m=ch.m, center_hz=ch.center_hz, a=ch.a, n_frames=ch.n_frames,
-            start_bin=ch.start_bin, response=resp, painless=ch.painless,
-        ))
+    _require_coverage(bank, "the pointwise dual is undefined there")
+    plan = bank.plan
+    response = plan.response.copy()
+    response[: len(plan.bins)] /= bank.diagonal()[plan.bins]
+    dual_channels = [
+        Channel(m=ch.m, center_hz=ch.center_hz, a=ch.a, n_frames=ch.n_frames,
+                start_bin=ch.start_bin, painless=ch.painless,
+                response=response[start:start + len(ch.response)])
+        for ch, start in zip(bank.channels, plan.offsets)
+    ]
     return WarpedBank(
         warping=bank.warping, window=bank.window, grid=bank.grid, kind="dual",
         channels=dual_channels, residuals=list(bank.residuals),
         policy_record=dict(bank.policy_record), fingerprint=bank.fingerprint,
+        _plan=replace(plan, response=response),
     )
 
 
@@ -412,13 +463,9 @@ def with_scaled_factors(bank: WarpedBank, scale: int) -> WarpedBank:
     the painless flags; diagnostics use this to probe degradation."""
     if int(scale) != scale or scale < 1:
         raise InvalidParameter(f"scale must be a positive integer, got {scale!r}")
-    grid = bank.grid
-    divs = _divisors(grid.length)
-    factors = {}
-    for ch in bank.channels:
-        target = min(ch.a * int(scale), grid.length)
-        factors[ch.m] = int(divs[np.searchsorted(divs, target, side="right") - 1])
-    return build_bank(bank.warping, bank.window, grid, Explicit(factors),
+    hops = _snap_to_divisors([ch.a * int(scale) for ch in bank.channels], bank.grid.length)
+    factors = {ch.m: int(a) for ch, a in zip(bank.channels, hops)}
+    return build_bank(bank.warping, bank.window, bank.grid, Explicit(factors),
                       kind=bank.kind, check_coverage=False)
 
 

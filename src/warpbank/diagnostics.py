@@ -33,7 +33,6 @@ import numpy as np
 from .bank import WarpedBank, with_scaled_factors
 from .errors import NoConvergence
 from .transform import apply_frame_operator
-from .warping import Domain
 
 
 @dataclass
@@ -67,7 +66,6 @@ def diagonal_bounds(bank: WarpedBank) -> tuple[float, float]:
 def _dense_grid(bank: WarpedBank, oversample: int) -> np.ndarray:
     """Evaluation frequencies: ``oversample`` points per bin across the
     warped channels' active range, bin centers included."""
-    length = bank.grid.length
     lo_bin, hi_bin = bank.grid.signed_bin_range()
     step = bank.grid.bin_hz / oversample
     return np.arange(lo_bin * oversample, hi_bin * oversample + 1) * step
@@ -78,14 +76,17 @@ def sufficient_bounds(bank: WarpedBank, oversample_grid_factor: int = 8):
 
     Uses the continuous evaluators, not the sampled responses, so the
     result reflects the mathematical condition at the chosen density
-    rather than grid artifacts.  Residual channels contribute their exact
-    unit eigenvalue as separate candidates.
+    rather than grid artifacts.  Like the sampled channels, the evaluators
+    vanish outside the grid's active band, so a shift that leaves the band
+    overlaps nothing.  Residual channels contribute their exact unit
+    eigenvalue as separate candidates.
     """
     oversample = int(oversample_grid_factor)
     if oversample < 1:
         oversample = 1
     t = _dense_grid(bank, oversample)
-    half_line = bank.grid.domain is Domain.POSITIVE_HALF_LINE
+    # channels are truncated to the grid's active band: no overlaps beyond it
+    band_lo, band_hi = np.array(bank.grid.signed_bin_range()) * bank.grid.bin_hz
     warping = bank.warping
     window = bank.window
     lo_s, hi_s = window.support
@@ -94,9 +95,7 @@ def sufficient_bounds(bank: WarpedBank, oversample_grid_factor: int = 8):
 
     def theta_m(freqs, m):
         out = np.zeros_like(freqs)
-        ok = np.isfinite(freqs)
-        if half_line:
-            ok &= freqs > 0.0
+        ok = (freqs >= band_lo) & (freqs <= band_hi)
         if np.any(ok):
             out[ok] = window(warping.f(freqs[ok]) - m)
         return out
@@ -108,7 +107,8 @@ def sufficient_bounds(bank: WarpedBank, oversample_grid_factor: int = 8):
         upper += sq
         shift_hz = bank.grid.fs / ch.a
         width_hz = float(warping.f_inv(hi_s + ch.m) - warping.f_inv(lo_s + ch.m))
-        k_max = math.ceil(width_hz / shift_hz)
+        # a shift past the band's width leaves the band from every point
+        k_max = math.ceil(min(width_hz, band_hi - band_lo) / shift_hz)
         absbase = np.abs(base)
         for k in range(1, k_max + 1):
             for sign in (1.0, -1.0):

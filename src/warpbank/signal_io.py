@@ -112,26 +112,25 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     (residual and mirror channels are omitted); each row's coefficients
     are nearest-index resampled onto the longest channel's time raster.
     Magnitudes are 20 log10 relative to the global maximum, floored at
-    -80 dB, mapped linearly onto 0..255.  Returns the image and the row
-    center frequencies in Hz.
+    -80 dB, mapped linearly onto 0..255.  Levels are computed per channel
+    on its own N_m coefficients and only then resampled, straight into
+    the uint8 image.  Returns the image and the row center frequencies
+    in Hz.
     """
     order = np.argsort([ch.center_hz for ch in bank.channels])
     n_cols = max(ch.n_frames for ch in bank.channels)
-    rows = []
-    centers = []
-    for i in order:
-        mags = np.abs(coeffs.channels[i])
-        src = (np.arange(n_cols) * len(mags)) // n_cols
-        rows.append(mags[src])
-        centers.append(bank.channels[i].center_hz)
-    grid = np.vstack(rows)
-    peak = grid.max()
-    if peak <= 0.0:
-        db = np.full_like(grid, SPECTROGRAM_FLOOR_DB)
-    else:
+    mags = [np.abs(c) for c in coeffs.channels]
+    # nearest-index resampling reaches every coefficient, so the image
+    # peak is the peak over all channels
+    peak = max(float(m.max()) for m in mags)
+    centers = [bank.channels[i].center_hz for i in order]
+    image = np.zeros((len(order), n_cols), dtype=np.uint8)
+    if peak <= 0.0:  # silence: every pixel at the floor level
+        return image, centers
+    for row, i in enumerate(order):
         with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(grid / peak)
-        db = np.maximum(db, SPECTROGRAM_FLOOR_DB)
-    scaled = (db - SPECTROGRAM_FLOOR_DB) / (-SPECTROGRAM_FLOOR_DB)
-    image = np.round(255.0 * scaled).astype(np.uint8)
+            db = np.maximum(20.0 * np.log10(mags[i] / peak), SPECTROGRAM_FLOOR_DB)
+        scaled = (db - SPECTROGRAM_FLOOR_DB) / (-SPECTROGRAM_FLOOR_DB)
+        levels = np.round(255.0 * scaled).astype(np.uint8)
+        image[row] = levels[(np.arange(n_cols) * len(levels)) // n_cols]
     return image, centers

@@ -5,17 +5,22 @@ hop a and N = L / a coefficients computes
 
     c_m[n] = <f, T_{n a} g_m> = sum_j fhat[j] response_m[j] exp(2 pi i j n / N),
 
-done by folding fhat * response onto N bins and one inverse FFT of length
-N, so a full analysis costs one length-L FFT plus one small FFT per
-channel.  Synthesis is the exact adjoint: each channel scatters
-fft(c_m)[j mod N] * response_m[j] back onto its bins.  The n = 0
-coefficient sits at time 0; there is no per-channel phase ramp.
+done by folding fhat * response onto N slots (j mod N) and one inverse
+FFT of length N.  The bank's plan (see bank) groups the channels by N, so
+a full analysis costs one length-L FFT, then per distinct N one bincount
+fold over the group's flat bins and one batched inverse FFT of its
+rows x N block.  Channels whose response is all zero get N zeros and no
+FFT.  Synthesis is the exact adjoint: per group one batched FFT, a gather
+through the fold slots, and one bincount scatter of
+fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0 coefficient
+sits at time 0; there is no per-channel phase ramp.
 
 Half-line banks carry a mirrored copy of every warped channel on the
-negative-frequency bins (responses reused, atoms conjugated).  For real
-input the mirror coefficients are the conjugates of the direct ones, so
-they are never materialized; synthesis restores the negative bins by
-conjugate symmetry and returns a real signal.
+negative-frequency bins (responses reused, atoms conjugated), which folds
+through the same slots with the FFT directions swapped.  For real input
+the mirror coefficients are the conjugates of the direct ones, so they
+are never materialized; analysis reads bins 0..L/2 of an rfft, and
+synthesis fills bins 0..L/2 and returns a real signal by irfft.
 
 Coefficients serialize to the WFBC container: magic ``WFBC``, version and
 entry count as little-endian u32, then per entry a channel tag (i32), a
@@ -27,9 +32,7 @@ repeat the warped tags at the end.
 
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +57,6 @@ class Signal:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.samples))
 
 
 @dataclass
@@ -92,36 +91,29 @@ def _as_samples(signal) -> np.ndarray:
     return np.asarray(signal)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WARPBANK_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
+def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of ``values`` over equal ``index`` entries, 0..size-1."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, values.real, minlength=size)
+    out.imag = np.bincount(index, values.imag, minlength=size)
+    return out
 
 
-def _map_channels(fn, items):
-    n = _thread_count()
-    if n > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _channel_bins(ch, length: int) -> np.ndarray:
-    return np.arange(ch.start_bin, ch.start_bin + len(ch.response)) % length
-
-
-def _analyze_one(fhat, ch, length: int, mirror: bool) -> np.ndarray:
-    n = ch.n_frames
-    folded = np.zeros(n, dtype=complex)
-    if len(ch.response):
-        idx = _channel_bins(ch, length)
-        if mirror:
-            idx = (length - idx) % length
-        np.add.at(folded, idx % n, fhat[idx] * ch.response)
-    return n * np.fft.ifft(folded)
+def _fold_frames(bank: WarpedBank, weighted: np.ndarray, mirror: bool) -> list:
+    """Per-channel coefficients from the plan's weighted spectrum entries:
+    fold each group onto its rows x N block, one transform per group.
+    A mirror branch conjugates every phase, so a forward FFT replaces the
+    scaled inverse one."""
+    plan = bank.plan
+    out = [None] * len(bank.channels)
+    for n, rows, span, slots in plan.groups:
+        folded = _sum_at(slots, weighted[span], len(rows) * n).reshape(len(rows), n)
+        frames = np.fft.fft(folded) if mirror else np.fft.ifft(folded, norm="forward")
+        for i, row in zip(rows, frames):
+            out[i] = row
+    for i in plan.empty:
+        out[i] = np.zeros(bank.channels[i].n_frames, dtype=complex)
+    return out
 
 
 def analyze(signal, bank: WarpedBank) -> CoefficientSet:
@@ -138,13 +130,15 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
         )
     half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
     real_input = not np.iscomplexobj(samples)
-    fhat = np.fft.fft(samples) / np.sqrt(length)
-    channels = _map_channels(lambda ch: _analyze_one(fhat, ch, length, False),
-                             bank.channels)
+    plan = bank.plan
+    # a real half-line analysis reads bins 0..L/2 only
+    fft = np.fft.rfft if half and real_input else np.fft.fft
+    fhat = fft(samples) / np.sqrt(length)
+    response = plan.response[: len(plan.bins)]
+    channels = _fold_frames(bank, fhat[plan.bins] * response, mirror=False)
     mirrors = None
     if half and not real_input:
-        mirrors = _map_channels(lambda ch: _analyze_one(fhat, ch, length, True),
-                                bank.channels)
+        mirrors = _fold_frames(bank, fhat[plan.mirror_bins] * response, mirror=True)
     residuals = [np.array([fhat[res.bin_index]]) for res in bank.residuals]
     return CoefficientSet(
         channels=channels, residuals=residuals, mirrors=mirrors,
@@ -153,17 +147,22 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     )
 
 
-def _scatter_one(spec, ch, coeffs, length: int, mirror: bool) -> None:
-    if len(coeffs) != ch.n_frames:
-        raise LengthMismatch(
-            f"channel {ch.m} expects {ch.n_frames} coefficients, got {len(coeffs)}"
-        )
-    if not len(ch.response):
-        return
-    idx = _channel_bins(ch, length)
-    if mirror:
-        idx = (length - idx) % length
-    spec[idx] += ch.response * np.fft.fft(coeffs)[idx % ch.n_frames]
+def _spread_frames(bank: WarpedBank, frames: list, bins: np.ndarray,
+                   size: int, mirror: bool) -> np.ndarray:
+    """Adjoint of ``_fold_frames``: one transform per group, read through
+    the slots, weighted by the responses and summed onto ``size`` bins."""
+    for ch, c in zip(bank.channels, frames):
+        if len(c) != ch.n_frames:
+            raise LengthMismatch(
+                f"channel {ch.m} expects {ch.n_frames} coefficients, got {len(c)}"
+            )
+    plan = bank.plan
+    values = np.empty(len(bins), dtype=complex)
+    for _, rows, span, slots in plan.groups:
+        block = np.stack([frames[i] for i in rows])
+        spec = np.fft.ifft(block, norm="forward") if mirror else np.fft.fft(block)
+        values[span] = spec.reshape(-1)[slots] * plan.response[span]
+    return _sum_at(bins, values, size)
 
 
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
@@ -179,21 +178,21 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
             f"coefficient set has {len(coeffs.channels)} channels, "
             f"bank has {len(bank.channels)}"
         )
-    spec = np.zeros(length, dtype=complex)
-    for ch, c in zip(bank.channels, coeffs.channels):
-        _scatter_one(spec, ch, c, length, False)
+    plan = bank.plan
+    # real-input shortcut: bins 0..L/2 only, negative bins by conjugate symmetry
+    shortcut = coeffs.half_line and coeffs.mirrors is None
+    size = length // 2 + 1 if shortcut else length
+    spec = _spread_frames(bank, coeffs.channels, plan.bins, size, mirror=False)
     if coeffs.mirrors is not None:
-        for ch, c in zip(bank.channels, coeffs.mirrors):
-            _scatter_one(spec, ch, c, length, True)
+        spec += _spread_frames(bank, coeffs.mirrors, plan.mirror_bins, size, mirror=True)
     for res, c in zip(bank.residuals, coeffs.residuals):
         spec[res.bin_index] += res.response_value * c[0]
-    if coeffs.half_line and coeffs.mirrors is None:
-        # real-input shortcut: negative bins by conjugate symmetry
-        upper = np.arange(1, length // 2)
-        spec[length - upper] = np.conj(spec[upper])
-    out = np.sqrt(length) * np.fft.ifft(spec)
-    if coeffs.real_input:
-        out = out.real
+    if shortcut:
+        out = np.sqrt(length) * np.fft.irfft(spec, n=length)
+    else:
+        out = np.sqrt(length) * np.fft.ifft(spec)
+        if coeffs.real_input:
+            out = out.real
     return Signal(samples=out, fs=bank.grid.fs)
 
 

@@ -4,7 +4,7 @@ import pytest
 from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
                       InvalidParameter, Natural, NotPainless, Painless,
                       build_bank, channel_range, channel_response_continuous,
-                      design_tight, diagonal, make_cosine_window, make_warping,
+                      design_tight, make_cosine_window, make_warping,
                       named_window, natural_factors, painless_dual,
                       painless_factors, round_factors_to_grid,
                       with_scaled_factors)
@@ -149,14 +149,14 @@ def test_channel_centers_increase():
 def test_diagonal_constant_unnormalized_hann():
     w, grid = erb_grid(length=512)
     bank = build_bank(w, HANN, grid, Painless())
-    d = diagonal(bank)
+    d = bank.diagonal()
     np.testing.assert_allclose(d, 9.0 / 8.0, atol=1e-12)
 
 
 def test_diagonal_half_line_residual_bins():
     w, grid = log_grid(length=512)
     bank = build_bank(w, HANN, grid, Painless())
-    d = diagonal(bank)
+    d = bank.diagonal()
     # warped bins carry the translate sum, the self-conjugate bins carry
     # exactly the residual channels
     assert d[0] == 1.0
@@ -168,7 +168,7 @@ def test_diagonal_half_line_residual_bins():
 def test_single_channel_diagonal():
     w, grid = erb_grid(length=256)
     bank = build_bank(w, HANN, grid, Explicit({0: 1}), check_coverage=False)
-    d = diagonal(bank)
+    d = bank.diagonal()
     xi = np.arange(-127, 129) * grid.bin_hz
     expected = channel_response_continuous(w, HANN, 0, xi) ** 2
     np.testing.assert_allclose(np.roll(d, 127), expected, atol=1e-14)

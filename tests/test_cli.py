@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import Signal, cli, load_bank_spec
-from warpbank.signal_io import read_raw, read_wav, write_raw, write_wav
+from warpbank import Signal, analyze, cli, load_bank_spec
+from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_raw, read_wav,
+                                render_spectrogram, write_raw, write_wav)
 
 BANKS = sorted((Path(__file__).resolve().parents[1] / "banks").glob("*.json"))
 
@@ -207,6 +208,35 @@ def test_spectrogram_of_silence_is_black(tmp_path):
                 "--out", tmp_path / "c.wfbc",
                 "--spectrogram", tmp_path / "sgram.pgm"]) == 0
     assert not read_pgm(tmp_path / "sgram.pgm").any()
+
+
+def reference_spectrogram(coeffs, bank):
+    """Resample every row onto the longest raster first, then take dB and
+    levels of the whole image."""
+    order = np.argsort([ch.center_hz for ch in bank.channels])
+    n_cols = max(ch.n_frames for ch in bank.channels)
+    grid = np.array([np.abs(coeffs.channels[i])[(np.arange(n_cols) * bank.channels[i].n_frames)
+                                                // n_cols] for i in order])
+    if grid.max() <= 0.0:
+        return np.zeros(grid.shape, dtype=np.uint8)
+    with np.errstate(divide="ignore"):
+        db = np.maximum(20.0 * np.log10(grid / grid.max()), SPECTROGRAM_FLOOR_DB)
+    scaled = (db - SPECTROGRAM_FLOOR_DB) / -SPECTROGRAM_FLOOR_DB
+    return np.round(255.0 * scaled).astype(np.uint8)
+
+
+def test_spectrogram_matches_reference_renderer(tmp_path):
+    bank = load_bank_spec(design_bank(tmp_path, length=1024, fs=128.0))
+    assert len({ch.n_frames for ch in bank.channels}) > 2
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(1024) * np.exp(-np.arange(1024) / 200.0)
+    coeffs = analyze(x, bank)
+    image, centers = render_spectrogram(coeffs, bank)
+    want = reference_spectrogram(coeffs, bank)
+    assert image.dtype == np.uint8 and image.shape == want.shape
+    assert np.count_nonzero(image != want) == 0
+    assert image.max() == 255 and image.min() < 128
+    assert centers == sorted(centers)
 
 
 def test_malformed_spec_file_is_exit_2(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from warpbank import (Explicit, GridSpec, NoConvergence, Painless, build_bank,
                       decay_check, design_tight, diagonal_bounds,
                       empirical_bounds, format_report, frame_report,
-                      make_warping, named_window, power_iteration,
-                      sufficient_bounds, tightness_sweep, with_scaled_factors)
+                      load_bank_spec, make_warping, named_window,
+                      power_iteration, sufficient_bounds, tightness_sweep,
+                      with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 
@@ -71,6 +73,36 @@ def test_sufficient_bounds_sandwich_empirical(erb_doubled):
     assert a_emp <= b_emp
     assert b_emp <= b_suff + 1e-12
     assert a_emp < 1.0 - 1e-3 < 1.0 + 1e-3 < b_emp
+
+
+def test_sufficient_bounds_stop_at_the_grid_edge():
+    # channels +-4 and +-5 of this bank have a_m = 1 and supports wider
+    # than fs; their shifted copies fall outside the grid and overlap
+    # nothing, so the bounds collapse onto the diagonal
+    bank = load_bank_spec(Path(__file__).resolve().parents[1] / "banks" / "erblet_r3.json")
+    a_suff, b_suff = sufficient_bounds(bank)
+    lo, hi = diagonal_bounds(bank)
+    assert abs(a_suff - lo) <= 1e-10
+    assert abs(b_suff - hi) <= 1e-10
+
+
+def test_sufficient_bounds_finish_for_channels_far_beyond_the_grid():
+    # warped supports of e^40 Hz and more: the shift loop stops at the band
+    w = make_warping("log")
+    grid = GridSpec(length=64, fs=2.0, domain=w.domain)
+    bank = build_bank(w, HANN, grid, Explicit({40: 4, 41: 1}), check_coverage=False)
+    assert sufficient_bounds(bank) == (0.0, 1.0)
+
+
+def test_sufficient_bounds_enclose_dense_spectrum(dense_atoms):
+    w = make_warping("erblike", c=1.0, d=1.0)
+    grid = GridSpec(length=128, fs=256.0, domain=w.domain)
+    doubled = with_scaled_factors(design_tight(w, grid, "hann", 3.0), 2)
+    assert not doubled.painless
+    atoms = dense_atoms(doubled)
+    spectrum = np.linalg.eigvalsh(atoms.T @ atoms.conj())
+    a_suff, b_suff = sufficient_bounds(doubled)
+    assert 0.0 < a_suff <= spectrum[0] <= spectrum[-1] <= b_suff
 
 
 def test_empirical_bounds_painless_fast_path(erb_tight):

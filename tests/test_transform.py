@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from warpbank import (FingerprintMismatch, GridSpec, LengthMismatch, Painless,
-                      Signal, analyze, apply_frame_operator, build_bank,
-                      design_tight, load_coefficients, make_warping,
-                      named_window, painless_dual, save_coefficients,
-                      synthesize)
+from warpbank import (Explicit, FingerprintMismatch, GridSpec, LengthMismatch,
+                      Painless, Signal, analyze, apply_frame_operator,
+                      build_bank, design_tight, load_coefficients,
+                      make_warping, named_window, painless_dual,
+                      save_coefficients, synthesize, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 
@@ -213,12 +213,73 @@ def test_coefficient_file_rejects_corruption(tmp_path):
         save_coefficients(coeffs, other, tmp_path / "never.wfbc")
 
 
-def test_threaded_analysis_matches_serial(monkeypatch):
-    rng = np.random.default_rng(17)
-    bank = tight_bank("erblike")
-    f = random_signal(512, rng)
-    serial = analyze(f, bank)
-    monkeypatch.setenv("WARPBANK_THREADS", "4")
-    threaded = analyze(f, bank)
-    for a, b in zip(serial.channels, threaded.channels):
-        np.testing.assert_array_equal(a, b)
+def flat_coefficients(coeffs):
+    parts = list(coeffs.channels)
+    if coeffs.mirrors is not None:
+        parts += coeffs.mirrors
+    return np.concatenate(parts + list(coeffs.residuals))
+
+
+def plan_test_banks(family, kw, fs, length=128):
+    """A tight bank, the same with doubled hops, and an explicit-hop bank
+    with extra channels beyond the grid, whose responses are empty."""
+    w = make_warping(family, **kw)
+    grid = GridSpec(length=length, fs=fs, domain=w.domain)
+    tight = design_tight(w, grid, "hann", 3.0)
+    factors = {ch.m: ch.a for ch in tight.channels}
+    lo, hi = min(factors), max(factors)
+    factors.update({lo - 3: 4, lo - 2: length, hi + 2: 8, hi + 3: 1})
+    explicit = build_bank(w, HANN, grid, Explicit(factors))
+    return {"tight": tight, "doubled": with_scaled_factors(tight, 2),
+            "explicit": explicit}
+
+
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
+    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
+])
+def test_plan_matches_dense_atoms(family, kw, fs, dense_atoms):
+    rng = np.random.default_rng(18)
+    for name, bank in plan_test_banks(family, kw, fs).items():
+        length = bank.grid.length
+        atoms = dense_atoms(bank)
+        empty = [i for i, ch in enumerate(bank.channels) if not ch.response.any()]
+        if name == "explicit":
+            assert len(empty) >= 4
+        # responses live once, in the plan
+        plan = bank.plan
+        assert all(np.shares_memory(ch.response, plan.response)
+                   for ch in bank.channels if len(ch.response))
+        f = random_signal(length, rng)
+        coeffs = analyze(f, bank)
+        np.testing.assert_allclose(flat_coefficients(coeffs), atoms.conj() @ f,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(f))
+        for i in empty:
+            c = coeffs.channels[i]
+            assert len(c) == bank.channels[i].n_frames and not c.any()
+
+        # real input: the direct branches and residuals, same atoms
+        x = rng.standard_normal(length)
+        real = analyze(x, bank)
+        n_direct = sum(len(c) for c in real.channels)
+        want = atoms.conj() @ x
+        got = np.concatenate(list(real.channels) + list(real.residuals))
+        want = np.concatenate([want[:n_direct], want[len(want) - len(real.residuals):]])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.linalg.norm(x))
+        # its synthesis adds the implicit mirror branches as conjugates
+        mirrors = [np.conj(c) for c in real.channels] if real.half_line else []
+        c_full = np.concatenate(list(real.channels) + mirrors + list(real.residuals))
+        np.testing.assert_allclose(synthesize(real, bank).samples, (atoms.T @ c_full).real,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(x))
+
+        # synthesis is the adjoint of analysis
+        c = coeffs
+        c.channels = [random_signal(len(v), rng) for v in c.channels]
+        if c.mirrors is not None:
+            c.mirrors = [random_signal(len(v), rng) for v in c.mirrors]
+        c.residuals = [random_signal(1, rng) for _ in c.residuals]
+        out = synthesize(c, bank).samples
+        np.testing.assert_allclose(out, atoms.T @ flat_coefficients(c), rtol=0,
+                                   atol=1e-12 * np.linalg.norm(flat_coefficients(c)))
+        lhs = np.vdot(flat_coefficients(analyze(f, bank)), flat_coefficients(c))
+        assert abs(lhs - np.vdot(f, out)) <= 1e-12 * abs(lhs)
