@@ -11,7 +11,7 @@ from .bank import (Channel, Explicit, GridSpec, Natural, Painless,
                    channel_response_continuous, design_tight, natural_factors,
                    painless_dual, painless_factors, round_factors_to_grid,
                    with_scaled_factors)
-from .diagnostics import (FrameReport, decay_check, diagonal_bounds,
+from .diagnostics import (FrameReport, diagonal_bounds,
                           empirical_bounds, format_report, frame_report,
                           power_iteration, sufficient_bounds, tightness_sweep)
 from .errors import (CoverageError, DegenerateWindow, DomainError, EmptyBank,
@@ -38,7 +38,7 @@ __all__ = [
     "SignedPowWarping", "SymPowWarping", "WarpBankError", "WarpedBank",
     "WarpingFunction", "analyze", "apply_frame_operator", "build_bank",
     "channel_range", "channel_response_continuous", "check_moderate_inequality",
-    "decay_check", "design_tight", "diagonal_bounds",
+    "design_tight", "diagonal_bounds",
     "empirical_bounds", "format_report", "frame_report", "load_bank_spec",
     "load_coefficients", "make_cosine_window", "make_warping",
     "named_window", "natural_factors", "normalize_for_tightness",

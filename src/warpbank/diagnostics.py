@@ -10,16 +10,17 @@ Three layers, from cheap to expensive:
       B(t) = sum_m sum_k |theta_m(t) theta_m(t - k/a_m)|
 
   evaluated with the continuous closed forms on a grid denser than the
-  bins (the k-sums are finite because the windows have compact support).
-  A_suff = min A, B_suff = max B sandwich the true bounds; A_suff <= 0
-  proves nothing and is reported as inconclusive;
+  bins.  The windows have compact support, so channel m's terms vanish
+  outside its warped support [F^{-1}(c+m), F^{-1}(d+m)]: each channel is
+  evaluated on its own support's grid points, and each cross term where
+  the support overlaps its shifted copy, which costs about as much as the
+  supports rather than the grid times the channel count.  A_suff = min A,
+  B_suff = max B sandwich the true bounds; A_suff <= 0 proves nothing and
+  is reported as inconclusive;
 * empirical bounds: power iteration on the frame operator for B_emp, then
   on the shifted operator B_emp I - S for A_emp, so no solver for S^{-1}
-  is needed.
-
-``decay_check`` probes the two decay hypotheses behind stable
-non-compact designs; every catalog window passes trivially by compact
-support, so the measured-exponent path only matters for callable probes.
+  is needed.  ``FrameReport.bounds_method`` says which of the diagonal
+  (exact) and power iteration (not exact) gave them.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bank import WarpedBank, with_scaled_factors
-from .errors import NoConvergence
+from .errors import InvalidParameter, NoConvergence
 from .transform import apply_frame_operator
 
 
 @dataclass
 class FrameReport:
     """Everything diagnose prints: diagonal extremes, sufficient and
-    empirical bounds, tightness, painless flags and collected warnings."""
+    empirical bounds with the method behind the latter, tightness,
+    painless flags and collected warnings."""
 
     diag_inf: float
     diag_sup: float
@@ -46,6 +48,7 @@ class FrameReport:
     b_suff: float
     a_emp: float
     b_emp: float
+    bounds_method: str
     tightness_ratio: float
     painless: bool
     channel_painless: list[bool]
@@ -78,12 +81,17 @@ def sufficient_bounds(bank: WarpedBank, oversample_grid_factor: int = 8):
     result reflects the mathematical condition at the chosen density
     rather than grid artifacts.  Like the sampled channels, the evaluators
     vanish outside the grid's active band, so a shift that leaves the band
-    overlaps nothing.  Residual channels contribute their exact unit
-    eigenvalue as separate candidates.
+    overlaps nothing.  Each channel is evaluated on the grid points of its
+    own warped support only, and each cross term where the support meets
+    its shifted copy; everywhere else the terms are exact zeros.  Residual
+    channels contribute their exact unit eigenvalue as separate candidates.
     """
     oversample = int(oversample_grid_factor)
     if oversample < 1:
-        oversample = 1
+        raise InvalidParameter(
+            f"grid oversampling factor must be at least 1, "
+            f"got {oversample_grid_factor!r}"
+        )
     t = _dense_grid(bank, oversample)
     # channels are truncated to the grid's active band: no overlaps beyond it
     band_lo, band_hi = np.array(bank.grid.signed_bin_range()) * bank.grid.bin_hz
@@ -100,21 +108,46 @@ def sufficient_bounds(bank: WarpedBank, oversample_grid_factor: int = 8):
             out[ok] = window(warping.f(freqs[ok]) - m)
         return out
 
-    for ch in bank.channels:
-        base = theta_m(t, ch.m)
-        sq = base**2
-        lower += sq
-        upper += sq
+    def around(lo_hz, hi_hz):
+        """Grid indices [start, stop) of the points in [lo_hz, hi_hz],
+        one point wider on each side so rounding in F and its inverse
+        loses nothing."""
+        start = np.maximum(np.searchsorted(t, lo_hz, "left") - 1, 0)
+        return start, np.minimum(np.searchsorted(t, hi_hz, "right") + 1, len(t))
+
+    ms = np.array([ch.m for ch in bank.channels], dtype=float)
+    sup_lo = warping.f_inv(lo_s + ms)
+    sup_hi = warping.f_inv(hi_s + ms)
+    starts, stops = around(sup_lo, sup_hi)
+    for ch, lo_hz, hi_hz, start, stop in zip(bank.channels, sup_lo.tolist(),
+                                             sup_hi.tolist(), starts.tolist(),
+                                             stops.tolist()):
+        if start >= stop:
+            continue
         shift_hz = bank.grid.fs / ch.a
-        width_hz = float(warping.f_inv(hi_s + ch.m) - warping.f_inv(lo_s + ch.m))
         # a shift past the band's width leaves the band from every point
-        k_max = math.ceil(min(width_hz, band_hi - band_lo) / shift_hz)
-        absbase = np.abs(base)
+        k_max = math.ceil(min(hi_hz - lo_hz, band_hi - band_lo) / shift_hz)
+        # the support, then where each shifted copy overlaps it:
+        # theta_m(t - shift) vanishes unless t - shift is in the support
+        spans = [(start, stop, 0.0)]
         for k in range(1, k_max + 1):
             for sign in (1.0, -1.0):
-                cross = absbase * np.abs(theta_m(t - sign * k * shift_hz, ch.m))
-                lower -= cross
-                upper += cross
+                shift = sign * k * shift_hz
+                lo, hi = around(lo_hz + shift, hi_hz + shift)
+                lo, hi = max(int(lo), start), min(int(hi), stop)
+                if lo < hi:
+                    spans.append((lo, hi, shift))
+        # one window evaluation per channel; the first span is the support
+        # itself, whose term |theta_m(t)|^2 adds to both sums
+        freqs = np.concatenate([t[lo:hi] - shift for lo, hi, shift in spans])
+        values = np.abs(theta_m(freqs, ch.m))
+        base = values[: stop - start]
+        done = 0
+        for lo, hi, shift in spans:
+            term = base[lo - start:hi - start] * values[done:done + hi - lo]
+            done += hi - lo
+            lower[lo:hi] += -term if shift else term
+            upper[lo:hi] += term
     a_cands = [float(lower.min())]
     b_cands = [float(upper.max())]
     for _res in bank.residuals:
@@ -185,60 +218,6 @@ def empirical_bounds(bank: WarpedBank, tol: float = 1e-8, max_iter: int = 10000)
     return (b_emp - shift, b_emp)
 
 
-def decay_check(window, warping=None, eps: float = 0.5, t_max: float = 1e4,
-                n_points: int = 400) -> dict:
-    """Advisory check of the decay hypotheses for non-compact prototypes:
-    |theta(t)| should fall off at least like (1 + |t|)^{-1-eps}, and the
-    same through the inverse warping.
-
-    Compactly supported windows satisfy both trivially.  For a bare
-    callable the exponent is measured as a log-log slope over a log-spaced
-    grid; the warped-coordinate exponent is reported alongside but the
-    verdict follows the plain one.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    support = getattr(window, "support", None)
-    if support is not None and np.all(np.isfinite(support)):
-        return {
-            "verdict": "satisfied",
-            "reason": "compact support",
-            "eps": float(eps),
-            "exponent": float("inf"),
-            "exponent_warped": float("inf"),
-        }
-    t = np.geomspace(1.0, t_max, n_points)
-    vals = np.maximum(np.abs(np.asarray(window(t), dtype=float)),
-                      np.abs(np.asarray(window(-t), dtype=float)))
-    ok = vals > 0.0
-    if np.count_nonzero(ok) < 2:
-        return {
-            "verdict": "satisfied",
-            "reason": "window vanishes on the probe grid",
-            "eps": float(eps),
-            "exponent": float("inf"),
-            "exponent_warped": float("inf"),
-        }
-    slope = np.polyfit(np.log1p(t[ok]), np.log(vals[ok]), 1)[0]
-    exponent = -float(slope)
-    exponent_warped = float("nan")
-    if warping is not None:
-        with np.errstate(over="ignore"):
-            pullback = np.abs(np.asarray(warping.f_inv(t), dtype=float))
-        wok = ok & np.isfinite(pullback)
-        if np.count_nonzero(wok) >= 2:
-            wslope = np.polyfit(np.log1p(pullback[wok]), np.log(vals[wok]), 1)[0]
-            exponent_warped = -float(wslope)
-    satisfied = exponent >= 1.0 + eps - 1e-9
-    return {
-        "verdict": "satisfied" if satisfied else "violated",
-        "reason": f"measured decay exponent {exponent:.3f} vs required {1.0 + eps:.3f}",
-        "eps": float(eps),
-        "exponent": exponent,
-        "exponent_warped": exponent_warped,
-    }
-
-
 def frame_report(bank: WarpedBank, oversample_grid_factor: int = 8,
                  tol: float = 1e-8, max_iter: int = 10000) -> FrameReport:
     """Run the full battery against one bank."""
@@ -257,6 +236,8 @@ def frame_report(bank: WarpedBank, oversample_grid_factor: int = 8,
         a_emp, b_emp = empirical_bounds(bank, tol=tol, max_iter=max_iter)
     for w in caught:
         notes.append(str(w.message))
+    method = ("diagonal (painless, exact)" if bank.painless
+              else f"power iteration (stagnation tol {tol:g}, not exact)")
     ratio = b_emp / a_emp if a_emp > 0.0 else float("inf")
     flags = [ch.painless for ch in bank.channels]
     if not all(flags):
@@ -266,6 +247,7 @@ def frame_report(bank: WarpedBank, oversample_grid_factor: int = 8,
         diag_inf=diag_inf, diag_sup=diag_sup,
         a_suff=a_suff, b_suff=b_suff,
         a_emp=a_emp, b_emp=b_emp,
+        bounds_method=method,
         tightness_ratio=ratio,
         painless=bank.painless,
         channel_painless=flags,
@@ -297,6 +279,7 @@ def format_report(report: FrameReport) -> str:
         f"B_suff: {report.b_suff:.12g}",
         f"A_emp: {report.a_emp:.12g}",
         f"B_emp: {report.b_emp:.12g}",
+        f"bounds_method: {report.bounds_method}",
         f"tightness_ratio: {report.tightness_ratio:.12g}",
     ]
     if report.warnings:

@@ -85,10 +85,15 @@ class CoefficientSet:
         return e
 
 
-def _as_samples(signal) -> np.ndarray:
-    if isinstance(signal, Signal):
-        return signal.samples
-    return np.asarray(signal)
+def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
+    """The samples of ``signal``, one-dimensional of the bank's length."""
+    samples = signal.samples if isinstance(signal, Signal) else np.asarray(signal)
+    length = bank.grid.length
+    if samples.ndim != 1 or len(samples) != length:
+        raise LengthMismatch(
+            f"signal has shape {samples.shape}, bank expects length {length}"
+        )
+    return samples
 
 
 def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -122,12 +127,8 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     Real input on a half-line grid skips the mirror channels; their
     coefficients are conjugates of the direct ones by symmetry.
     """
-    samples = _as_samples(signal)
+    samples = _checked_samples(signal, bank)
     length = bank.grid.length
-    if samples.ndim != 1 or len(samples) != length:
-        raise LengthMismatch(
-            f"signal has shape {samples.shape}, bank expects length {length}"
-        )
     half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
     real_input = not np.iscomplexobj(samples)
     plan = bank.plan
@@ -197,10 +198,35 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
 
 
 def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
-    """S f = sum over atoms of <f, g> g, via analyze then synthesize with
-    the same bank.  For painless banks this multiplies the spectrum
-    pointwise by the diagonal."""
-    return synthesize(analyze(signal, bank), bank)
+    """S f = sum over atoms of <f, g> g, in the unitary DFT domain.
+
+    Analysis then synthesis would run an inverse and a forward FFT of the
+    same N-point block, which cancel to a factor N; so per group S folds
+    fhat * response onto the slots and gathers N * folded[slots] *
+    response back onto the bins (its Walnut form).  Mirror bins go through
+    the same slots, residual bins pass through, and real input gives the
+    real part, as synthesis of a real-input analysis does.
+    """
+    samples = _checked_samples(signal, bank)
+    length = bank.grid.length
+    plan = bank.plan
+    fhat = np.fft.fft(samples) / np.sqrt(length)
+    response = plan.response[: len(plan.bins)]
+    spec = np.zeros(length, dtype=complex)
+    for bins in (plan.bins, plan.mirror_bins):
+        if bins is None:
+            continue
+        values = fhat[bins] * response
+        for n, rows, span, slots in plan.groups:
+            folded = _sum_at(slots, values[span], len(rows) * n)
+            values[span] = n * folded[slots] * response[span]
+        spec += _sum_at(bins, values, length)
+    for res in bank.residuals:
+        spec[res.bin_index] += res.response_value * fhat[res.bin_index]
+    out = np.sqrt(length) * np.fft.ifft(spec)
+    if not np.iscomplexobj(samples):
+        out = out.real
+    return Signal(samples=out, fs=bank.grid.fs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +267,9 @@ def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
                 data = coeffs.mirrors[i]
             else:
                 data = coeffs.channels[i]
-            data = np.asarray(data, dtype=complex)
+            data = np.asarray(data, dtype="<c16")
             fh.write(struct.pack("<iI", tag, len(data)))
-            inter = np.empty(2 * len(data))
-            inter[0::2] = data.real
-            inter[1::2] = data.imag
-            fh.write(inter.astype("<f8").tobytes())
+            fh.write(data.tobytes())
 
 
 def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
@@ -258,59 +281,46 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
     different bank and raises FingerprintMismatch.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != _MAGIC:
-        raise FingerprintMismatch("not a WFBC coefficient file")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise FingerprintMismatch(f"unsupported WFBC version {version}")
-    n = len(bank.channels)
-    if bank.residuals:
-        if count == n + 2:
-            with_mirrors = False
-        elif count == 2 * n + 2:
-            with_mirrors = True
-        else:
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != _MAGIC:
+            raise FingerprintMismatch("not a WFBC coefficient file")
+        version, count = struct.unpack_from("<II", head, 4)
+        if version != _VERSION:
+            raise FingerprintMismatch(f"unsupported WFBC version {version}")
+        n = len(bank.channels)
+        counts = (n + 2, 2 * n + 2) if bank.residuals else (n,)
+        if count not in counts:
             raise FingerprintMismatch(
-                f"expected {n + 2} or {2 * n + 2} entries for this bank, "
-                f"file has {count}"
+                f"expected {' or '.join(map(str, counts))} entries for this "
+                f"bank, file has {count}"
             )
-    else:
-        with_mirrors = False
-        if count != n:
-            raise FingerprintMismatch(
-                f"expected {n} entries for this bank, file has {count}"
-            )
-    plan = _entry_plan(bank, with_mirrors)
-    channels: list = [None] * n
-    mirrors: list | None = [None] * n if with_mirrors else None
-    residuals: list = [None] * len(bank.residuals)
-    offset = 12
-    for kind, i, tag in plan:
-        if offset + 8 > len(blob):
-            raise FingerprintMismatch("coefficient file is truncated")
-        got_tag, got_len = struct.unpack_from("<iI", blob, offset)
-        offset += 8
-        expect = 1 if kind == "residual" else bank.channels[i].n_frames
-        if got_tag != tag or got_len != expect:
-            raise FingerprintMismatch(
-                f"entry mismatch: expected channel {tag} with {expect} "
-                f"coefficients, file has {got_tag} with {got_len}"
-            )
-        nbytes = 16 * got_len
-        if offset + nbytes > len(blob):
-            raise FingerprintMismatch("coefficient file is truncated")
-        flat = np.frombuffer(blob, dtype="<f8", count=2 * got_len, offset=offset)
-        offset += nbytes
-        data = flat[0::2] + 1j * flat[1::2]
-        if kind == "residual":
-            residuals[i] = data
-        elif kind == "mirror":
-            mirrors[i] = data
-        else:
-            channels[i] = data
-    if offset != len(blob):
-        raise FingerprintMismatch("coefficient file has trailing bytes")
+        with_mirrors = count == 2 * n + 2
+        plan = _entry_plan(bank, with_mirrors)
+        channels: list = [None] * n
+        mirrors: list | None = [None] * n if with_mirrors else None
+        residuals: list = [None] * len(bank.residuals)
+        for kind, i, tag in plan:
+            entry = fh.read(8)
+            if len(entry) < 8:
+                raise FingerprintMismatch("coefficient file is truncated")
+            got_tag, got_len = struct.unpack("<iI", entry)
+            expect = 1 if kind == "residual" else bank.channels[i].n_frames
+            if got_tag != tag or got_len != expect:
+                raise FingerprintMismatch(
+                    f"entry mismatch: expected channel {tag} with {expect} "
+                    f"coefficients, file has {got_tag} with {got_len}"
+                )
+            data = np.empty(got_len, dtype="<c16")
+            if fh.readinto(data) != data.nbytes:
+                raise FingerprintMismatch("coefficient file is truncated")
+            if kind == "residual":
+                residuals[i] = data
+            elif kind == "mirror":
+                mirrors[i] = data
+            else:
+                channels[i] = data
+        if fh.read(1):
+            raise FingerprintMismatch("coefficient file has trailing bytes")
     half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
     real_input = half and not with_mirrors
     return CoefficientSet(

@@ -114,6 +114,9 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
     assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.wav",
                 "--out", tmp_path / "c.wfbc"]) == 2
     assert "sample rate" in capsys.readouterr().err
+    for factor in (0, -3):
+        assert run(["diagnose", "--bank", spec, "--oversample", factor]) == 2
+        assert "oversampling factor" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_coverage_hole(tmp_path):

@@ -4,14 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (Explicit, GridSpec, NoConvergence, Painless, build_bank,
-                      decay_check, design_tight, diagonal_bounds,
+from warpbank import (Explicit, GridSpec, Natural, NoConvergence, Painless,
+                      build_bank, design_tight, diagonal_bounds,
                       empirical_bounds, format_report, frame_report,
                       load_bank_spec, make_warping, named_window,
                       power_iteration, sufficient_bounds, tightness_sweep,
                       with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
+BANKS = sorted((Path(__file__).resolve().parents[1] / "banks").glob("*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,35 @@ def test_sufficient_bounds_finish_for_channels_far_beyond_the_grid():
     assert sufficient_bounds(bank) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
+    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
+])
+def test_sufficient_bounds_match_whole_grid_reference(family, kw, fs,
+                                                      whole_grid_bounds):
+    w = make_warping(family, **kw)
+    grid = GridSpec(length=128, fs=fs, domain=w.domain)
+    painless = build_bank(w, HANN, grid, Painless())
+    banks = [painless, with_scaled_factors(painless, 2),
+             with_scaled_factors(painless, 4),
+             build_bank(w, HANN, grid, Natural(), check_coverage=False)]
+    for bank in banks:
+        got = sufficient_bounds(bank)
+        want = whole_grid_bounds(bank)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_sufficient_bounds_match_reference_on_edge_and_checked_in_banks(
+        gapped_bank, whole_grid_bounds):
+    w = make_warping("log")
+    grid = GridSpec(length=64, fs=2.0, domain=w.domain)
+    far = build_bank(w, HANN, grid, Explicit({40: 4, 41: 1}), check_coverage=False)
+    for bank in [far, gapped_bank] + [load_bank_spec(p) for p in BANKS]:
+        got = sufficient_bounds(bank)
+        want = whole_grid_bounds(bank)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_sufficient_bounds_enclose_dense_spectrum(dense_atoms):
     w = make_warping("erblike", c=1.0, d=1.0)
     grid = GridSpec(length=128, fs=256.0, domain=w.domain)
@@ -136,6 +166,7 @@ def test_frame_report_tight(erb_tight):
     rep = frame_report(erb_tight)
     assert rep.painless and all(rep.channel_painless)
     assert rep.conclusive
+    assert rep.bounds_method == "diagonal (painless, exact)"
     assert rep.warnings == []
     assert abs(rep.a_emp - 1.0) <= 1e-8 and abs(rep.b_emp - 1.0) <= 1e-8
     assert abs(rep.tightness_ratio - 1.0) <= 1e-8
@@ -154,6 +185,8 @@ def test_frame_report_flags_coverage_hole(gapped_bank):
 def test_frame_report_collects_convergence_and_painless_notes(erb_doubled):
     rep = frame_report(erb_doubled, max_iter=2)
     assert not rep.painless
+    assert rep.bounds_method == "power iteration (stagnation tol 1e-08, not exact)"
+    assert f"bounds_method: {rep.bounds_method}\n" in format_report(rep)
     assert any("did not stagnate" in w for w in rep.warnings)
     assert any("non-painless" in w for w in rep.warnings)
 
@@ -167,44 +200,12 @@ def test_tightness_sweep_degrades_monotonically(erb_tight):
     assert ratios[1] > 1.0 + 1e-3
 
 
-def test_decay_check_compact_support():
-    res = decay_check(HANN)
-    assert res["verdict"] == "satisfied"
-    assert res["reason"] == "compact support"
-    assert res["exponent"] == math.inf
-
-
-def test_decay_check_measured_exponents():
-    good = decay_check(lambda t: (1.0 + np.abs(t)) ** -2.0)
-    assert good["verdict"] == "satisfied"
-    assert abs(good["exponent"] - 2.0) <= 1e-6
-
-    bad = decay_check(lambda t: (1.0 + np.abs(t)) ** -1.0)
-    assert bad["verdict"] == "violated"
-    assert abs(bad["exponent"] - 1.0) <= 1e-6
-
-
-def test_decay_check_warped_exponent_is_advisory():
-    res = decay_check(lambda t: (1.0 + np.abs(t)) ** -2.0,
-                      warping=make_warping("log"))
-    assert res["verdict"] == "satisfied"
-    assert math.isfinite(res["exponent_warped"])
-    assert res["exponent_warped"] > 0.0
-
-
-def test_decay_check_vanishing_probe_and_bad_eps():
-    res = decay_check(lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-    assert res["verdict"] == "satisfied"
-    assert "vanishes" in res["reason"]
-    with pytest.raises(ValueError):
-        decay_check(HANN, eps=0.0)
-
-
 def test_format_report_round_trip(erb_tight, gapped_bank):
     text = format_report(frame_report(erb_tight))
     assert "painless: true" in text
     assert "warnings: none" in text
     assert "tightness_ratio: 1" in text
+    assert "bounds_method: diagonal (painless, exact)\n" in text
 
     text = format_report(frame_report(gapped_bank))
     assert "(inconclusive)" in text

@@ -283,3 +283,13 @@ def test_plan_matches_dense_atoms(family, kw, fs, dense_atoms):
                                    atol=1e-12 * np.linalg.norm(flat_coefficients(c)))
         lhs = np.vdot(flat_coefficients(analyze(f, bank)), flat_coefficients(c))
         assert abs(lhs - np.vdot(f, out)) <= 1e-12 * abs(lhs)
+
+        # the frame operator, atoms^H atoms; real input keeps the real part,
+        # as synthesis of a real-input analysis does
+        gram = atoms.T @ atoms.conj()
+        np.testing.assert_allclose(apply_frame_operator(f, bank).samples, gram @ f,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(f))
+        sx = apply_frame_operator(x, bank).samples
+        assert sx.dtype == np.float64
+        np.testing.assert_allclose(sx, (gram @ x).real, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(x))
