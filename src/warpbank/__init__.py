@@ -13,7 +13,7 @@ from .bank import (Channel, Explicit, GridSpec, Natural, Painless,
                    with_scaled_factors)
 from .diagnostics import (FrameReport, diagonal_bounds,
                           empirical_bounds, format_report, frame_report,
-                          power_iteration, sufficient_bounds, tightness_sweep)
+                          sufficient_bounds, tightness_sweep)
 from .errors import (CoverageError, DegenerateWindow, DomainError, EmptyBank,
                      FingerprintMismatch, InvalidParameter, LengthMismatch,
                      NoConvergence, NotPainless, WarpBankError)
@@ -42,8 +42,7 @@ __all__ = [
     "empirical_bounds", "format_report", "frame_report", "load_bank_spec",
     "load_coefficients", "make_cosine_window", "make_warping",
     "named_window", "natural_factors", "normalize_for_tightness",
-    "painless_dual", "painless_factors", "power_iteration",
-    "round_factors_to_grid", "save_bank_spec", "save_coefficients",
-    "sufficient_bounds", "sum_of_squares", "synthesize", "tightness_sweep",
-    "with_scaled_factors",
+    "painless_dual", "painless_factors", "round_factors_to_grid",
+    "save_bank_spec", "save_coefficients", "sufficient_bounds",
+    "sum_of_squares", "synthesize", "tightness_sweep", "with_scaled_factors",
 ]

@@ -115,11 +115,6 @@ def _read_input(path, built, pad: bool) -> transform.Signal:
     length = built.grid.length
     if str(path).lower().endswith(".wav"):
         sig = signal_io.read_wav(path)
-        if abs(sig.fs - built.grid.fs) > 1e-6 * built.grid.fs:
-            raise InvalidParameter(
-                f"input sample rate {sig.fs:g} Hz does not match the bank's "
-                f"{built.grid.fs:g} Hz"
-            )
     else:
         sig = signal_io.read_raw(path, built.grid.fs)
     if len(sig) < length and pad:

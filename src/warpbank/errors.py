@@ -39,5 +39,5 @@ class FingerprintMismatch(WarpBankError):
 
 
 class NoConvergence(RuntimeWarning):
-    """Iterative bound estimation stopped at max_iter; the last iterate
-    is reported anyway."""
+    """The Lanczos run for the empirical frame bounds reached its step
+    cap; its last Ritz values are reported anyway."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import WarpedBank
-from .errors import FingerprintMismatch, LengthMismatch
+from .errors import FingerprintMismatch, InvalidParameter, LengthMismatch
 from .warping import Domain
 
 _MAGIC = b"WFBC"
@@ -67,7 +67,6 @@ class CoefficientSet:
     channels: list[np.ndarray]
     residuals: list[np.ndarray]
     mirrors: list[np.ndarray] | None
-    real_input: bool
     half_line: bool
     length: int
     fingerprint: str
@@ -86,13 +85,22 @@ class CoefficientSet:
 
 
 def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
-    """The samples of ``signal``, one-dimensional of the bank's length."""
+    """The samples of ``signal``: one-dimensional of the bank's length,
+    finite, and at the bank's sample rate (to 1e-6 relative) if
+    ``signal`` is a Signal."""
     samples = signal.samples if isinstance(signal, Signal) else np.asarray(signal)
     length = bank.grid.length
     if samples.ndim != 1 or len(samples) != length:
         raise LengthMismatch(
             f"signal has shape {samples.shape}, bank expects length {length}"
         )
+    fs = bank.grid.fs
+    if isinstance(signal, Signal) and not abs(signal.fs - fs) <= 1e-6 * fs:
+        raise InvalidParameter(
+            f"signal sample rate {signal.fs:g} Hz does not match the bank's {fs:g} Hz"
+        )
+    if not np.isfinite(samples).all():
+        raise InvalidParameter("signal has non-finite samples")
     return samples
 
 
@@ -143,8 +151,7 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     residuals = [np.array([fhat[res.bin_index]]) for res in bank.residuals]
     return CoefficientSet(
         channels=channels, residuals=residuals, mirrors=mirrors,
-        real_input=real_input, half_line=half, length=length,
-        fingerprint=bank.fingerprint,
+        half_line=half, length=length, fingerprint=bank.fingerprint,
     )
 
 
@@ -168,7 +175,8 @@ def _spread_frames(bank: WarpedBank, frames: list, bins: np.ndarray,
 
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     """Weighted sum of ``bank``'s atoms.  Pass the analysis bank itself for
-    a tight design, or its painless dual, to invert ``analyze``."""
+    a tight design, or its painless dual, to invert ``analyze``.  The sum
+    is real only for a real-input analysis on a half-line grid."""
     if coeffs.fingerprint != bank.fingerprint:
         raise FingerprintMismatch(
             "coefficient set was produced by a bank with different geometry"
@@ -192,8 +200,6 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
         out = np.sqrt(length) * np.fft.irfft(spec, n=length)
     else:
         out = np.sqrt(length) * np.fft.ifft(spec)
-        if coeffs.real_input:
-            out = out.real
     return Signal(samples=out, fs=bank.grid.fs)
 
 
@@ -204,8 +210,9 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
     same N-point block, which cancel to a factor N; so per group S folds
     fhat * response onto the slots and gathers N * folded[slots] *
     response back onto the bins (its Walnut form).  Mirror bins go through
-    the same slots, residual bins pass through, and real input gives the
-    real part, as synthesis of a real-input analysis does.
+    the same slots and residual bins pass through.  Real input gives a real
+    output on half-line grids only, where the mirror branches make S
+    commute with conjugation.
     """
     samples = _checked_samples(signal, bank)
     length = bank.grid.length
@@ -224,7 +231,7 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
     for res in bank.residuals:
         spec[res.bin_index] += res.response_value * fhat[res.bin_index]
     out = np.sqrt(length) * np.fft.ifft(spec)
-    if not np.iscomplexobj(samples):
+    if plan.mirror_bins is not None and not np.iscomplexobj(samples):
         out = out.real
     return Signal(samples=out, fs=bank.grid.fs)
 
@@ -321,10 +328,8 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
                 channels[i] = data
         if fh.read(1):
             raise FingerprintMismatch("coefficient file has trailing bytes")
-    half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
-    real_input = half and not with_mirrors
     return CoefficientSet(
         channels=channels, residuals=residuals, mirrors=mirrors,
-        real_input=real_input, half_line=half, length=bank.grid.length,
-        fingerprint=bank.fingerprint,
+        half_line=bank.grid.domain is Domain.POSITIVE_HALF_LINE,
+        length=bank.grid.length, fingerprint=bank.fingerprint,
     )

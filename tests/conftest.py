@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from warpbank import Domain
+from warpbank import (Domain, Explicit, GridSpec, build_bank, design_tight,
+                      make_warping, named_window, with_scaled_factors)
 
 
 def atom_matrix(bank):
@@ -35,6 +36,26 @@ def atom_matrix(bank):
 @pytest.fixture
 def dense_atoms():
     return atom_matrix
+
+
+def scaled_and_explicit_banks(family, kw, fs, length=128):
+    """A tight bank, the same with doubled and with quadrupled hops, and an
+    explicit-hop bank with extra channels beyond the grid, whose responses
+    are empty."""
+    w = make_warping(family, **kw)
+    grid = GridSpec(length=length, fs=fs, domain=w.domain)
+    tight = design_tight(w, grid, "hann", 3.0)
+    factors = {ch.m: ch.a for ch in tight.channels}
+    lo, hi = min(factors), max(factors)
+    factors.update({lo - 3: 4, lo - 2: length, hi + 2: 8, hi + 3: 1})
+    explicit = build_bank(w, named_window("hann", 3.0), grid, Explicit(factors))
+    return {"tight": tight, "doubled": with_scaled_factors(tight, 2),
+            "quadrupled": with_scaled_factors(tight, 4), "explicit": explicit}
+
+
+@pytest.fixture
+def plan_test_banks():
+    return scaled_and_explicit_banks
 
 
 def whole_grid_sufficient_bounds(bank, oversample_grid_factor=8):

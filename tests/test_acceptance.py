@@ -199,7 +199,7 @@ def test_criterion_6_dense_oracle():
         assert not doubled.painless
         spectrum = np.linalg.eigvalsh(
             _dense_atom_spectra(doubled).T @ _dense_atom_spectra(doubled).conj())
-        a_emp, b_emp = empirical_bounds(doubled, tol=1e-12, max_iter=50000)
+        a_emp, b_emp = empirical_bounds(doubled)
         assert abs(a_emp - spectrum[0]) <= 1e-7
         assert abs(b_emp - spectrum[-1]) <= 1e-7
     assert perf_counter() - start < 30.0
@@ -240,7 +240,7 @@ def test_criterion_7_property_sweeps():
     w = make_warping("erblike")
     bank = design_tight(w, GridSpec(length=256, fs=44100.0, domain=w.domain),
                         "hann", 3.0)
-    rows = tightness_sweep(bank, scales=(1, 2, 4), tol=1e-6)
+    rows = tightness_sweep(bank, scales=(1, 2, 4))
     ratios = [r for _, r in rows]
     assert abs(ratios[0] - 1.0) <= 1e-8
     assert ratios[0] <= ratios[1] <= ratios[2]

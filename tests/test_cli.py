@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +120,39 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
     for factor in (0, -3):
         assert run(["diagnose", "--bank", spec, "--oversample", factor]) == 2
         assert "oversampling factor" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_non_finite_input(tmp_path, capsys):
+    spec = design_bank(tmp_path)
+    x = np.zeros(512)
+    x[100] = np.nan
+    write_raw(tmp_path / "in.f64", Signal(samples=x, fs=8000.0))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.wfbc").exists()
+
+
+def test_diagnose_leaves_scipy_eigensolvers_unimported(tmp_path):
+    # their import alone would raise the peak RSS of diagnose by about a sixth
+    spec = design_bank(tmp_path, length=128, fs=256.0)
+    record = json.loads(spec.read_text())
+    for ch in record["channels"]:
+        ch["a_m_samples"] = min(ch["a_m_samples"] * 2, 128)
+    spec.write_text(json.dumps(record, indent=2) + "\n")
+    code = ("import sys\n"
+            "from warpbank import cli\n"
+            "status = cli.main(['diagnose', '--bank', sys.argv[1]])\n"
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])\n"
+            "sys.exit(status)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code, str(spec)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "painless: false" in done.stdout
+    assert "bounds_method: lanczos" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_exit_code_3_on_coverage_hole(tmp_path):

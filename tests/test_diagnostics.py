@@ -4,12 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (Explicit, GridSpec, Natural, NoConvergence, Painless,
-                      build_bank, design_tight, diagonal_bounds,
+from warpbank import (Explicit, GridSpec, Natural, Painless, build_bank,
+                      design_tight, diagnostics, diagonal_bounds,
                       empirical_bounds, format_report, frame_report,
                       load_bank_spec, make_warping, named_window,
-                      power_iteration, sufficient_bounds, tightness_sweep,
-                      with_scaled_factors)
+                      sufficient_bounds, tightness_sweep, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 BANKS = sorted((Path(__file__).resolve().parents[1] / "banks").glob("*.json"))
@@ -139,27 +138,21 @@ def test_empirical_bounds_painless_fast_path(erb_tight):
     assert empirical_bounds(erb_tight) == diagonal_bounds(erb_tight)
 
 
-def test_power_iteration_known_spectrum():
-    d = np.linspace(0.5, 2.0, 64)
-    lam, vec, converged = power_iteration(lambda v: d * v, 64,
-                                          tol=1e-10, max_iter=20000)
-    assert converged
-    assert abs(lam - 2.0) <= 1e-7
-    assert abs(abs(vec[-1]) - 1.0) <= 1e-5
-
-
-def test_power_iteration_zero_operator():
-    lam, _, converged = power_iteration(lambda v: 0.0 * v, 16)
-    assert lam == 0.0 and converged
-
-
-def test_power_iteration_warns_when_stuck():
-    d = np.linspace(0.5, 2.0, 64)
-    with pytest.warns(NoConvergence):
-        lam, _, converged = power_iteration(lambda v: d * v, 64,
-                                            tol=1e-14, max_iter=2)
-    assert not converged
-    assert 0.0 < lam < 2.5
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
+    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
+])
+def test_empirical_bounds_match_dense_spectrum(family, kw, fs, dense_atoms,
+                                               plan_test_banks):
+    for name, bank in plan_test_banks(family, kw, fs).items():
+        atoms = dense_atoms(bank)
+        spectrum = np.linalg.eigvalsh(atoms.T @ atoms.conj())
+        a_emp, b_emp = empirical_bounds(bank)
+        if bank.painless:
+            assert (a_emp, b_emp) == diagonal_bounds(bank)
+        scale = 1e-12 * spectrum[-1]
+        assert abs(a_emp - spectrum[0]) <= scale, name
+        assert abs(b_emp - spectrum[-1]) <= scale, name
 
 
 def test_frame_report_tight(erb_tight):
@@ -182,17 +175,19 @@ def test_frame_report_flags_coverage_hole(gapped_bank):
     assert any("inconclusive" in w for w in rep.warnings)
 
 
-def test_frame_report_collects_convergence_and_painless_notes(erb_doubled):
-    rep = frame_report(erb_doubled, max_iter=2)
+def test_frame_report_collects_convergence_and_painless_notes(erb_doubled,
+                                                             monkeypatch):
+    monkeypatch.setattr(diagnostics, "LANCZOS_MAX_STEPS", 8)
+    rep = frame_report(erb_doubled)
     assert not rep.painless
-    assert rep.bounds_method == "power iteration (stagnation tol 1e-08, not exact)"
+    assert rep.bounds_method == "lanczos (residual bound 1e-13 of B_emp)"
     assert f"bounds_method: {rep.bounds_method}\n" in format_report(rep)
-    assert any("did not stagnate" in w for w in rep.warnings)
+    assert any("did not converge within 8 steps" in w for w in rep.warnings)
     assert any("non-painless" in w for w in rep.warnings)
 
 
 def test_tightness_sweep_degrades_monotonically(erb_tight):
-    rows = tightness_sweep(erb_tight, scales=(1, 2, 4), tol=1e-6)
+    rows = tightness_sweep(erb_tight, scales=(1, 2, 4))
     assert [s for s, _ in rows] == [1, 2, 4]
     ratios = [r for _, r in rows]
     assert abs(ratios[0] - 1.0) <= 1e-8
