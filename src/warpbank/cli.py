@@ -161,7 +161,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_diagnose(args) -> int:
     built = specfile.load_bank_spec(args.bank)
-    report = diagnostics.frame_report(built, oversample_grid_factor=args.oversample)
+    report = diagnostics.frame_report(built)
     text = diagnostics.format_report(report)
     if args.sweep_a:
         try:
@@ -231,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", required=True, help="bank-spec file")
     p.add_argument("--sweep-a", default=None,
                    help="comma-separated hop scales to sweep, e.g. 1,2,4")
-    p.add_argument("--oversample", type=int, default=8,
-                   help="grid density for the sufficient bounds (default 8)")
     p.add_argument("--report", default=None, help="also write the report here")
     p.set_defaults(func=cmd_diagnose)
     return parser

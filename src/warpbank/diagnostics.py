@@ -4,19 +4,16 @@ Three layers, from cheap to expensive:
 
 * diagonal extremes, exact for painless banks where the frame operator is
   the diagonal itself;
-* sufficient bounds from the overlap sums
-
-      A(t) = sum_m theta_m(t)^2 - sum_m sum_{k != 0} |theta_m(t) theta_m(t - k/a_m)|
-      B(t) = sum_m sum_k |theta_m(t) theta_m(t - k/a_m)|
-
-  evaluated with the continuous closed forms on a grid denser than the
-  bins.  The windows have compact support, so channel m's terms vanish
-  outside its warped support [F^{-1}(c+m), F^{-1}(d+m)]: each channel is
-  evaluated on its own support's grid points, and each cross term where
-  the support overlaps its shifted copy, which costs about as much as the
-  supports rather than the grid times the channel count.  A_suff = min A,
-  B_suff = max B sandwich the true bounds; A_suff <= 0 proves nothing and
-  is reported as inconclusive;
+* sufficient bounds: a Gershgorin test on the sampled frame operator,
+  read off the bank's plan.  In the DFT domain S is the Walnut form
+  S[j, j'] = sum_m N_m g_m[j] g_m[j'] (j = j' mod N_m), so with R_j an
+  upper bound on the absolute row sums, A_suff = min_j (2 S[j, j] - R_j)
+  and B_suff = max_j R_j sandwich the true bounds.  R_j comes from the
+  frame operator's own fold and gather with |g_m| on the all-ones
+  spectrum; taking |g_m| per channel can only overestimate the row sums,
+  and painless banks, whose slots hold one nonzero bin each, get the
+  diagonal extremes.  A_suff <= 0 proves nothing and is reported as
+  inconclusive;
 * empirical bounds: for non-painless banks one Lanczos run on the frame
   operator gives both A_emp and B_emp, as the extreme Ritz values, once
   their residual bounds reach 1e-13 B_emp; no solver for S^{-1} and no
@@ -26,15 +23,14 @@ Three layers, from cheap to expensive:
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bank import WarpedBank, with_scaled_factors
-from .errors import InvalidParameter, NoConvergence
-from .transform import apply_frame_operator
+from .errors import NoConvergence
+from .transform import _walnut, apply_frame_operator
 
 # Lanczos steps after which empirical_bounds stops with a NoConvergence warning
 LANCZOS_MAX_STEPS = 2048
@@ -72,94 +68,24 @@ def diagonal_bounds(bank: WarpedBank) -> tuple[float, float]:
     return (float(diag.min()), float(diag.max()))
 
 
-def _dense_grid(bank: WarpedBank, oversample: int) -> np.ndarray:
-    """Evaluation frequencies: ``oversample`` points per bin across the
-    warped channels' active range, bin centers included."""
-    lo_bin, hi_bin = bank.grid.signed_bin_range()
-    step = bank.grid.bin_hz / oversample
-    return np.arange(lo_bin * oversample, hi_bin * oversample + 1) * step
+def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
+    """(A_suff, B_suff): Gershgorin bounds of the sampled frame operator.
 
-
-def sufficient_bounds(bank: WarpedBank, oversample_grid_factor: int = 8):
-    """(A_suff, B_suff) from the overlap sums on a dense grid.
-
-    Uses the continuous evaluators, not the sampled responses, so the
-    result reflects the mathematical condition at the chosen density
-    rather than grid artifacts.  Like the sampled channels, the evaluators
-    vanish outside the grid's active band, so a shift that leaves the band
-    overlaps nothing.  Each channel is evaluated on the grid points of its
-    own warped support only, and each cross term where the support meets
-    its shifted copy; everywhere else the terms are exact zeros.  Residual
-    channels contribute their exact unit eigenvalue as separate candidates.
+    In the DFT domain S[j, j'] = sum_m N_m g_m[j] g_m[j'] over the channels
+    with j = j' (mod N_m), plus the mirror and residual terms, so every
+    eigenvalue lies within R_j - S[j, j] of some diagonal entry S[j, j],
+    R_j being the absolute row sum.  S's own fold and gather run on the
+    all-ones spectrum with |g_m| in place of g_m give
+    sum_m N_m |g_m[j]| sum_j' |g_m[j']| >= R_j: the triangle inequality
+    per channel only adds, so A_suff = min_j (2 S[j, j] - R_j) and
+    B_suff = max_j R_j stay valid.  A painless channel puts each nonzero
+    bin alone in its slot, so on a painless bank R_j = S[j, j] and the
+    bounds are the diagonal's extremes.
     """
-    oversample = int(oversample_grid_factor)
-    if oversample < 1:
-        raise InvalidParameter(
-            f"grid oversampling factor must be at least 1, "
-            f"got {oversample_grid_factor!r}"
-        )
-    t = _dense_grid(bank, oversample)
-    # channels are truncated to the grid's active band: no overlaps beyond it
-    band_lo, band_hi = np.array(bank.grid.signed_bin_range()) * bank.grid.bin_hz
-    warping = bank.warping
-    window = bank.window
-    lo_s, hi_s = window.support
-    lower = np.zeros_like(t)
-    upper = np.zeros_like(t)
-
-    def theta_m(freqs, m):
-        out = np.zeros_like(freqs)
-        ok = (freqs >= band_lo) & (freqs <= band_hi)
-        if np.any(ok):
-            out[ok] = window(warping.f(freqs[ok]) - m)
-        return out
-
-    def around(lo_hz, hi_hz):
-        """Grid indices [start, stop) of the points in [lo_hz, hi_hz],
-        one point wider on each side so rounding in F and its inverse
-        loses nothing."""
-        start = np.maximum(np.searchsorted(t, lo_hz, "left") - 1, 0)
-        return start, np.minimum(np.searchsorted(t, hi_hz, "right") + 1, len(t))
-
-    ms = np.array([ch.m for ch in bank.channels], dtype=float)
-    sup_lo = warping.f_inv(lo_s + ms)
-    sup_hi = warping.f_inv(hi_s + ms)
-    starts, stops = around(sup_lo, sup_hi)
-    for ch, lo_hz, hi_hz, start, stop in zip(bank.channels, sup_lo.tolist(),
-                                             sup_hi.tolist(), starts.tolist(),
-                                             stops.tolist()):
-        if start >= stop:
-            continue
-        shift_hz = bank.grid.fs / ch.a
-        # a shift past the band's width leaves the band from every point
-        k_max = math.ceil(min(hi_hz - lo_hz, band_hi - band_lo) / shift_hz)
-        # the support, then where each shifted copy overlaps it:
-        # theta_m(t - shift) vanishes unless t - shift is in the support
-        spans = [(start, stop, 0.0)]
-        for k in range(1, k_max + 1):
-            for sign in (1.0, -1.0):
-                shift = sign * k * shift_hz
-                lo, hi = around(lo_hz + shift, hi_hz + shift)
-                lo, hi = max(int(lo), start), min(int(hi), stop)
-                if lo < hi:
-                    spans.append((lo, hi, shift))
-        # one window evaluation per channel; the first span is the support
-        # itself, whose term |theta_m(t)|^2 adds to both sums
-        freqs = np.concatenate([t[lo:hi] - shift for lo, hi, shift in spans])
-        values = np.abs(theta_m(freqs, ch.m))
-        base = values[: stop - start]
-        done = 0
-        for lo, hi, shift in spans:
-            term = base[lo - start:hi - start] * values[done:done + hi - lo]
-            done += hi - lo
-            lower[lo:hi] += -term if shift else term
-            upper[lo:hi] += term
-    a_cands = [float(lower.min())]
-    b_cands = [float(upper.max())]
-    for _res in bank.residuals:
-        a_cands.append(1.0)
-        b_cands.append(1.0)
-    return (min(a_cands), max(b_cands))
+    plan = bank.plan
+    ones = np.ones(bank.grid.length, dtype=complex)
+    rows = _walnut(ones, np.abs(plan.response[: len(plan.bins)]), bank).real
+    return (float(np.min(2.0 * bank.diagonal() - rows)), float(rows.max()))
 
 
 def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
@@ -216,7 +142,7 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
     return (float(theta[0]), float(theta[-1]))
 
 
-def frame_report(bank: WarpedBank, oversample_grid_factor: int = 8) -> FrameReport:
+def frame_report(bank: WarpedBank) -> FrameReport:
     """Run the full battery against one bank."""
     notes: list[str] = []
     diag_inf, diag_sup = diagonal_bounds(bank)
@@ -225,7 +151,7 @@ def frame_report(bank: WarpedBank, oversample_grid_factor: int = 8) -> FrameRepo
         notes.append(
             f"coverage hole: diagonal vanishes on {holes} of {bank.grid.length} bins"
         )
-    a_suff, b_suff = sufficient_bounds(bank, oversample_grid_factor)
+    a_suff, b_suff = sufficient_bounds(bank)
     if a_suff <= 0.0:
         notes.append("sufficient lower bound inconclusive (A_suff <= 0)")
     with warnings.catch_warnings(record=True) as caught:

@@ -9,6 +9,7 @@ f64 and carry no sample rate of their own.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -72,6 +73,11 @@ def _write_wav_pcm24(path, rate: int, samples: np.ndarray) -> None:
 
 def read_raw(path, fs: float) -> Signal:
     """Headerless little-endian f64 samples; the caller supplies fs."""
+    size = os.path.getsize(path)
+    if size % 8:
+        raise InvalidParameter(
+            f"raw signal file has {size} bytes, not a whole number of f64 samples"
+        )
     samples = np.fromfile(path, dtype="<f8")
     return Signal(samples=samples, fs=float(fs))
 

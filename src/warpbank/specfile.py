@@ -12,6 +12,7 @@ diagnose, which will flag the holes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .bank import Explicit, GridSpec, WarpedBank, build_bank
 from .errors import InvalidParameter
@@ -68,6 +69,16 @@ def _window_from_record(record: dict):
     raise InvalidParameter(f"unknown prototype kind {kind!r}")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an integer (a float with no fractional part
+    counts); anything else, 2.7 or "512" or true, raises."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise InvalidParameter(f"bank spec {what} must be an integer, got {value!r}")
+    return value
+
+
 def load_bank_spec(path) -> WarpedBank:
     """Rebuild a bank from a spec file.
 
@@ -97,14 +108,20 @@ def load_bank_spec(path) -> WarpedBank:
         window = _window_from_record(record["prototype"])
         grid_rec = record["grid"]
         grid = GridSpec(
-            length=int(grid_rec["L"]),
+            length=_integer(grid_rec["L"], "grid.L"),
             fs=float(grid_rec["fs"]),
             domain=Domain(grid_rec["domain"]),
         )
-        factors = {int(ch["m"]): int(ch["a_m_samples"]) for ch in record["channels"]}
+        table = [(_integer(ch["m"], "channel m"),
+                  _integer(ch["a_m_samples"], "channel a_m_samples"))
+                 for ch in record["channels"]]
         kind = record.get("kind", "analysis")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed bank spec: {exc!r}") from exc
+    factors = dict(table)
+    if len(factors) != len(table):
+        twice = sorted(m for m, k in Counter(m for m, _ in table).items() if k > 1)
+        raise InvalidParameter(f"bank spec lists channels {twice} more than once")
     bank = build_bank(warping, window, grid, Explicit(factors), kind=kind,
                       check_coverage=False)
     policy = record.get("factor_policy")

@@ -203,22 +203,14 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     return Signal(samples=out, fs=bank.grid.fs)
 
 
-def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
-    """S f = sum over atoms of <f, g> g, in the unitary DFT domain.
-
-    Analysis then synthesis would run an inverse and a forward FFT of the
-    same N-point block, which cancel to a factor N; so per group S folds
-    fhat * response onto the slots and gathers N * folded[slots] *
-    response back onto the bins (its Walnut form).  Mirror bins go through
-    the same slots and residual bins pass through.  Real input gives a real
-    output on half-line grids only, where the mirror branches make S
-    commute with conjugation.
-    """
-    samples = _checked_samples(signal, bank)
+def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndarray:
+    """The Walnut form of S applied to the complex spectrum ``fhat``, with
+    ``response`` (one entry per plan bin) in place of the sampled
+    responses: per group fold fhat * response onto the slots and gather
+    N * folded[slots] * response back onto the bins, mirror bins through
+    the same slots; residual bins pass through."""
     length = bank.grid.length
     plan = bank.plan
-    fhat = np.fft.fft(samples) / np.sqrt(length)
-    response = plan.response[: len(plan.bins)]
     spec = np.zeros(length, dtype=complex)
     for bins in (plan.bins, plan.mirror_bins):
         if bins is None:
@@ -230,6 +222,23 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
         spec += _sum_at(bins, values, length)
     for res in bank.residuals:
         spec[res.bin_index] += res.response_value * fhat[res.bin_index]
+    return spec
+
+
+def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
+    """S f = sum over atoms of <f, g> g, in the unitary DFT domain.
+
+    Analysis then synthesis would run an inverse and a forward FFT of the
+    same N-point block, which cancel to a factor N; what is left is S's
+    Walnut form, a fold and a gather per group (see ``_walnut``).  Real
+    input gives a real output on half-line grids only, where the mirror
+    branches make S commute with conjugation.
+    """
+    samples = _checked_samples(signal, bank)
+    length = bank.grid.length
+    plan = bank.plan
+    fhat = np.fft.fft(samples) / np.sqrt(length)
+    spec = _walnut(fhat, plan.response[: len(plan.bins)], bank)
     out = np.sqrt(length) * np.fft.ifft(spec)
     if plan.mirror_bins is not None and not np.iscomplexobj(samples):
         out = out.real

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -57,50 +55,3 @@ def scaled_and_explicit_banks(family, kw, fs, length=128):
 def plan_test_banks():
     return scaled_and_explicit_banks
 
-
-def whole_grid_sufficient_bounds(bank, oversample_grid_factor=8):
-    """Reference for ``sufficient_bounds``: every channel and every shift
-    evaluated over the whole dense grid, zeros included."""
-    oversample = int(oversample_grid_factor)
-    lo_bin, hi_bin = bank.grid.signed_bin_range()
-    step = bank.grid.bin_hz / oversample
-    t = np.arange(lo_bin * oversample, hi_bin * oversample + 1) * step
-    band_lo, band_hi = np.array(bank.grid.signed_bin_range()) * bank.grid.bin_hz
-    warping = bank.warping
-    window = bank.window
-    lo_s, hi_s = window.support
-    lower = np.zeros_like(t)
-    upper = np.zeros_like(t)
-
-    def theta_m(freqs, m):
-        out = np.zeros_like(freqs)
-        ok = (freqs >= band_lo) & (freqs <= band_hi)
-        if np.any(ok):
-            out[ok] = window(warping.f(freqs[ok]) - m)
-        return out
-
-    for ch in bank.channels:
-        base = theta_m(t, ch.m)
-        sq = base**2
-        lower += sq
-        upper += sq
-        shift_hz = bank.grid.fs / ch.a
-        width_hz = float(warping.f_inv(hi_s + ch.m) - warping.f_inv(lo_s + ch.m))
-        k_max = math.ceil(min(width_hz, band_hi - band_lo) / shift_hz)
-        absbase = np.abs(base)
-        for k in range(1, k_max + 1):
-            for sign in (1.0, -1.0):
-                cross = absbase * np.abs(theta_m(t - sign * k * shift_hz, ch.m))
-                lower -= cross
-                upper += cross
-    a_cands = [float(lower.min())]
-    b_cands = [float(upper.max())]
-    for _res in bank.residuals:
-        a_cands.append(1.0)
-        b_cands.append(1.0)
-    return (min(a_cands), max(b_cands))
-
-
-@pytest.fixture
-def whole_grid_bounds():
-    return whole_grid_sufficient_bounds

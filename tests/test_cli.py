@@ -117,9 +117,11 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
     assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.wav",
                 "--out", tmp_path / "c.wfbc"]) == 2
     assert "sample rate" in capsys.readouterr().err
-    for factor in (0, -3):
-        assert run(["diagnose", "--bank", spec, "--oversample", factor]) == 2
-        assert "oversampling factor" in capsys.readouterr().err
+    # 511 whole samples and 3 stray bytes: a truncated file, not a short signal
+    (tmp_path / "cut.f64").write_bytes(np.zeros(512).tobytes()[:4091])
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "cut.f64",
+                "--out", tmp_path / "c.wfbc", "--pad"]) == 2
+    assert "4091 bytes" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_non_finite_input(tmp_path, capsys):
@@ -285,3 +287,28 @@ def test_malformed_spec_file_is_exit_2(tmp_path):
     bad.write_text(json.dumps({"format_version": 99}))
     assert run(["diagnose", "--bank", bad]) == 2
     assert run(["diagnose", "--bank", tmp_path / "missing.json"]) == 2
+
+
+@pytest.mark.parametrize("where,value", [
+    ("L", 512.9), ("L", "512"), ("m", 1.5), ("a_m_samples", 2.7),
+    ("a_m_samples", True),
+])
+def test_spec_file_with_non_integer_entry_is_exit_2(tmp_path, capsys, where, value):
+    spec = design_bank(tmp_path)
+    record = json.loads(spec.read_text())
+    if where == "L":
+        record["grid"]["L"] = value
+    else:
+        record["channels"][3][where] = value
+    spec.write_text(json.dumps(record))
+    assert run(["diagnose", "--bank", spec]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_spec_file_with_repeated_channel_is_exit_2(tmp_path, capsys):
+    spec = design_bank(tmp_path)
+    record = json.loads(spec.read_text())
+    record["channels"].append(dict(record["channels"][2], a_m_samples=1))
+    spec.write_text(json.dumps(record))
+    assert run(["diagnose", "--bank", spec]) == 2
+    assert "more than once" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from warpbank import (Explicit, GridSpec, Natural, Painless, build_bank,
                       sufficient_bounds, tightness_sweep, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
-BANKS = sorted((Path(__file__).resolve().parents[1] / "banks").glob("*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -94,54 +93,55 @@ def test_sufficient_bounds_finish_for_channels_far_beyond_the_grid():
     assert sufficient_bounds(bank) == (0.0, 1.0)
 
 
-@pytest.mark.parametrize("family,kw,fs", [
+FAMILIES = [
     ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
     ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
-])
-def test_sufficient_bounds_match_whole_grid_reference(family, kw, fs,
-                                                      whole_grid_bounds):
-    w = make_warping(family, **kw)
-    grid = GridSpec(length=128, fs=fs, domain=w.domain)
-    painless = build_bank(w, HANN, grid, Painless())
-    banks = [painless, with_scaled_factors(painless, 2),
-             with_scaled_factors(painless, 4),
-             build_bank(w, HANN, grid, Natural(), check_coverage=False)]
-    for bank in banks:
-        got = sufficient_bounds(bank)
-        want = whole_grid_bounds(bank)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+]
 
 
-def test_sufficient_bounds_match_reference_on_edge_and_checked_in_banks(
-        gapped_bank, whole_grid_bounds):
-    w = make_warping("log")
-    grid = GridSpec(length=64, fs=2.0, domain=w.domain)
-    far = build_bank(w, HANN, grid, Explicit({40: 4, 41: 1}), check_coverage=False)
-    for bank in [far, gapped_bank] + [load_bank_spec(p) for p in BANKS]:
-        got = sufficient_bounds(bank)
-        want = whole_grid_bounds(bank)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_sufficient_bounds_enclose_dense_spectrum(dense_atoms):
+def test_sufficient_bounds_enclose_dense_spectrum(dense_atoms, plan_test_banks):
+    banks = []
+    for family, kw, fs in FAMILIES:
+        banks += plan_test_banks(family, kw, fs).values()
+        w = make_warping(family, **kw)
+        grid = GridSpec(length=128, fs=fs, domain=w.domain)
+        banks.append(build_bank(w, HANN, grid, Natural(), check_coverage=False))
     w = make_warping("erblike", c=1.0, d=1.0)
-    grid = GridSpec(length=128, fs=256.0, domain=w.domain)
-    doubled = with_scaled_factors(design_tight(w, grid, "hann", 3.0), 2)
-    assert not doubled.painless
-    atoms = dense_atoms(doubled)
-    spectrum = np.linalg.eigvalsh(atoms.T @ atoms.conj())
-    a_suff, b_suff = sufficient_bounds(doubled)
-    assert 0.0 < a_suff <= spectrum[0] <= spectrum[-1] <= b_suff
+    tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain),
+                         "hann", 3.0)
+    doubled, quadrupled = (with_scaled_factors(tight, s) for s in (2, 4))
+    for bank in banks + [doubled, quadrupled]:
+        atoms = dense_atoms(bank)
+        spectrum = np.linalg.eigvalsh(atoms.T @ atoms.conj())
+        a_suff, b_suff = sufficient_bounds(bank)
+        slack = 1e-12 * b_suff
+        assert a_suff - slack <= spectrum[0] <= spectrum[-1] <= b_suff + slack
+        if bank.painless:
+            np.testing.assert_allclose((a_suff, b_suff), diagonal_bounds(bank),
+                                       rtol=1e-14, atol=0)
+    for bank in (doubled, quadrupled):
+        assert not bank.painless
+        assert 0.0 < sufficient_bounds(bank)[0]
+
+
+def test_sufficient_bounds_need_no_continuous_evaluator(erb_tight, monkeypatch):
+    want = sufficient_bounds(with_scaled_factors(erb_tight, 2))
+    bank = with_scaled_factors(erb_tight, 2)
+
+    def broken(*args):
+        raise AssertionError("continuous evaluator called")
+
+    monkeypatch.setattr(type(bank.window), "__call__", broken)
+    for name in ("f", "f_inv"):
+        monkeypatch.setattr(type(bank.warping), name, broken)
+    assert sufficient_bounds(bank) == want
 
 
 def test_empirical_bounds_painless_fast_path(erb_tight):
     assert empirical_bounds(erb_tight) == diagonal_bounds(erb_tight)
 
 
-@pytest.mark.parametrize("family,kw,fs", [
-    ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
-    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
-])
+@pytest.mark.parametrize("family,kw,fs", FAMILIES)
 def test_empirical_bounds_match_dense_spectrum(family, kw, fs, dense_atoms,
                                                plan_test_banks):
     for name, bank in plan_test_banks(family, kw, fs).items():
