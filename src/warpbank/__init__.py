@@ -7,7 +7,7 @@ diagnostics.
 """
 
 from .bank import (Channel, Explicit, GridSpec, Natural, Painless,
-                   ResidualChannel, WarpedBank, build_bank, channel_range,
+                   ResidualChannel, WarpedBank, build_bank,
                    channel_response_continuous, design_tight, natural_factors,
                    painless_dual, painless_factors, round_factors_to_grid,
                    with_scaled_factors)
@@ -37,7 +37,7 @@ __all__ = [
     "NoConvergence", "NotPainless", "Painless", "ResidualChannel", "Signal",
     "SignedPowWarping", "SymPowWarping", "WarpBankError", "WarpedBank",
     "WarpingFunction", "analyze", "apply_frame_operator", "build_bank",
-    "channel_range", "channel_response_continuous", "check_moderate_inequality",
+    "channel_response_continuous", "check_moderate_inequality",
     "design_tight", "diagonal_bounds",
     "empirical_bounds", "format_report", "frame_report", "load_bank_spec",
     "load_coefficients", "make_cosine_window", "make_warping",

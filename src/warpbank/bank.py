@@ -7,9 +7,11 @@ sampled as
     response[j] = sqrt(a_m / L) * theta(F(xi_j) - m)
 
 on the bins xi_j the grid actually has; channels whose warped support
-sticks out past the grid are truncated there (no wrap-around).  The
-downsampling factor a_m is an integer divisor of L, so the channel has
-exactly N_m = L / a_m coefficients, and the frame-operator diagonal
+sticks out past the grid are truncated there (no wrap-around).  F is
+evaluated once, on the active bins; a designed bank holds exactly the
+channels whose support [c+m, d+m) holds some F(xi_j).  The downsampling
+factor a_m is an integer divisor of L, so the channel has exactly
+N_m = L / a_m coefficients, and the frame-operator diagonal
 
     d(xi_j) = sum_m (L / a_m) response_m[j]^2 = sum_m theta(F(xi_j) - m)^2
 
@@ -126,14 +128,13 @@ class ResidualChannel:
 @dataclass
 class BankPlan:
     """Flat sampled geometry.  ``bins`` (0..L-1) and ``response`` run group
-    after group, and the all-zero responses of empty channels follow at the
-    tail; channel i's response is a view at ``response[offsets[i]:]``.  Each
-    group (N, rows, span, slots) holds the nonempty channels of one frame
-    length N, row r being channel ``rows[r]``: its entries ``span`` fold at
-    ``slots`` = row * N + bin % N into a rows x N block."""
+    after group, one entry per sampled bin; channel i's response is a view
+    at ``response[offsets[i]:]``.  Each group (N, rows, span, slots) holds
+    the channels of one frame length N, row r being channel ``rows[r]``:
+    its entries ``span`` fold at ``slots`` = row * N + bin % N into a
+    rows x N block (a channel with no bin folds to a row of zeros)."""
 
     groups: list[tuple[int, list[int], slice, np.ndarray]]
-    empty: list[int]
     bins: np.ndarray
     mirror_bins: np.ndarray | None
     response: np.ndarray
@@ -174,28 +175,6 @@ class WarpedBank:
 # ---------------------------------------------------------------------------
 # factor computations
 
-def channel_range(warping: WarpingFunction, window, grid: GridSpec) -> tuple[int, int]:
-    """Smallest and largest translate index whose warped support can touch
-    the grid's frequency range.
-
-    The range is deliberately generous (outermost channels may sample to
-    all zeros); with it, every active bin sees the full set of overlapping
-    translates, so a constant squared-translate sum stays constant across
-    the whole grid.
-    """
-    lo_s, hi_s = window.support
-    if grid.domain is Domain.POSITIVE_HALF_LINE:
-        f_lo = float(warping.f(grid.bin_hz))
-    else:
-        f_lo = float(warping.f(-grid.fs / 2.0))
-    f_hi = float(warping.f(grid.fs / 2.0))
-    m_min = math.floor(f_lo - hi_s)
-    m_max = math.ceil(f_hi - lo_s)
-    if m_min > m_max:
-        raise EmptyBank("no translate intersects the grid's frequency range")
-    return (m_min, m_max)
-
-
 def natural_factors(warping: WarpingFunction, a_tilde: float, m_range) -> np.ndarray:
     """a_m = a_tilde / (C v(m)) for m over the given range (seconds)."""
     if not np.isfinite(a_tilde) or a_tilde <= 0:
@@ -234,44 +213,42 @@ def round_factors_to_grid(a_real, grid: GridSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # construction
 
-def _sample_channel(warping, window, grid: GridSpec, m: int, a: int) -> Channel:
-    lo_s, hi_s = window.support
-    binw = grid.bin_hz
-    lo_bin = math.ceil(float(warping.f_inv(lo_s + m)) / binw)
-    hi_edge = float(warping.f_inv(hi_s + m)) / binw
-    hi_bin = math.ceil(hi_edge) - 1  # half-open: exclude an exact upper edge
-    active_lo, active_hi = grid.signed_bin_range()
-    lo_bin = max(lo_bin, active_lo)
-    hi_bin = min(hi_bin, active_hi)
-    n_frames = grid.length // a
-    if hi_bin < lo_bin:
-        response = np.zeros(0)
-        lo_bin = active_lo
-    else:
-        bins = np.arange(lo_bin, hi_bin + 1)
-        x = warping.f(bins * binw) - m
-        response = np.sqrt(a / grid.length) * np.asarray(window(x), dtype=float)
-    # painless iff no two nonzero response bins alias to the same
-    # coefficient slot, i.e. the nonzero span stays below N_m
-    nz = np.nonzero(response)[0]
-    painless = len(nz) == 0 or int(nz[-1] - nz[0]) < n_frames
-    return Channel(
-        m=m,
-        center_hz=float(warping.f_inv(float(m))),
-        a=int(a),
-        n_frames=n_frames,
-        start_bin=int(lo_bin),
-        response=response,
-        painless=painless,
-    )
+def _check_tags(first, last, residual: bool) -> None:
+    """Channel indices first..last, and on half-line grids the residual
+    tags just outside them, must fit the i32 tags of a WFBC file."""
+    if not (-(2**31) <= first - residual and last + residual < 2**31):
+        raise InvalidParameter(f"channel indices {first}..{last} do not fit "
+                               "the 32-bit channel tags of the coefficient file")
+
+
+def _touching_channels(warped: np.ndarray, support, residual: bool) -> list[int]:
+    """Every m whose warped support [c+m, d+m) holds one of the sorted
+    warped bins.  Bin j admits floor(F_j - d) < m <= floor(F_j - c), and
+    adds only the m above those the bins below it admitted; the bounds are
+    widened by one against rounding, and the supports decide."""
+    lo_s, hi_s = support
+    top = np.floor(warped - lo_s) + 1
+    below = np.maximum(np.floor(warped - hi_s) - 1, np.concatenate(([-np.inf], top[:-1])))
+    _check_tags(below[0] + 1, top[-1], residual)
+    counts = np.maximum(top - below, 0).astype(np.int64)
+    first = (below + 1).astype(np.int64) - (np.cumsum(counts) - counts)
+    ms = np.repeat(first, counts) + np.arange(counts.sum())
+    starts, stops = _supports(warped, support, ms)
+    return ms[stops > starts].tolist()
+
+
+def _supports(warped: np.ndarray, support, ms) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges [starts, stops) of the sorted warped bins inside each
+    channel's support [c+m, d+m)."""
+    m = np.asarray(ms, dtype=float)
+    return np.searchsorted(warped, support[0] + m), np.searchsorted(warped, support[1] + m)
 
 
 def _build_plan(bank: WarpedBank) -> BankPlan:
-    """Concatenate the sampled responses, nonempty channels first and
-    grouped by ascending N, and point each channel's response at its slice."""
+    """Concatenate the sampled responses grouped by ascending N and point
+    each channel's response at its slice."""
     chans = bank.channels
-    active = [bool(ch.response.any()) for ch in chans]
-    order = sorted(range(len(chans)), key=lambda i: (not active[i], chans[i].n_frames))
+    order = sorted(range(len(chans)), key=lambda i: chans[i].n_frames)
     sizes = np.array([len(chans[i].response) for i in order], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     response = np.concatenate([chans[i].response for i in order] or [np.zeros(0)])
@@ -279,16 +256,15 @@ def _build_plan(bank: WarpedBank) -> BankPlan:
     offsets[order] = starts
     for i, start, size in zip(order, starts, sizes):
         chans[i].response = response[start:start + size]
-    n_active = sum(active)
-    # bin of each active entry: its channel's start_bin plus its position
-    first = np.array([chans[i].start_bin for i in order[:n_active]], dtype=np.intp)
-    bins = np.repeat(first - starts[:n_active], sizes[:n_active])
+    # bin of each entry: its channel's start_bin plus its position
+    first = np.array([chans[i].start_bin for i in order], dtype=np.intp)
+    bins = np.repeat(first - starts, sizes)
     bins += np.arange(len(bins))
     half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
     if not half:
         bins %= bank.grid.length
     groups, lo = [], 0
-    for n, rows in groupby(order[:n_active], key=lambda i: chans[i].n_frames):
+    for n, rows in groupby(order, key=lambda i: chans[i].n_frames):
         rows = list(rows)
         hi = lo + len(rows)
         span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
@@ -298,7 +274,7 @@ def _build_plan(bank: WarpedBank) -> BankPlan:
         lo = hi
     # (L - bin) % L without the modulo: half-line bins lie in 1..L/2-1
     mirror = bank.grid.length - bins if half else None
-    return BankPlan(groups, order[n_active:], bins, mirror, response, offsets)
+    return BankPlan(groups, bins, mirror, response, offsets)
 
 
 def _accumulate_diagonal(bank: WarpedBank) -> np.ndarray:
@@ -341,19 +317,26 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
     """Assemble a bank: pick channel indices, fix factors per the policy,
     sample responses, and verify frequency coverage.
 
-    ``policy`` is one of Natural, Painless, or Explicit.  Explicit factor
+    ``policy`` is one of Natural, Painless, or Explicit.  The first two
+    take every channel whose warped support holds a bin.  Explicit factor
     maps may cover any subset of channel indices (useful for probing
-    deliberately broken banks with ``check_coverage=False``).
+    deliberately broken banks with ``check_coverage=False``); a channel
+    that holds no bin gets N_m zero coefficients.
     """
     if warping.domain is not grid.domain:
         raise InvalidParameter(
             f"grid domain {grid.domain.value} does not match the warping domain "
             f"{warping.domain.value}"
         )
+    lo_bin, hi_bin = grid.signed_bin_range()
+    with np.errstate(over="ignore"):
+        warped = warping.f(np.arange(lo_bin, hi_bin + 1) * grid.bin_hz)
+    half = grid.domain is Domain.POSITIVE_HALF_LINE
     if isinstance(policy, Explicit):
         if not policy.factors:
             raise EmptyBank("explicit factor map is empty")
         ms = sorted(int(m) for m in policy.factors)
+        _check_tags(ms[0], ms[-1], half)
         factors = {}
         for m in ms:
             a = policy.factors[m]
@@ -364,8 +347,9 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             factors[m] = int(a)
         policy_record = {"policy": "explicit"}
     else:
-        m_min, m_max = channel_range(warping, window, grid)
-        ms = list(range(m_min, m_max + 1))
+        ms = _touching_channels(warped, window.support, half) if len(warped) else []
+        if not ms:
+            raise EmptyBank("no channel's warped support holds a bin of the grid")
         if isinstance(policy, Painless):
             a_real = painless_factors(warping, window.support, ms)
             policy_record = {"policy": "painless"}
@@ -380,9 +364,27 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
         rounded = round_factors_to_grid(a_real, grid)
         factors = dict(zip(ms, (int(a) for a in rounded)))
 
-    channels = [_sample_channel(warping, window, grid, m, factors[m]) for m in ms]
+    starts, stops = _supports(warped, window.support, ms)
+    with np.errstate(over="ignore"):
+        centers = warping.f_inv(np.array(ms, dtype=float))
+    if not np.isfinite(centers).all():
+        bad = ms[int(np.argmin(np.isfinite(centers)))]
+        raise InvalidParameter(f"channel {bad} has no finite center frequency")
+    channels = []
+    for m, center, j0, j1 in zip(ms, centers, starts, stops):
+        a = factors[m]
+        n_frames = grid.length // a
+        response = np.sqrt(a / grid.length) * np.asarray(window(warped[j0:j1] - m), dtype=float)
+        # painless iff no two nonzero response bins alias to the same
+        # coefficient slot, i.e. the nonzero span stays below N_m
+        nz = np.nonzero(response)[0]
+        channels.append(Channel(
+            m=m, center_hz=float(center), a=a, n_frames=n_frames,
+            start_bin=lo_bin + int(j0), response=response,
+            painless=len(nz) == 0 or int(nz[-1] - nz[0]) < n_frames,
+        ))
     residuals = []
-    if grid.domain is Domain.POSITIVE_HALF_LINE:
+    if half:
         residuals = [
             ResidualChannel(bin_index=0, a=grid.length),
             ResidualChannel(bin_index=grid.length // 2, a=grid.length),
@@ -418,7 +420,7 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
     _require_coverage(bank, "the pointwise dual is undefined there")
     plan = bank.plan
     response = plan.response.copy()
-    response[: len(plan.bins)] /= bank.diagonal()[plan.bins]
+    response /= bank.diagonal()[plan.bins]
     dual_channels = [
         Channel(m=ch.m, center_hz=ch.center_hz, a=ch.a, n_frames=ch.n_frames,
                 start_bin=ch.start_bin, painless=ch.painless,

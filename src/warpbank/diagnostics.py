@@ -84,7 +84,7 @@ def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
     """
     plan = bank.plan
     ones = np.ones(bank.grid.length, dtype=complex)
-    rows = _walnut(ones, np.abs(plan.response[: len(plan.bins)]), bank).real
+    rows = _walnut(ones, np.abs(plan.response), bank).real
     return (float(np.min(2.0 * bank.diagonal() - rows)), float(rows.max()))
 
 

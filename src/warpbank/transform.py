@@ -9,9 +9,8 @@ done by folding fhat * response onto N slots (j mod N) and one inverse
 FFT of length N.  The bank's plan (see bank) groups the channels by N, so
 a full analysis costs one length-L FFT, then per distinct N one bincount
 fold over the group's flat bins and one batched inverse FFT of its
-rows x N block.  Channels whose response is all zero get N zeros and no
-FFT.  Synthesis is the exact adjoint: per group one batched FFT, a gather
-through the fold slots, and one bincount scatter of
+rows x N block.  Synthesis is the exact adjoint: per group one batched
+FFT, a gather through the fold slots, and one bincount scatter of
 fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0 coefficient
 sits at time 0; there is no per-channel phase ramp.
 
@@ -25,9 +24,9 @@ synthesis fills bins 0..L/2 and returns a real signal by irfft.
 Coefficients serialize to the WFBC container: magic ``WFBC``, version and
 entry count as little-endian u32, then per entry a channel tag (i32), a
 coefficient count (u32) and the coefficients as little-endian f64
-(re, im) pairs.  Residual channels are tagged just outside the warped
-index range; mirror entries, present only for complex half-line analyses,
-repeat the warped tags at the end.
+(re, im) pairs.  Half-line files hold the DC residual (tag m_min - 1),
+the channels, the Nyquist residual (tag m_max + 1), then for complex
+analyses the mirror entries, which repeat the channel tags.
 """
 
 from __future__ import annotations
@@ -117,15 +116,12 @@ def _fold_frames(bank: WarpedBank, weighted: np.ndarray, mirror: bool) -> list:
     fold each group onto its rows x N block, one transform per group.
     A mirror branch conjugates every phase, so a forward FFT replaces the
     scaled inverse one."""
-    plan = bank.plan
     out = [None] * len(bank.channels)
-    for n, rows, span, slots in plan.groups:
+    for n, rows, span, slots in bank.plan.groups:
         folded = _sum_at(slots, weighted[span], len(rows) * n).reshape(len(rows), n)
         frames = np.fft.fft(folded) if mirror else np.fft.ifft(folded, norm="forward")
         for i, row in zip(rows, frames):
             out[i] = row
-    for i in plan.empty:
-        out[i] = np.zeros(bank.channels[i].n_frames, dtype=complex)
     return out
 
 
@@ -143,11 +139,10 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     # a real half-line analysis reads bins 0..L/2 only
     fft = np.fft.rfft if half and real_input else np.fft.fft
     fhat = fft(samples) / np.sqrt(length)
-    response = plan.response[: len(plan.bins)]
-    channels = _fold_frames(bank, fhat[plan.bins] * response, mirror=False)
+    channels = _fold_frames(bank, fhat[plan.bins] * plan.response, mirror=False)
     mirrors = None
     if half and not real_input:
-        mirrors = _fold_frames(bank, fhat[plan.mirror_bins] * response, mirror=True)
+        mirrors = _fold_frames(bank, fhat[plan.mirror_bins] * plan.response, mirror=True)
     residuals = [np.array([fhat[res.bin_index]]) for res in bank.residuals]
     return CoefficientSet(
         channels=channels, residuals=residuals, mirrors=mirrors,
@@ -155,15 +150,30 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     )
 
 
+def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
+    """Raise FingerprintMismatch unless ``coeffs`` fits an analysis by
+    ``bank``: its fingerprint, N_m coefficients per channel and per mirror
+    branch (optional, half-line banks only), and one per residual."""
+    if coeffs.fingerprint != bank.fingerprint:
+        raise FingerprintMismatch(
+            "coefficient set was produced by a bank with different geometry"
+        )
+    frames = [(ch.n_frames,) for ch in bank.channels]
+    mirrors = frames if bank.grid.domain is Domain.POSITIVE_HALF_LINE else None
+    for what, arrays, shapes in (("channel", coeffs.channels, frames),
+                                 ("mirror", coeffs.mirrors, mirrors),
+                                 ("residual", coeffs.residuals, [(1,)] * len(bank.residuals))):
+        if arrays is not None and [np.shape(c) for c in arrays] != shapes:
+            raise FingerprintMismatch(
+                f"coefficient set's {what} entries ({len(arrays)}) do not match "
+                f"the bank's ({len(shapes or [])}) in count or length"
+            )
+
+
 def _spread_frames(bank: WarpedBank, frames: list, bins: np.ndarray,
                    size: int, mirror: bool) -> np.ndarray:
     """Adjoint of ``_fold_frames``: one transform per group, read through
     the slots, weighted by the responses and summed onto ``size`` bins."""
-    for ch, c in zip(bank.channels, frames):
-        if len(c) != ch.n_frames:
-            raise LengthMismatch(
-                f"channel {ch.m} expects {ch.n_frames} coefficients, got {len(c)}"
-            )
     plan = bank.plan
     values = np.empty(len(bins), dtype=complex)
     for _, rows, span, slots in plan.groups:
@@ -177,16 +187,8 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     """Weighted sum of ``bank``'s atoms.  Pass the analysis bank itself for
     a tight design, or its painless dual, to invert ``analyze``.  The sum
     is real only for a real-input analysis on a half-line grid."""
-    if coeffs.fingerprint != bank.fingerprint:
-        raise FingerprintMismatch(
-            "coefficient set was produced by a bank with different geometry"
-        )
+    _check_shape(coeffs, bank)
     length = bank.grid.length
-    if len(coeffs.channels) != len(bank.channels):
-        raise FingerprintMismatch(
-            f"coefficient set has {len(coeffs.channels)} channels, "
-            f"bank has {len(bank.channels)}"
-        )
     plan = bank.plan
     # real-input shortcut: bins 0..L/2 only, negative bins by conjugate symmetry
     shortcut = coeffs.half_line and coeffs.mirrors is None
@@ -238,7 +240,7 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
     length = bank.grid.length
     plan = bank.plan
     fhat = np.fft.fft(samples) / np.sqrt(length)
-    spec = _walnut(fhat, plan.response[: len(plan.bins)], bank)
+    spec = _walnut(fhat, plan.response, bank)
     out = np.sqrt(length) * np.fft.ifft(spec)
     if plan.mirror_bins is not None and not np.iscomplexobj(samples):
         out = out.real
@@ -251,27 +253,17 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
 def _entry_plan(bank: WarpedBank, with_mirrors: bool):
     """Entry layout: (kind, list index, tag) in file order.  Residual tags
     sit just outside the warped index range."""
-    plan = []
-    if bank.residuals:
-        m_lo = bank.channels[0].m
-        m_hi = bank.channels[-1].m
-        plan.append(("residual", 0, m_lo - 1))
-        for i, ch in enumerate(bank.channels):
-            plan.append(("channel", i, ch.m))
-        plan.append(("residual", 1, m_hi + 1))
-        if with_mirrors:
-            for i, ch in enumerate(bank.channels):
-                plan.append(("mirror", i, ch.m))
-    else:
-        for i, ch in enumerate(bank.channels):
-            plan.append(("channel", i, ch.m))
-    return plan
+    channels = [("channel", i, ch.m) for i, ch in enumerate(bank.channels)]
+    if not bank.residuals:
+        return channels
+    mirrors = [("mirror", i, m) for _, i, m in channels] if with_mirrors else []
+    return ([("residual", 0, bank.channels[0].m - 1)] + channels
+            + [("residual", 1, bank.channels[-1].m + 1)] + mirrors)
 
 
 def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
     """Write a coefficient set to the binary WFBC container."""
-    if coeffs.fingerprint != bank.fingerprint:
-        raise FingerprintMismatch("coefficient set does not belong to this bank")
+    _check_shape(coeffs, bank)
     plan = _entry_plan(bank, coeffs.mirrors is not None)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
                       InvalidParameter, Natural, NotPainless, Painless,
-                      build_bank, channel_range, channel_response_continuous,
+                      build_bank, channel_response_continuous,
                       design_tight, make_cosine_window, make_warping,
                       named_window, natural_factors, painless_dual,
                       painless_factors, round_factors_to_grid,
@@ -39,28 +41,75 @@ def test_grid_spec_validation():
     assert half.signed_bin_range() == (1, 511)
 
 
-def test_channel_range_erb_at_cd_quality():
-    w, grid = erb_grid()
-    m_min, m_max = channel_range(w, HANN, grid)
-    # F(22050 Hz) ~ 42.4, so the top translate whose support reaches
-    # Nyquist is ceil(42.4 + 1.5) = 44; oddness mirrors the bottom
-    assert (m_min, m_max) == (-44, 44)
+@pytest.mark.parametrize("window", ["hann", "hamming", "boxcar"])
+@pytest.mark.parametrize("family,kw,length,fs", [
+    ("log", {}, 256, 2.0),
+    ("sympow", {"l": 1.0}, 2048, 64.0),  # sparse high bins: gaps in m
+    ("erblike", {}, 256, 44100.0),
+    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256, 256.0),
+])
+def test_channel_set_is_every_translate_holding_a_bin(family, kw, length, fs, window):
+    w = make_warping(family, **kw)
+    grid = GridSpec(length=length, fs=fs, domain=w.domain)
+    proto = named_window(window, 3.0)
+    lo_s, hi_s = proto.support
+    lo_bin, hi_bin = grid.signed_bin_range()
+    warped = w.f(np.arange(lo_bin, hi_bin + 1) * grid.bin_hz)
+    # brute force over a window of m far wider than the warped bins
+    wide = range(int(np.floor(warped[0])) - 20, int(np.ceil(warped[-1])) + 21)
+    held = {m: np.nonzero((warped >= lo_s + m) & (warped < hi_s + m))[0] for m in wide}
+    expected = [m for m in wide if len(held[m])]
+    for policy in (Painless(), Natural()):
+        bank = build_bank(w, proto, grid, policy, check_coverage=False)
+        assert [ch.m for ch in bank.channels] == expected
+        for ch in bank.channels:
+            j = held[ch.m]
+            assert ch.support_bins == (lo_bin + j[0], lo_bin + j[-1] + 1)
+            np.testing.assert_array_equal(
+                ch.response, np.sqrt(ch.a / length) * proto(warped[j] - ch.m))
 
 
-def test_channel_range_log_lowest_bin():
-    w, grid = log_grid()
-    m_min, m_max = channel_range(w, HANN, grid)
-    assert m_min == int(np.floor(w.f(grid.bin_hz) - 1.5))
-    assert m_max == int(np.ceil(w.f(1.0) + 1.5))
-    assert (m_min, m_max) == (-8, 2)
-
-
-def test_channel_range_symmetric_for_odd_warpings():
-    for family, kw in [("erblike", {}), ("signedpow", {"l": 0.5})]:
+def test_hostile_warpings_build_quickly():
+    # before the channel set was read off the bins, these gave 12.7M and
+    # 97,201 channels; now each bin admits at most three translates
+    for family, kw, fs, most in [("sympow", {"c": 1e6, "d": 1.0, "l": 0.5}, 8.0, 1533),
+                                 ("erblike", {"c": 1e4, "d": 1.0}, 256.0, 3072)]:
         w = make_warping(family, **kw)
-        grid = GridSpec(length=512, fs=100.0, domain=w.domain)
-        m_min, m_max = channel_range(w, HANN, grid)
-        assert m_min == -m_max
+        grid = GridSpec(length=1024, fs=fs, domain=w.domain)
+        start = time.perf_counter()
+        bank = design_tight(w, grid, "hann", 3.0)
+        assert time.perf_counter() - start < 1.0
+        assert len(bank.channels) <= most
+
+
+def test_grid_without_warped_bins_is_an_empty_bank():
+    w = make_warping("log")
+    grid = GridSpec(length=2, fs=2.0, domain=w.domain)
+    for policy in (Painless(), Natural()):
+        with pytest.raises(EmptyBank):
+            build_bank(w, HANN, grid, policy)
+
+
+def test_channel_indices_must_fit_the_coefficient_tags():
+    _, grid = log_grid(length=256)
+    with pytest.raises(InvalidParameter, match="32-bit"):
+        build_bank(make_warping("log", c=1e12), HANN, grid, Painless())
+    # half-line residual tags sit one past the outermost channels
+    w = make_warping("sympow", l=1.0)
+    with pytest.raises(InvalidParameter, match="32-bit"):
+        build_bank(w, HANN, grid, Explicit({2**31 - 1: 1}), check_coverage=False)
+    with pytest.raises(InvalidParameter, match="32-bit"):
+        build_bank(w, HANN, grid, Explicit({-2**31: 1}), check_coverage=False)
+    build_bank(w, HANN, grid, Explicit({2**31 - 2: 1}), check_coverage=False)
+    full = GridSpec(length=256, fs=2.0, domain=Domain.FULL_LINE)
+    build_bank(make_warping("signedpow", l=1.0), HANN, full,
+               Explicit({2**31 - 1: 1}), check_coverage=False)
+
+
+def test_channel_center_must_be_finite():
+    w, grid = erb_grid(length=256)
+    with pytest.raises(InvalidParameter, match="finite center"):
+        build_bank(w, HANN, grid, Explicit({0: 1, 1_000_000: 1}), check_coverage=False)
 
 
 def test_round_factors_to_grid():

@@ -51,6 +51,7 @@ def test_checked_in_banks_diagnose_clean(spec, capsys):
 @pytest.mark.parametrize("spec", BANKS, ids=lambda p: p.stem)
 def test_checked_in_banks_regenerate_byte_identically(spec, tmp_path):
     bank = load_bank_spec(spec)
+    assert all(len(ch.response) for ch in bank.channels)
     copy = tmp_path / "copy.json"
     from warpbank import save_bank_spec
     save_bank_spec(bank, copy)
@@ -112,6 +113,14 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
     assert run(["design", "--warp", "log", "--policy", "bogus",
                 "--L", 512, "--fs", 2]) == 2
 
+    # a half-line grid of two bins has no bin for warped channels
+    assert run(["design", "--warp", "log", "--L", 2, "--fs", 2]) == 2
+    assert "no channel" in capsys.readouterr().err
+    # channel indices near -4.9e12 do not fit the coefficient file's tags
+    assert run(["design", "--warp", "log", "--warp-params", "c=1e12,d=1",
+                "--L", 256, "--fs", 2, "--out", tmp_path / "big.json"]) == 2
+    assert "32-bit" in capsys.readouterr().err
+
     spec = design_bank(tmp_path)
     write_wav(tmp_path / "in.wav", Signal(samples=np.zeros(512), fs=44100.0))
     assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.wav",
@@ -122,6 +131,35 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
     assert run(["analyze", "--bank", spec, "--in", tmp_path / "cut.f64",
                 "--out", tmp_path / "c.wfbc", "--pad"]) == 2
     assert "4091 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m,message", [(1_000_000, "finite center"), (2**31, "32-bit")])
+def test_spec_file_with_unrepresentable_channel_is_exit_2(tmp_path, capsys, m, message):
+    record = json.loads(BANKS[0].read_text())
+    assert BANKS[0].stem == "erblet_r3"
+    record["channels"].append(dict(record["channels"][-1], m=m))
+    spec = tmp_path / "bank.json"
+    spec.write_text(json.dumps(record))
+    write_raw(tmp_path / "in.f64", Signal(samples=np.ones(1024), fs=128.0))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_spec_file_with_rows_beyond_the_grid_loads(tmp_path):
+    spec = design_bank(tmp_path)
+    record = json.loads(spec.read_text())
+    top = record["channels"][-1]
+    record["channels"].append(dict(top, m=top["m"] + 5, a_m_samples=8))
+    spec.write_text(json.dumps(record))
+    x = np.random.default_rng(2).standard_normal(512)
+    write_raw(tmp_path / "in.f64", Signal(samples=x, fs=8000.0))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    assert run(["synthesize", "--bank", spec, "--coeffs", tmp_path / "c.wfbc",
+                "--out", tmp_path / "out.f64"]) == 0
+    rec = read_raw(tmp_path / "out.f64", 8000.0).samples
+    assert np.linalg.norm(rec - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_exit_code_2_on_non_finite_input(tmp_path, capsys):

@@ -172,6 +172,33 @@ def test_synthesize_checks_fingerprint():
         synthesize(coeffs, other)
 
 
+@pytest.mark.parametrize("edit,entries", [
+    ("no residuals", "residual"), ("long residual", "residual"),
+    ("short mirrors", "mirror"), ("short channel", "channel"),
+    ("mirrors on the full line", "mirror"),
+])
+def test_coefficient_set_shape_is_checked(edit, entries, tmp_path):
+    rng = np.random.default_rng(19)
+    bank = tight_bank("log", length=256)
+    coeffs = analyze(random_signal(256, rng), bank)
+    if edit == "no residuals":
+        coeffs.residuals = []
+    elif edit == "long residual":
+        coeffs.residuals[0] = np.zeros(3, dtype=complex)
+    elif edit == "short mirrors":
+        coeffs.mirrors = coeffs.mirrors[:-1]
+    elif edit == "short channel":
+        coeffs.channels[2] = coeffs.channels[2][:-1]
+    else:
+        bank = tight_bank("erblike", length=256)
+        coeffs = analyze(random_signal(256, rng), bank)
+        coeffs.mirrors = list(coeffs.channels)
+    with pytest.raises(FingerprintMismatch, match=entries):
+        synthesize(coeffs, bank)
+    with pytest.raises(FingerprintMismatch):
+        save_coefficients(coeffs, bank, tmp_path / "c.wfbc")
+
+
 def test_coefficient_file_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     for family, kw, real in [("log", {}, True), ("log", {}, False),
