@@ -19,13 +19,13 @@ reproduces the continuous squared-translate sum with no grid constant.
 
 Grids over the positive half line get two extra single-coefficient
 residual channels holding the DC and Nyquist bins, which a half-line
-warping cannot reach.  Each warped channel then also acts on the mirrored
-negative bins (L - bin) % L (see transform), so the bank covers all of C^L
-and real signals round-trip through conjugate symmetry.
+warping cannot reach.  Each warped channel then also has a mirror branch,
+its response on the negative bins L - bin (see transform), so the bank
+covers all of C^L and real signals round-trip through conjugate symmetry.
 
-Analysis, synthesis, the diagonal and the dual all read one flat plan,
-built on first use and grouped by frame length N: hops snap to divisors
-of L, so a bank has few distinct N however many channels it has.
+Analysis, synthesis, the diagonal and the dual all read one flat plan with
+a row per generator (channels, residuals, mirror branches), grouped by
+frame length N: hops snap to divisors of L, so a bank has few distinct N.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class ResidualChannel:
     """Single-coefficient channel pinning one self-conjugate bin."""
 
     bin_index: int
-    a: int
 
     n_frames = 1
     response_value = 1.0
@@ -127,18 +126,20 @@ class ResidualChannel:
 
 @dataclass
 class BankPlan:
-    """Flat sampled geometry.  ``bins`` (0..L-1) and ``response`` run group
-    after group, one entry per sampled bin; channel i's response is a view
-    at ``response[offsets[i]:]``.  Each group (N, rows, span, slots) holds
-    the channels of one frame length N, row r being channel ``rows[r]``:
-    its entries ``span`` fold at ``slots`` = row * N + bin % N into a
-    rows x N block (a channel with no bin folds to a row of zeros)."""
+    """Flat sampled geometry, one row per generator: row i is channel i,
+    then the residuals (N = 1, response 1 at their bin), then on half-line
+    grids a mirror per channel (its response on the bins L - bin).
+    ``bins`` (0..L-1) and ``response`` run group after group, one entry per
+    sampled bin; row i's response starts at ``response[offsets[i]]``.
+    Group (N, rows, span, slots) folds the entries ``span`` of its rows at
+    ``slots`` = r * N + bin % N into a rows x N block, r indexing ``rows``.
+    The first ``direct`` groups hold no mirror row: bins 0..L/2 only."""
 
     groups: list[tuple[int, list[int], slice, np.ndarray]]
     bins: np.ndarray
-    mirror_bins: np.ndarray | None
     response: np.ndarray
     offsets: np.ndarray
+    direct: int
 
 
 @dataclass
@@ -190,7 +191,8 @@ def painless_factors(warping: WarpingFunction, support: tuple[float, float], m_r
     if not hi_s > lo_s:
         raise InvalidParameter(f"support must be a nonempty interval, got {support}")
     m = np.asarray(m_range, dtype=float)
-    width = warping.f_inv(hi_s + m) - warping.f_inv(lo_s + m)
+    with np.errstate(over="ignore"):  # an infinite width snaps to one sample
+        width = warping.f_inv(hi_s + m) - warping.f_inv(lo_s + m)
     return 1.0 / width
 
 
@@ -245,26 +247,31 @@ def _supports(warped: np.ndarray, support, ms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_plan(bank: WarpedBank) -> BankPlan:
-    """Concatenate the sampled responses grouped by ascending N and point
-    each channel's response at its slice."""
+    """Concatenate the rows' sampled responses grouped by (mirror?, N) and
+    point each channel's response at its slice."""
     chans = bank.channels
-    order = sorted(range(len(chans)), key=lambda i: chans[i].n_frames)
-    sizes = np.array([len(chans[i].response) for i in order], dtype=np.intp)
+    # (mirror?, N, first bin, response) per row
+    table = [(False, ch.n_frames, ch.start_bin, ch.response) for ch in chans]
+    table += [(False, res.n_frames, res.bin_index, np.array([res.response_value]))
+              for res in bank.residuals]
+    if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
+        table += [(True, n, b, r) for _, n, b, r in table[:len(chans)]]
+    order = sorted(range(len(table)), key=lambda i: table[i][:2])
+    sizes = np.array([len(table[i][3]) for i in order], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    response = np.concatenate([chans[i].response for i in order] or [np.zeros(0)])
-    offsets = np.empty(len(chans), dtype=np.intp)
+    response = np.concatenate([table[i][3] for i in order])
+    offsets = np.empty(len(table), dtype=np.intp)
     offsets[order] = starts
-    for i, start, size in zip(order, starts, sizes):
-        chans[i].response = response[start:start + size]
-    # bin of each entry: its channel's start_bin plus its position
-    first = np.array([chans[i].start_bin for i in order], dtype=np.intp)
+    for ch, start in zip(chans, offsets):
+        ch.response = response[start:start + len(ch.response)]
+    # bin of each entry: its row's first bin plus its position, negated on mirrors
+    first = np.array([table[i][2] for i in order], dtype=np.intp)
     bins = np.repeat(first - starts, sizes)
     bins += np.arange(len(bins))
-    half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
-    if not half:
-        bins %= bank.grid.length
+    mirrored = np.repeat([table[i][0] for i in order], sizes)
+    bins = np.where(mirrored, -bins, bins) % bank.grid.length
     groups, lo = [], 0
-    for n, rows in groupby(order, key=lambda i: chans[i].n_frames):
+    for (_, n), rows in groupby(order, key=lambda i: table[i][:2]):
         rows = list(rows)
         hi = lo + len(rows)
         span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
@@ -272,24 +279,16 @@ def _build_plan(bank: WarpedBank) -> BankPlan:
         slots += np.repeat(np.arange(len(rows)) * n, sizes[lo:hi])
         groups.append((n, rows, span, slots))
         lo = hi
-    # (L - bin) % L without the modulo: half-line bins lie in 1..L/2-1
-    mirror = bank.grid.length - bins if half else None
-    return BankPlan(groups, bins, mirror, response, offsets)
+    direct = sum(not table[rows[0]][0] for _, rows, _, _ in groups)
+    return BankPlan(groups, bins, response, offsets, direct)
 
 
 def _accumulate_diagonal(bank: WarpedBank) -> np.ndarray:
-    length = bank.grid.length
     plan = bank.plan
-    # entry j of channel m adds N_m response_m[j]^2 at its bin (and mirror)
+    # entry j of row m adds N_m response_m[j]^2 at its bin
     weights = np.concatenate([n * plan.response[span] ** 2
-                              for n, _, span, _ in plan.groups] or [np.zeros(0)])
-    diag = np.zeros(length)
-    for bins in (plan.bins, plan.mirror_bins):
-        if bins is not None:
-            diag += np.bincount(bins, weights, minlength=length)
-    for res in bank.residuals:
-        diag[res.bin_index] += res.response_value**2
-    return diag
+                              for n, _, span, _ in plan.groups])
+    return np.bincount(plan.bins, weights, minlength=bank.grid.length)
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:
@@ -383,12 +382,7 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             start_bin=lo_bin + int(j0), response=response,
             painless=len(nz) == 0 or int(nz[-1] - nz[0]) < n_frames,
         ))
-    residuals = []
-    if half:
-        residuals = [
-            ResidualChannel(bin_index=0, a=grid.length),
-            ResidualChannel(bin_index=grid.length // 2, a=grid.length),
-        ]
+    residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
     bank = WarpedBank(
         warping=warping,
         window=window,

@@ -103,7 +103,8 @@ def cmd_design(args) -> int:
           f" fingerprint {built.fingerprint}")
     print(f"{'m':>5s} {'center_hz':>14s} {'a_m':>8s} {'bandwidth_hz':>14s} {'painless':>9s}")
     for ch in built.channels:
-        bw = float(warping.f_inv(hi_s + ch.m) - warping.f_inv(lo_s + ch.m))
+        with np.errstate(over="ignore"):  # F^{-1} may pass float range: inf
+            bw = float(warping.f_inv(hi_s + ch.m) - warping.f_inv(lo_s + ch.m))
         print(f"{ch.m:>5d} {ch.center_hz:>14.4f} {ch.a:>8d} {bw:>14.4f} "
               f"{'yes' if ch.painless else 'no':>9s}")
     if args.out:

@@ -71,8 +71,8 @@ def diagonal_bounds(bank: WarpedBank) -> tuple[float, float]:
 def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
     """(A_suff, B_suff): Gershgorin bounds of the sampled frame operator.
 
-    In the DFT domain S[j, j'] = sum_m N_m g_m[j] g_m[j'] over the channels
-    with j = j' (mod N_m), plus the mirror and residual terms, so every
+    In the DFT domain S[j, j'] = sum_m N_m g_m[j] g_m[j'] over the plan's
+    rows (channels, residuals, mirror branches) with j = j' (mod N_m), so every
     eigenvalue lies within R_j - S[j, j] of some diagonal entry S[j, j],
     R_j being the absolute row sum.  S's own fold and gather run on the
     all-ones spectrum with |g_m| in place of g_m give

@@ -19,11 +19,17 @@ from .errors import InvalidParameter
 from .transform import CoefficientSet, Signal
 
 SPECTROGRAM_FLOOR_DB = -80.0
+# bytes per sample of each WAV encoding write_wav offers
+_WAV_SAMPLE_BYTES = {"float32": 4, "pcm16": 2, "pcm24": 3}
 
 
 def read_wav(path) -> Signal:
-    """Mono float signal in [-1, 1] from a WAV file."""
-    rate, data = wavfile.read(path)
+    """Mono float signal in [-1, 1] from a WAV file; a malformed or
+    truncated file raises InvalidParameter."""
+    try:
+        rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        raise InvalidParameter(f"{path}: not a readable WAV file ({exc})") from exc
     if data.ndim > 1:
         data = data[:, 0]
     if data.dtype == np.int16:
@@ -38,22 +44,28 @@ def read_wav(path) -> Signal:
 
 
 def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
-    """Write a mono WAV as float32, pcm16 or pcm24."""
+    """Write a mono WAV as float32, pcm16 or pcm24.  The sample rate must
+    be a positive integer whose byte rate fits the header's u32 fields;
+    otherwise InvalidParameter is raised before the file is created."""
+    if encoding not in _WAV_SAMPLE_BYTES:
+        raise InvalidParameter(
+            f"unknown WAV encoding {encoding!r}; expected float32, pcm16 or pcm24"
+        )
+    fs = float(signal.fs)
+    if not (fs.is_integer() and 0 < fs * _WAV_SAMPLE_BYTES[encoding] < 2**32):
+        raise InvalidParameter(f"sample rate {fs:g} Hz is not a positive integer "
+                               "that fits the WAV header")
+    rate = int(fs)
     samples = np.asarray(signal.samples)
     if np.iscomplexobj(samples):
         samples = samples.real
-    rate = int(round(signal.fs))
     if encoding == "float32":
         wavfile.write(path, rate, samples.astype(np.float32))
     elif encoding == "pcm16":
         clipped = np.clip(samples, -1.0, 1.0)
         wavfile.write(path, rate, np.round(clipped * 32767.0).astype(np.int16))
-    elif encoding == "pcm24":
-        _write_wav_pcm24(path, rate, samples)
     else:
-        raise InvalidParameter(
-            f"unknown WAV encoding {encoding!r}; expected float32, pcm16 or pcm24"
-        )
+        _write_wav_pcm24(path, rate, samples)
 
 
 def _write_wav_pcm24(path, rate: int, samples: np.ndarray) -> None:

@@ -6,20 +6,24 @@ hop a and N = L / a coefficients computes
     c_m[n] = <f, T_{n a} g_m> = sum_j fhat[j] response_m[j] exp(2 pi i j n / N),
 
 done by folding fhat * response onto N slots (j mod N) and one inverse
-FFT of length N.  The bank's plan (see bank) groups the channels by N, so
-a full analysis costs one length-L FFT, then per distinct N one bincount
-fold over the group's flat bins and one batched inverse FFT of its
-rows x N block.  Synthesis is the exact adjoint: per group one batched
-FFT, a gather through the fold slots, and one bincount scatter of
-fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0 coefficient
-sits at time 0; there is no per-channel phase ramp.
+FFT of length N.  The bank's plan (see bank) has a row per generator and
+groups the rows by N, so a full analysis costs one length-L FFT, then per
+group one bincount fold over the group's flat bins and one batched
+inverse FFT of its rows x N block.  Synthesis is the exact adjoint: per
+group one batched FFT, a gather through the fold slots, and one bincount
+scatter of fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0
+coefficient sits at time 0; there is no per-channel phase ramp.  A
+residual is a row with N = 1 and response 1, so its coefficient is the
+spectrum at its bin.
 
-Half-line banks carry a mirrored copy of every warped channel on the
-negative-frequency bins (responses reused, atoms conjugated), which folds
-through the same slots with the FFT directions swapped.  For real input
-the mirror coefficients are the conjugates of the direct ones, so they
-are never materialized; analysis reads bins 0..L/2 of an rfft, and
-synthesis fills bins 0..L/2 and returns a real signal by irfft.
+Half-line banks carry a mirror branch of every warped channel on the
+negative-frequency bins: a row that reuses the channel's response on the
+bins L - j.  Because N divides L, its slot (L - j) mod N is -j mod N, so
+the same inverse FFT yields the conjugated atoms' coefficients.  For real
+input the mirror coefficients are the conjugates of the direct ones, so
+they are never materialized; analysis runs the plan's direct groups on
+bins 0..L/2 of an rfft, and synthesis fills bins 0..L/2 from them and
+returns a real signal by irfft.
 
 Coefficients serialize to the WFBC container: magic ``WFBC``, version and
 entry count as little-endian u32, then per entry a channel tag (i32), a
@@ -111,18 +115,28 @@ def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _fold_frames(bank: WarpedBank, weighted: np.ndarray, mirror: bool) -> list:
-    """Per-channel coefficients from the plan's weighted spectrum entries:
-    fold each group onto its rows x N block, one transform per group.
-    A mirror branch conjugates every phase, so a forward FFT replaces the
-    scaled inverse one."""
-    out = [None] * len(bank.channels)
-    for n, rows, span, slots in bank.plan.groups:
+def _fold_frames(bank: WarpedBank, weighted: np.ndarray, groups) -> list:
+    """Per-row coefficients from the plan's weighted spectrum entries:
+    fold each group onto its rows x N block, one inverse FFT per group.
+    Rows outside ``groups`` stay None."""
+    out = [None] * len(bank.plan.offsets)
+    for n, rows, span, slots in groups:
         folded = _sum_at(slots, weighted[span], len(rows) * n).reshape(len(rows), n)
-        frames = np.fft.fft(folded) if mirror else np.fft.ifft(folded, norm="forward")
-        for i, row in zip(rows, frames):
+        for i, row in zip(rows, np.fft.ifft(folded, norm="forward")):
             out[i] = row
     return out
+
+
+def _coefficient_set(rows: list, bank: WarpedBank, mirrors: bool) -> CoefficientSet:
+    """Split per-row coefficients in plan row order (channels, residuals,
+    mirror branches) into a CoefficientSet."""
+    n = len(bank.channels)
+    r = n + len(bank.residuals)
+    return CoefficientSet(
+        channels=rows[:n], residuals=rows[n:r], mirrors=rows[r:] if mirrors else None,
+        half_line=bank.grid.domain is Domain.POSITIVE_HALF_LINE,
+        length=bank.grid.length, fingerprint=bank.fingerprint,
+    )
 
 
 def analyze(signal, bank: WarpedBank) -> CoefficientSet:
@@ -134,20 +148,15 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     samples = _checked_samples(signal, bank)
     length = bank.grid.length
     half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
-    real_input = not np.iscomplexobj(samples)
+    mirrors = half and np.iscomplexobj(samples)
     plan = bank.plan
+    groups = plan.groups if mirrors else plan.groups[:plan.direct]
+    stop = groups[-1][2].stop
     # a real half-line analysis reads bins 0..L/2 only
-    fft = np.fft.rfft if half and real_input else np.fft.fft
+    fft = np.fft.rfft if half and not mirrors else np.fft.fft
     fhat = fft(samples) / np.sqrt(length)
-    channels = _fold_frames(bank, fhat[plan.bins] * plan.response, mirror=False)
-    mirrors = None
-    if half and not real_input:
-        mirrors = _fold_frames(bank, fhat[plan.mirror_bins] * plan.response, mirror=True)
-    residuals = [np.array([fhat[res.bin_index]]) for res in bank.residuals]
-    return CoefficientSet(
-        channels=channels, residuals=residuals, mirrors=mirrors,
-        half_line=half, length=length, fingerprint=bank.fingerprint,
-    )
+    weighted = fhat[plan.bins[:stop]] * plan.response[:stop]
+    return _coefficient_set(_fold_frames(bank, weighted, groups), bank, mirrors)
 
 
 def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
@@ -170,17 +179,16 @@ def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
             )
 
 
-def _spread_frames(bank: WarpedBank, frames: list, bins: np.ndarray,
-                   size: int, mirror: bool) -> np.ndarray:
-    """Adjoint of ``_fold_frames``: one transform per group, read through
-    the slots, weighted by the responses and summed onto ``size`` bins."""
+def _spread_frames(bank: WarpedBank, rows: list, groups, size: int) -> np.ndarray:
+    """Adjoint of ``_fold_frames``: one FFT per group, read through the
+    slots, weighted by the responses and summed onto ``size`` bins."""
     plan = bank.plan
-    values = np.empty(len(bins), dtype=complex)
-    for _, rows, span, slots in plan.groups:
-        block = np.stack([frames[i] for i in rows])
-        spec = np.fft.ifft(block, norm="forward") if mirror else np.fft.fft(block)
+    stop = groups[-1][2].stop
+    values = np.empty(stop, dtype=complex)
+    for _, members, span, slots in groups:
+        spec = np.fft.fft(np.stack([rows[i] for i in members]))
         values[span] = spec.reshape(-1)[slots] * plan.response[span]
-    return _sum_at(bins, values, size)
+    return _sum_at(plan.bins[:stop], values, size)
 
 
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
@@ -190,14 +198,11 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     _check_shape(coeffs, bank)
     length = bank.grid.length
     plan = bank.plan
+    rows = list(coeffs.channels) + list(coeffs.residuals) + list(coeffs.mirrors or [])
+    groups = plan.groups if coeffs.mirrors is not None else plan.groups[:plan.direct]
     # real-input shortcut: bins 0..L/2 only, negative bins by conjugate symmetry
     shortcut = coeffs.half_line and coeffs.mirrors is None
-    size = length // 2 + 1 if shortcut else length
-    spec = _spread_frames(bank, coeffs.channels, plan.bins, size, mirror=False)
-    if coeffs.mirrors is not None:
-        spec += _spread_frames(bank, coeffs.mirrors, plan.mirror_bins, size, mirror=True)
-    for res, c in zip(bank.residuals, coeffs.residuals):
-        spec[res.bin_index] += res.response_value * c[0]
+    spec = _spread_frames(bank, rows, groups, length // 2 + 1 if shortcut else length)
     if shortcut:
         out = np.sqrt(length) * np.fft.irfft(spec, n=length)
     else:
@@ -207,24 +212,16 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
 
 def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndarray:
     """The Walnut form of S applied to the complex spectrum ``fhat``, with
-    ``response`` (one entry per plan bin) in place of the sampled
+    ``response`` (one entry per plan entry) in place of the sampled
     responses: per group fold fhat * response onto the slots and gather
-    N * folded[slots] * response back onto the bins, mirror bins through
-    the same slots; residual bins pass through."""
-    length = bank.grid.length
+    N * folded[slots] * response back onto the bins.  Every row, residual
+    and mirror ones included, runs through the same fold and gather."""
     plan = bank.plan
-    spec = np.zeros(length, dtype=complex)
-    for bins in (plan.bins, plan.mirror_bins):
-        if bins is None:
-            continue
-        values = fhat[bins] * response
-        for n, rows, span, slots in plan.groups:
-            folded = _sum_at(slots, values[span], len(rows) * n)
-            values[span] = n * folded[slots] * response[span]
-        spec += _sum_at(bins, values, length)
-    for res in bank.residuals:
-        spec[res.bin_index] += res.response_value * fhat[res.bin_index]
-    return spec
+    values = fhat[plan.bins] * response
+    for n, rows, span, slots in plan.groups:
+        folded = _sum_at(slots, values[span], len(rows) * n)
+        values[span] = n * folded[slots] * response[span]
+    return _sum_at(plan.bins, values, bank.grid.length)
 
 
 def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
@@ -242,7 +239,7 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
     fhat = np.fft.fft(samples) / np.sqrt(length)
     spec = _walnut(fhat, plan.response, bank)
     out = np.sqrt(length) * np.fft.ifft(spec)
-    if plan.mirror_bins is not None and not np.iscomplexobj(samples):
+    if bank.grid.domain is Domain.POSITIVE_HALF_LINE and not np.iscomplexobj(samples):
         out = out.real
     return Signal(samples=out, fs=bank.grid.fs)
 
@@ -250,32 +247,29 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
 # ---------------------------------------------------------------------------
 # coefficient container
 
-def _entry_plan(bank: WarpedBank, with_mirrors: bool):
-    """Entry layout: (kind, list index, tag) in file order.  Residual tags
-    sit just outside the warped index range."""
-    channels = [("channel", i, ch.m) for i, ch in enumerate(bank.channels)]
+def _entry_plan(bank: WarpedBank, with_mirrors: bool) -> list[tuple[int, int]]:
+    """Entry layout: (plan row, tag) in file order.  Residual tags sit
+    just outside the warped index range; mirror entries repeat the
+    channel tags."""
+    tags = [ch.m for ch in bank.channels]
+    entries = list(enumerate(tags))
     if not bank.residuals:
-        return channels
-    mirrors = [("mirror", i, m) for _, i, m in channels] if with_mirrors else []
-    return ([("residual", 0, bank.channels[0].m - 1)] + channels
-            + [("residual", 1, bank.channels[-1].m + 1)] + mirrors)
+        return entries
+    n, r = len(tags), len(tags) + len(bank.residuals)
+    mirrors = list(enumerate(tags, r)) if with_mirrors else []
+    return [(n, tags[0] - 1)] + entries + [(n + 1, tags[-1] + 1)] + mirrors
 
 
 def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
     """Write a coefficient set to the binary WFBC container."""
     _check_shape(coeffs, bank)
-    plan = _entry_plan(bank, coeffs.mirrors is not None)
+    rows = list(coeffs.channels) + list(coeffs.residuals) + list(coeffs.mirrors or [])
+    entries = _entry_plan(bank, coeffs.mirrors is not None)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(plan)))
-        for kind, i, tag in plan:
-            if kind == "residual":
-                data = coeffs.residuals[i]
-            elif kind == "mirror":
-                data = coeffs.mirrors[i]
-            else:
-                data = coeffs.channels[i]
-            data = np.asarray(data, dtype="<c16")
+        fh.write(struct.pack("<II", _VERSION, len(entries)))
+        for row, tag in entries:
+            data = np.asarray(rows[row], dtype="<c16")
             fh.write(struct.pack("<iI", tag, len(data)))
             fh.write(data.tobytes())
 
@@ -288,6 +282,10 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
     channel tags or per-channel lengths means the file belongs to a
     different bank and raises FingerprintMismatch.
     """
+    plan = bank.plan
+    frames = np.empty(len(plan.offsets), dtype=np.int64)
+    for n, members, _, _ in plan.groups:
+        frames[members] = n
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12 or head[:4] != _MAGIC:
@@ -303,34 +301,20 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
                 f"bank, file has {count}"
             )
         with_mirrors = count == 2 * n + 2
-        plan = _entry_plan(bank, with_mirrors)
-        channels: list = [None] * n
-        mirrors: list | None = [None] * n if with_mirrors else None
-        residuals: list = [None] * len(bank.residuals)
-        for kind, i, tag in plan:
+        rows: list = [None] * len(frames)
+        for row, tag in _entry_plan(bank, with_mirrors):
             entry = fh.read(8)
             if len(entry) < 8:
                 raise FingerprintMismatch("coefficient file is truncated")
             got_tag, got_len = struct.unpack("<iI", entry)
-            expect = 1 if kind == "residual" else bank.channels[i].n_frames
-            if got_tag != tag or got_len != expect:
+            if got_tag != tag or got_len != frames[row]:
                 raise FingerprintMismatch(
-                    f"entry mismatch: expected channel {tag} with {expect} "
+                    f"entry mismatch: expected channel {tag} with {frames[row]} "
                     f"coefficients, file has {got_tag} with {got_len}"
                 )
-            data = np.empty(got_len, dtype="<c16")
-            if fh.readinto(data) != data.nbytes:
+            rows[row] = np.empty(got_len, dtype="<c16")
+            if fh.readinto(rows[row]) != rows[row].nbytes:
                 raise FingerprintMismatch("coefficient file is truncated")
-            if kind == "residual":
-                residuals[i] = data
-            elif kind == "mirror":
-                mirrors[i] = data
-            else:
-                channels[i] = data
         if fh.read(1):
             raise FingerprintMismatch("coefficient file has trailing bytes")
-    return CoefficientSet(
-        channels=channels, residuals=residuals, mirrors=mirrors,
-        half_line=bank.grid.domain is Domain.POSITIVE_HALF_LINE,
-        length=bank.grid.length, fingerprint=bank.fingerprint,
-    )
+    return _coefficient_set(rows, bank, with_mirrors)

@@ -112,6 +112,22 @@ def test_channel_center_must_be_finite():
         build_bank(w, HANN, grid, Explicit({0: 1, 1_000_000: 1}), check_coverage=False)
 
 
+@pytest.mark.parametrize("policy", ["painless", "tight", "natural"])
+def test_inverse_warping_past_float_range_gives_unit_hops(policy):
+    # log c=0.003: F^{-1}(d + 1) = exp(2.5 / 0.003) overflows inside channel
+    # 1's support; its infinite width snaps to a one-sample hop, no warning
+    w = make_warping("log", c=0.003, d=1.0)
+    grid = GridSpec(length=256, fs=2.0, domain=w.domain)
+    if policy == "tight":
+        bank = design_tight(w, grid, "hann", 3.0)
+    else:
+        rule = Painless() if policy == "painless" else Natural()
+        bank = build_bank(w, HANN, grid, rule)
+    assert [ch.m for ch in bank.channels] == [-1, 0, 1]
+    if policy != "natural":
+        assert [ch.a for ch in bank.channels] == [1, 1, 1]
+
+
 def test_round_factors_to_grid():
     grid = GridSpec(length=1024, fs=1.0, domain=Domain.FULL_LINE)
     got = round_factors_to_grid([100.0, 1024.0, 0.5, 3.9], grid)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import Signal, analyze, cli, load_bank_spec
+from warpbank import InvalidParameter, Signal, analyze, cli, load_bank_spec
 from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_raw, read_wav,
                                 render_spectrogram, write_raw, write_wav)
 
@@ -246,6 +246,45 @@ def test_design_prints_channel_table(tmp_path, capsys):
                if re.match(r"\s+0\s", line))
     # Hann R=3 at m=0 spans warped (-1.5, 1.5): width 2(1.5^2 + 2*1.5)
     assert "10.5000" in row
+
+
+@pytest.mark.parametrize("policy", ["painless", "tight", "natural"])
+def test_design_with_bandwidth_past_float_range_prints_inf(tmp_path, capsys, policy):
+    # F^{-1} of log c=0.003 overflows inside channel 1's support
+    design_bank(tmp_path, warp="log", params="c=0.003,d=1", policy=policy,
+                length=256, fs=2.0)
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if re.match(r"\s+1\s", line))
+    assert row.split()[2:4] == ["1", "inf"]
+
+
+def test_malformed_wav_input_is_exit_2(tmp_path, capsys):
+    spec = design_bank(tmp_path)
+    write_wav(tmp_path / "in.wav", Signal(samples=np.zeros(512), fs=8000.0))
+    (tmp_path / "text.wav").write_bytes(b"not a RIFF file, just some text\n")
+    (tmp_path / "cut.wav").write_bytes((tmp_path / "in.wav").read_bytes()[:44])
+    for bad in ("text.wav", "cut.wav"):
+        assert run(["analyze", "--bank", spec, "--in", tmp_path / bad,
+                    "--out", tmp_path / "c.wfbc"]) == 2
+        assert "not a readable WAV file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fs", [0.4, 44100.5])
+def test_wav_output_needs_an_integer_sample_rate(tmp_path, capsys, fs):
+    spec = design_bank(tmp_path, warp="log", params=None, policy="tight",
+                       length=256, fs=fs)
+    write_raw(tmp_path / "in.f64", Signal(samples=np.ones(256), fs=fs))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    assert run(["synthesize", "--bank", spec, "--coeffs", tmp_path / "c.wfbc",
+                "--out", tmp_path / "y.wav"]) == 2
+    assert "sample rate" in capsys.readouterr().err
+    assert not (tmp_path / "y.wav").exists()
+    # the header's byte rate is a u32 as well
+    with pytest.raises(InvalidParameter, match="sample rate"):
+        write_wav(tmp_path / "z.wav", Signal(samples=np.ones(4), fs=2.0**30))
+    assert not (tmp_path / "z.wav").exists()
+    write_wav(tmp_path / "z.wav", Signal(samples=np.ones(4), fs=2.0**30), "pcm16")
 
 
 def test_diagnose_report_file_and_sweep(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from warpbank import (FingerprintMismatch, GridSpec, InvalidParameter,
+from warpbank import (Domain, FingerprintMismatch, GridSpec, InvalidParameter,
                       LengthMismatch, Painless, Signal, analyze, apply_frame_operator,
                       build_bank, design_tight, load_coefficients,
                       make_warping, named_window, painless_dual,
@@ -222,6 +224,39 @@ def test_coefficient_file_round_trip(tmp_path):
         assert np.linalg.norm(rec - f) <= 1e-12 * np.linalg.norm(f)
 
 
+@pytest.mark.parametrize("family,real", [("log", False), ("log", True), ("erblike", False)])
+def test_coefficient_file_byte_layout(family, real, tmp_path):
+    # parse the file by hand: header, then (i32 tag, u32 count, count c16)
+    rng = np.random.default_rng(20)
+    bank = tight_bank(family, length=256)
+    coeffs = analyze(random_signal(256, rng, real=real), bank)
+    path = tmp_path / "c.wfbc"
+    save_coefficients(coeffs, bank, path)
+    blob = path.read_bytes()
+    assert blob[:4] == b"WFBC"
+    version, count = struct.unpack_from("<II", blob, 4)
+    pos, entries = 12, []
+    for _ in range(count):
+        tag, n = struct.unpack_from("<iI", blob, pos)
+        data = np.frombuffer(blob, dtype="<c16", count=n, offset=pos + 8)
+        entries.append((tag, n, data))
+        pos += 8 + 16 * n
+    assert version == 1 and pos == len(blob)
+
+    tags = [ch.m for ch in bank.channels]
+    want = list(zip(tags, coeffs.channels))
+    if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
+        dc, nyquist = coeffs.residuals
+        want = [(tags[0] - 1, dc)] + want + [(tags[-1] + 1, nyquist)]
+        if not real:
+            want += list(zip(tags, coeffs.mirrors))
+    else:
+        assert not coeffs.residuals and coeffs.mirrors is None
+    assert [(tag, n) for tag, n, _ in entries] == [(tag, len(c)) for tag, c in want]
+    for (_, _, data), (_, c) in zip(entries, want):
+        np.testing.assert_array_equal(data, c)
+
+
 def test_coefficient_file_rejects_corruption(tmp_path):
     rng = np.random.default_rng(16)
     bank = tight_bank("log")
@@ -251,6 +286,48 @@ def test_coefficient_file_rejects_corruption(tmp_path):
 
     with pytest.raises(FingerprintMismatch):
         save_coefficients(coeffs, other, tmp_path / "never.wfbc")
+
+
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
+])
+def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
+    for bank in plan_test_banks(family, kw, fs).values():
+        length = bank.grid.length
+        plan = bank.plan
+        half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
+        chans, res = bank.channels, bank.residuals
+        assert len(plan.offsets) == len(chans) + len(res) + (len(chans) if half else 0)
+
+        # rows: the channels, the residuals, then a mirror per channel
+        sizes = [len(ch.response) for ch in chans]
+        sizes += [1] * len(res) + (sizes if half else [])
+
+        def row(i):
+            span = slice(plan.offsets[i], plan.offsets[i] + sizes[i])
+            return plan.bins[span], plan.response[span]
+
+        for i, ch in enumerate(chans):
+            bins, resp = row(i)
+            signed = ch.start_bin + np.arange(len(ch.response))
+            np.testing.assert_array_equal(bins, signed % length)
+            np.testing.assert_array_equal(resp, ch.response)
+            if half:
+                bins, resp = row(len(chans) + len(res) + i)
+                np.testing.assert_array_equal(bins, length - signed)
+                np.testing.assert_array_equal(resp, ch.response)
+        for k, r in enumerate(res):
+            bins, resp = row(len(chans) + k)
+            assert bins.tolist() == [r.bin_index] and resp.tolist() == [1.0]
+
+        direct = np.concatenate([plan.bins[span] for _, _, span, _ in plan.groups[:plan.direct]])
+        mirror = np.concatenate([plan.bins[span] for _, _, span, _ in plan.groups[plan.direct:]]
+                                or [np.zeros(0, dtype=int)])
+        if half:
+            assert direct.min() >= 0 and direct.max() <= length // 2
+            assert mirror.min() > length // 2 and mirror.max() <= length - 1
+        else:
+            assert plan.direct == len(plan.groups) and not len(mirror)
 
 
 def flat_coefficients(coeffs):
@@ -316,7 +393,7 @@ def test_plan_matches_dense_atoms(family, kw, fs, dense_atoms, plan_test_banks):
         np.testing.assert_allclose(apply_frame_operator(f, bank).samples, gram @ f,
                                    rtol=0, atol=1e-12 * np.linalg.norm(f))
         sx = apply_frame_operator(x, bank).samples
-        if bank.plan.mirror_bins is not None:
+        if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
             assert sx.dtype == np.float64
         np.testing.assert_allclose(sx, gram @ x, rtol=0,
                                    atol=1e-12 * np.linalg.norm(x))
