@@ -23,9 +23,12 @@ warping cannot reach.  Each warped channel then also has a mirror branch,
 its response on the negative bins L - bin (see transform), so the bank
 covers all of C^L and real signals round-trip through conjugate symmetry.
 
-Analysis, synthesis, the diagonal and the dual all read one flat plan with
-a row per generator (channels, residuals, mirror branches), grouped by
-frame length N: hops snap to divisors of L, so a bank has few distinct N.
+A bank builds its plan when it is constructed: one flat table with a row
+per generator (channels, residuals, mirror branches), grouped by frame
+length N (hops snap to divisors of L, so a bank has few distinct N), with
+the N of every row in ``plan.frames``.  From then on each channel's
+response is a view of the plan, and analysis, synthesis, the diagonal and
+the dual all read the plan.
 """
 
 from __future__ import annotations
@@ -120,15 +123,13 @@ class ResidualChannel:
 
     bin_index: int
 
-    n_frames = 1
-    response_value = 1.0
-
 
 @dataclass
 class BankPlan:
-    """Flat sampled geometry, one row per generator: row i is channel i,
-    then the residuals (N = 1, response 1 at their bin), then on half-line
-    grids a mirror per channel (its response on the bins L - bin).
+    """Flat sampled geometry, built with the bank, one row per generator:
+    row i is channel i, then the residuals (N = 1, response 1 at their
+    bin), then on half-line grids a mirror per channel (its response on
+    the bins L - bin).  ``frames[i]`` is row i's coefficient count N.
     ``bins`` (0..L-1) and ``response`` run group after group, one entry per
     sampled bin; row i's response starts at ``response[offsets[i]]``.
     Group (N, rows, span, slots) folds the entries ``span`` of its rows at
@@ -139,11 +140,16 @@ class BankPlan:
     bins: np.ndarray
     response: np.ndarray
     offsets: np.ndarray
+    frames: np.ndarray
     direct: int
 
 
 @dataclass
 class WarpedBank:
+    """A warped filter bank.  Construction builds its ``plan`` and points
+    every channel's response at its slice of ``plan.response``; a bank
+    made by ``dataclasses.replace`` builds its own."""
+
     warping: WarpingFunction
     window: object
     grid: GridSpec
@@ -152,24 +158,24 @@ class WarpedBank:
     residuals: list[ResidualChannel]
     policy_record: dict
     fingerprint: str
-    _diag: np.ndarray | None = field(default=None, repr=False)
-    _plan: BankPlan | None = field(default=None, repr=False)
+    plan: BankPlan = field(init=False, repr=False)
+    _diag: np.ndarray | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.plan = _build_plan(self)
 
     @property
     def painless(self) -> bool:
         return all(ch.painless for ch in self.channels)
 
-    @property
-    def plan(self) -> BankPlan:
-        """The flat plan (built on first use, then cached)."""
-        if self._plan is None:
-            self._plan = _build_plan(self)
-        return self._plan
-
     def diagonal(self) -> np.ndarray:
-        """Frame-operator diagonal over all L bins (cached)."""
+        """Frame-operator diagonal over all L bins (cached): entry j of
+        row m adds N_m response_m[j]^2 at its bin."""
         if self._diag is None:
-            self._diag = _accumulate_diagonal(self)
+            plan = self.plan
+            weights = np.concatenate([n * plan.response[span] ** 2
+                                      for n, _, span, _ in plan.groups])
+            self._diag = np.bincount(plan.bins, weights, minlength=self.grid.length)
         return self._diag
 
 
@@ -252,8 +258,7 @@ def _build_plan(bank: WarpedBank) -> BankPlan:
     chans = bank.channels
     # (mirror?, N, first bin, response) per row
     table = [(False, ch.n_frames, ch.start_bin, ch.response) for ch in chans]
-    table += [(False, res.n_frames, res.bin_index, np.array([res.response_value]))
-              for res in bank.residuals]
+    table += [(False, 1, res.bin_index, np.ones(1)) for res in bank.residuals]
     if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
         table += [(True, n, b, r) for _, n, b, r in table[:len(chans)]]
     order = sorted(range(len(table)), key=lambda i: table[i][:2])
@@ -280,15 +285,8 @@ def _build_plan(bank: WarpedBank) -> BankPlan:
         groups.append((n, rows, span, slots))
         lo = hi
     direct = sum(not table[rows[0]][0] for _, rows, _, _ in groups)
-    return BankPlan(groups, bins, response, offsets, direct)
-
-
-def _accumulate_diagonal(bank: WarpedBank) -> np.ndarray:
-    plan = bank.plan
-    # entry j of row m adds N_m response_m[j]^2 at its bin
-    weights = np.concatenate([n * plan.response[span] ** 2
-                              for n, _, span, _ in plan.groups])
-    return np.bincount(plan.bins, weights, minlength=bank.grid.length)
+    frames = np.array([n for _, n, _, _ in table], dtype=np.int64)
+    return BankPlan(groups, bins, response, offsets, frames, direct)
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:
@@ -403,7 +401,8 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
 
     Requires every channel painless and full coverage; with that,
     analysis by ``bank`` followed by synthesis with the dual is the
-    identity.
+    identity.  The diagonal is 1 at the residual bins and symmetric
+    under j -> L - j, so dividing the channels alone divides every row.
     """
     offenders = [ch.m for ch in bank.channels if not ch.painless]
     if offenders:
@@ -413,20 +412,10 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
         )
     _require_coverage(bank, "the pointwise dual is undefined there")
     plan = bank.plan
-    response = plan.response.copy()
-    response /= bank.diagonal()[plan.bins]
-    dual_channels = [
-        Channel(m=ch.m, center_hz=ch.center_hz, a=ch.a, n_frames=ch.n_frames,
-                start_bin=ch.start_bin, painless=ch.painless,
-                response=response[start:start + len(ch.response)])
-        for ch, start in zip(bank.channels, plan.offsets)
-    ]
-    return WarpedBank(
-        warping=bank.warping, window=bank.window, grid=bank.grid, kind="dual",
-        channels=dual_channels, residuals=list(bank.residuals),
-        policy_record=dict(bank.policy_record), fingerprint=bank.fingerprint,
-        _plan=replace(plan, response=response),
-    )
+    response = plan.response / bank.diagonal()[plan.bins]
+    return replace(bank, kind="dual", channels=[
+        replace(ch, response=response[start:start + len(ch.response)])
+        for ch, start in zip(bank.channels, plan.offsets)])
 
 
 def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",

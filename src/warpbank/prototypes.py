@@ -161,19 +161,13 @@ def named_window(name: str, stretch: float):
     )
 
 
-def sum_of_squares(window, t, m_range: tuple[int, int] | None = None):
-    """sum_{m} window(t - m)^2 over integer translates.
-
-    ``m_range`` is an inclusive (lo, hi) pair; by default every translate
-    that can touch the probe points is included.
-    """
+def sum_of_squares(window, t):
+    """sum_{m} window(t - m)^2 over every integer translate that can
+    touch the probe points."""
     t = np.asarray(t, dtype=float)
-    if m_range is None:
-        lo_s, hi_s = window.support
-        m_lo = int(np.floor(t.min() - hi_s))
-        m_hi = int(np.ceil(t.max() - lo_s))
-    else:
-        m_lo, m_hi = int(m_range[0]), int(m_range[1])
+    lo_s, hi_s = window.support
+    m_lo = int(np.floor(t.min() - hi_s))
+    m_hi = int(np.ceil(t.max() - lo_s))
     total = np.zeros_like(t)
     for m in range(m_lo, m_hi + 1):
         total += window(t - m) ** 2

@@ -116,11 +116,8 @@ def write_csv(path, values, header: str | None = None) -> None:
     with open(path, "w") as fh:
         if header:
             fh.write(header + "\n")
-        for row in values:
-            if np.isscalar(row) or isinstance(row, float):
-                fh.write(f"{row:.12g}\n")
-            else:
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        for value in values:
+            fh.write(f"{value:.12g}\n")
 
 
 def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[float]]:

@@ -59,13 +59,13 @@ def _window_from_record(record: dict):
     kind = record.get("kind")
     if kind == "cosine_sum":
         return CosineSumWindow(
-            tuple(record["coeffs"]),
-            float(record["stretch"]),
+            tuple(_number(b, "prototype.coeffs entry") for b in record["coeffs"]),
+            _number(record["stretch"], "prototype.stretch"),
             normalized=bool(record.get("normalized", False)),
         )
     if kind == "bspline":
-        return BSplineWindow(order=int(record["order"]),
-                             stretch=float(record["stretch"]))
+        return BSplineWindow(order=_integer(record["order"], "prototype.order"),
+                             stretch=_number(record["stretch"], "prototype.stretch"))
     raise InvalidParameter(f"unknown prototype kind {kind!r}")
 
 
@@ -77,6 +77,13 @@ def _integer(value, what: str) -> int:
     if type(value) is not int:
         raise InvalidParameter(f"bank spec {what} must be an integer, got {value!r}")
     return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; "44100" or true raises."""
+    if type(value) not in (int, float):
+        raise InvalidParameter(f"bank spec {what} must be a number, got {value!r}")
+    return float(value)
 
 
 def load_bank_spec(path) -> WarpedBank:
@@ -99,24 +106,21 @@ def load_bank_spec(path) -> WarpedBank:
         )
     try:
         warp_rec = record["warping"]
-        warping = make_warping(
-            warp_rec["family"],
-            c=warp_rec.get("c"),
-            d=warp_rec.get("d"),
-            l=warp_rec.get("l"),
-        )
+        warping = make_warping(warp_rec["family"], **{
+            k: _number(warp_rec[k], f"warping.{k}")
+            for k in ("c", "d", "l") if warp_rec.get(k) is not None})
         window = _window_from_record(record["prototype"])
         grid_rec = record["grid"]
         grid = GridSpec(
             length=_integer(grid_rec["L"], "grid.L"),
-            fs=float(grid_rec["fs"]),
+            fs=_number(grid_rec["fs"], "grid.fs"),
             domain=Domain(grid_rec["domain"]),
         )
         table = [(_integer(ch["m"], "channel m"),
                   _integer(ch["a_m_samples"], "channel a_m_samples"))
                  for ch in record["channels"]]
         kind = record.get("kind", "analysis")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed bank spec: {exc!r}") from exc
     factors = dict(table)
     if len(factors) != len(table):

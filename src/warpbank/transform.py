@@ -71,7 +71,6 @@ class CoefficientSet:
     residuals: list[np.ndarray]
     mirrors: list[np.ndarray] | None
     half_line: bool
-    length: int
     fingerprint: str
 
     @property
@@ -135,7 +134,7 @@ def _coefficient_set(rows: list, bank: WarpedBank, mirrors: bool) -> Coefficient
     return CoefficientSet(
         channels=rows[:n], residuals=rows[n:r], mirrors=rows[r:] if mirrors else None,
         half_line=bank.grid.domain is Domain.POSITIVE_HALF_LINE,
-        length=bank.grid.length, fingerprint=bank.fingerprint,
+        fingerprint=bank.fingerprint,
     )
 
 
@@ -161,21 +160,23 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
 
 def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
     """Raise FingerprintMismatch unless ``coeffs`` fits an analysis by
-    ``bank``: its fingerprint, N_m coefficients per channel and per mirror
-    branch (optional, half-line banks only), and one per residual."""
+    ``bank``: its fingerprint, and per plan row its N coefficients
+    (``plan.frames``) for the channels, the residuals and, if present,
+    the mirror branches."""
     if coeffs.fingerprint != bank.fingerprint:
         raise FingerprintMismatch(
             "coefficient set was produced by a bank with different geometry"
         )
-    frames = [(ch.n_frames,) for ch in bank.channels]
-    mirrors = frames if bank.grid.domain is Domain.POSITIVE_HALF_LINE else None
-    for what, arrays, shapes in (("channel", coeffs.channels, frames),
-                                 ("mirror", coeffs.mirrors, mirrors),
-                                 ("residual", coeffs.residuals, [(1,)] * len(bank.residuals))):
-        if arrays is not None and [np.shape(c) for c in arrays] != shapes:
+    shapes = [(n,) for n in bank.plan.frames.tolist()]
+    n = len(bank.channels)
+    r = n + len(bank.residuals)
+    for what, arrays, want in (("channel", coeffs.channels, shapes[:n]),
+                               ("mirror", coeffs.mirrors, shapes[r:]),
+                               ("residual", coeffs.residuals, shapes[n:r])):
+        if arrays is not None and [np.shape(c) for c in arrays] != want:
             raise FingerprintMismatch(
                 f"coefficient set's {what} entries ({len(arrays)}) do not match "
-                f"the bank's ({len(shapes or [])}) in count or length"
+                f"the bank's ({len(want)}) in count or length"
             )
 
 
@@ -282,10 +283,7 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
     channel tags or per-channel lengths means the file belongs to a
     different bank and raises FingerprintMismatch.
     """
-    plan = bank.plan
-    frames = np.empty(len(plan.offsets), dtype=np.int64)
-    for n, members, _, _ in plan.groups:
-        frames[members] = n
+    frames = bank.plan.frames.tolist()
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12 or head[:4] != _MAGIC:

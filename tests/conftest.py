@@ -27,7 +27,7 @@ def atom_matrix(bank):
             bins = ch.start_bin + np.arange(len(ch.response))
             add(sign * bins, ch.response, ch.a, ch.n_frames)
     for res in bank.residuals:
-        add(np.array([res.bin_index]), np.array([res.response_value]), length, 1)
+        add(np.array([res.bin_index]), np.array([1.0]), length, 1)
     return np.array(rows)
 
 

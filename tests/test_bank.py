@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
                       InvalidParameter, Natural, NotPainless, Painless,
                       build_bank, channel_response_continuous,
-                      design_tight, make_cosine_window, make_warping,
+                      design_tight, load_bank_spec, make_cosine_window, make_warping,
                       named_window, natural_factors, painless_dual,
                       painless_factors, round_factors_to_grid,
                       with_scaled_factors)
@@ -316,6 +317,29 @@ def test_with_scaled_factors():
         with_scaled_factors(bank, 0)
     with pytest.raises(InvalidParameter):
         with_scaled_factors(bank, 1.5)
+
+
+def test_channel_responses_view_the_plan_from_construction():
+    w, grid = erb_grid(length=512)
+    scaled = with_scaled_factors(build_bank(w, HANN, grid, Painless()), 2)
+    loaded = load_bank_spec(Path(__file__).resolve().parents[1] / "banks" / "erblet_r3.json")
+    for bank in (scaled, loaded):
+        taken = [ch.response for ch in bank.channels]  # before any plan read
+        for ch, response in zip(bank.channels, taken):
+            assert response is ch.response
+            assert np.shares_memory(response, bank.plan.response)
+
+
+def test_painless_dual_rows_view_its_plan():
+    hamming = named_window("hamming", 3.0)
+    for w, grid in (erb_grid(length=512), log_grid(length=256)):
+        bank = build_bank(w, hamming, grid, Painless())
+        dual = painless_dual(bank)
+        for ch in dual.channels:
+            assert np.shares_memory(ch.response, dual.plan.response)
+        np.testing.assert_array_equal(dual.plan.bins, bank.plan.bins)
+        want = bank.plan.response / bank.diagonal()[bank.plan.bins]
+        assert dual.plan.response.tobytes() == want.tobytes()
 
 
 def test_fingerprint_tracks_geometry_not_kind():

@@ -237,6 +237,13 @@ def test_exit_code_6_on_non_painless_dual(tmp_path):
                 "--out", tmp_path / "out.f64", "--dual"]) == 6
 
 
+def test_readme_exit_code_table_matches_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    listed = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)}
+    assert listed == {0} | {code for _, code in cli._EXIT_CODES}
+
+
 def test_design_prints_channel_table(tmp_path, capsys):
     design_bank(tmp_path, warp="signedpow", params="l=0.5,c=1,d=1",
                 policy="painless", length=256, fs=64.0)
@@ -363,23 +370,43 @@ def test_malformed_spec_file_is_exit_2(tmp_path):
     assert run(["diagnose", "--bank", bad]) == 2
     bad.write_text(json.dumps({"format_version": 99}))
     assert run(["diagnose", "--bank", bad]) == 2
+    record = json.loads(design_bank(tmp_path).read_text())
+    for section, value in (("warping", {"family": 5}), ("prototype", [1])):
+        bad.write_text(json.dumps(dict(record, **{section: value})))
+        assert run(["diagnose", "--bank", bad]) == 2
     assert run(["diagnose", "--bank", tmp_path / "missing.json"]) == 2
 
 
 @pytest.mark.parametrize("where,value", [
     ("L", 512.9), ("L", "512"), ("m", 1.5), ("a_m_samples", 2.7),
-    ("a_m_samples", True),
+    ("a_m_samples", True), ("order", 2.7), ("order", "3"),
 ])
 def test_spec_file_with_non_integer_entry_is_exit_2(tmp_path, capsys, where, value):
     spec = design_bank(tmp_path)
     record = json.loads(spec.read_text())
     if where == "L":
         record["grid"]["L"] = value
+    elif where == "order":
+        record["prototype"] = {"kind": "bspline", "order": value, "stretch": 2.5}
     else:
         record["channels"][3][where] = value
     spec.write_text(json.dumps(record))
     assert run(["diagnose", "--bank", spec]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "fs", True), ("grid", "fs", "8000"), ("prototype", "stretch", True),
+    ("prototype", "coeffs", [0.5, "0.5"]), ("warping", "c", "1"),
+    ("warping", "d", True), ("warping", "l", "0.5"),
+])
+def test_spec_file_with_non_numeric_entry_is_exit_2(tmp_path, capsys, section, key, value):
+    spec = design_bank(tmp_path, warp="signedpow", params="c=1,d=1,l=0.5")
+    record = json.loads(spec.read_text())
+    record[section][key] = value
+    spec.write_text(json.dumps(record))
+    assert run(["diagnose", "--bank", spec]) == 2
+    assert "must be a number" in capsys.readouterr().err
 
 
 def test_spec_file_with_repeated_channel_is_exit_2(tmp_path, capsys):

@@ -86,7 +86,7 @@ def test_sufficient_bounds_stop_at_the_grid_edge():
 
 
 def test_sufficient_bounds_finish_for_channels_far_beyond_the_grid():
-    # warped supports of e^40 Hz and more: the shift loop stops at the band
+    # warped supports of e^40 Hz and more: neither channel holds a bin
     w = make_warping("log")
     grid = GridSpec(length=64, fs=2.0, domain=w.domain)
     bank = build_bank(w, HANN, grid, Explicit({40: 4, 41: 1}), check_coverage=False)

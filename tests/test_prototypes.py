@@ -91,16 +91,6 @@ def test_bspline_windows():
         normalize_for_tightness(quad)
 
 
-def test_sum_of_squares_explicit_range():
-    win = named_window("hann", 3.0)
-    t = np.array([0.0])
-    # missing translates change the sum
-    partial = sum_of_squares(win, t, m_range=(0, 0))
-    np.testing.assert_allclose(partial, 1.0)
-    full = sum_of_squares(win, t, m_range=(-2, 2))
-    np.testing.assert_allclose(full, 9.0 / 8.0)
-
-
 def test_normalize_for_tightness():
     win = named_window("hann", 3.0)
     unit = normalize_for_tightness(win)

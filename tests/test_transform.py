@@ -298,6 +298,9 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
         half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
         chans, res = bank.channels, bank.residuals
         assert len(plan.offsets) == len(chans) + len(res) + (len(chans) if half else 0)
+        frames = [ch.n_frames for ch in chans]
+        assert plan.frames.dtype == np.int64
+        assert plan.frames.tolist() == frames + [1] * len(res) + (frames if half else [])
 
         # rows: the channels, the residuals, then a mirror per channel
         sizes = [len(ch.response) for ch in chans]
