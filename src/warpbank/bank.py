@@ -26,7 +26,8 @@ covers all of C^L and real signals round-trip through conjugate symmetry.
 A bank builds its plan when it is constructed: one flat table with a row
 per generator (channels, residuals, mirror branches), grouped by frame
 length N (hops snap to divisors of L, so a bank has few distinct N), with
-the N of every row in ``plan.frames``.  From then on each channel's
+the N of every row in ``plan.frames`` and, for every sampled entry, its
+slot in one flat coefficient buffer.  From then on each channel's
 response is a view of the plan, and analysis, synthesis, the diagonal and
 the dual all read the plan.
 """
@@ -130,16 +131,22 @@ class BankPlan:
     row i is channel i, then the residuals (N = 1, response 1 at their
     bin), then on half-line grids a mirror per channel (its response on
     the bins L - bin).  ``frames[i]`` is row i's coefficient count N.
-    ``bins`` (0..L-1) and ``response`` run group after group, one entry per
-    sampled bin; row i's response starts at ``response[offsets[i]]``.
-    Group (N, rows, span, slots) folds the entries ``span`` of its rows at
-    ``slots`` = r * N + bin % N into a rows x N block, r indexing ``rows``.
-    The first ``direct`` groups hold no mirror row: bins 0..L/2 only."""
+    ``bins`` (0..L-1), ``response`` and ``slots`` run group after group,
+    one entry per sampled bin; row i's response starts at
+    ``response[offsets[i]]``.  All coefficients live in one flat buffer,
+    row i's N of them at ``coefs[i]``, and an entry folds onto the slot
+    ``slots`` = its row's ``coefs`` + bin % N.  Group (N, block, span) has
+    the rows of one frame length: their entries ``span`` fold onto the
+    contiguous buffer slice ``block``, rows x N.  The first ``direct``
+    groups hold no mirror row (bins 0..L/2 only), so their entries and
+    blocks are prefixes of the entries and of the buffer."""
 
-    groups: list[tuple[int, list[int], slice, np.ndarray]]
+    groups: list[tuple[int, slice, slice]]
     bins: np.ndarray
     response: np.ndarray
+    slots: np.ndarray
     offsets: np.ndarray
+    coefs: np.ndarray
     frames: np.ndarray
     direct: int
 
@@ -174,7 +181,7 @@ class WarpedBank:
         if self._diag is None:
             plan = self.plan
             weights = np.concatenate([n * plan.response[span] ** 2
-                                      for n, _, span, _ in plan.groups])
+                                      for n, _, span in plan.groups])
             self._diag = np.bincount(plan.bins, weights, minlength=self.grid.length)
         return self._diag
 
@@ -253,8 +260,9 @@ def _supports(warped: np.ndarray, support, ms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_plan(bank: WarpedBank) -> BankPlan:
-    """Concatenate the rows' sampled responses grouped by (mirror?, N) and
-    point each channel's response at its slice."""
+    """Concatenate the rows' sampled responses grouped by (mirror?, N),
+    lay their coefficient blocks out in the same order, and point each
+    channel's response at its slice."""
     chans = bank.channels
     # (mirror?, N, first bin, response) per row
     table = [(False, ch.n_frames, ch.start_bin, ch.response) for ch in chans]
@@ -275,18 +283,24 @@ def _build_plan(bank: WarpedBank) -> BankPlan:
     bins += np.arange(len(bins))
     mirrored = np.repeat([table[i][0] for i in order], sizes)
     bins = np.where(mirrored, -bins, bins) % bank.grid.length
-    groups, lo = [], 0
-    for (_, n), rows in groupby(order, key=lambda i: table[i][:2]):
-        rows = list(rows)
-        hi = lo + len(rows)
-        span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
-        slots = bins[span] % n
-        slots += np.repeat(np.arange(len(rows)) * n, sizes[lo:hi])
-        groups.append((n, rows, span, slots))
-        lo = hi
-    direct = sum(not table[rows[0]][0] for _, rows, _, _ in groups)
+    # coefficient blocks of the rows, in the same order; an entry's slot
+    # in its row's block is bin % N
     frames = np.array([n for _, n, _, _ in table], dtype=np.int64)
-    return BankPlan(groups, bins, response, offsets, frames, direct)
+    n_sorted = frames[order]
+    blocks = np.cumsum(n_sorted) - n_sorted
+    coefs = np.empty_like(frames)
+    coefs[order] = blocks
+    slots = np.repeat(blocks, sizes)
+    groups, direct, lo = [], 0, 0
+    for (mirror, n), rows in groupby(order, key=lambda i: table[i][:2]):
+        hi = lo + len(list(rows))
+        block = slice(int(blocks[lo]), int(blocks[lo]) + (hi - lo) * n)
+        span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
+        slots[span] += bins[span] % n
+        groups.append((n, block, span))
+        direct += not mirror
+        lo = hi
+    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, direct)
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:
@@ -445,7 +459,12 @@ def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",
 def with_scaled_factors(bank: WarpedBank, scale: int) -> WarpedBank:
     """Rebuild with every hop multiplied by ``scale`` (snapped down to a
     divisor of L and capped at L).  Scaling past the painless bound drops
-    the painless flags; diagnostics use this to probe degradation."""
+    the painless flags; diagnostics use this to probe degradation.  A
+    dual bank's responses are not sampled from its window, so its hops
+    are scaled on the analysis bank, whose dual is then taken again."""
+    if bank.kind == "dual":
+        raise InvalidParameter("cannot rescale the hops of a dual bank; "
+                               "scale its analysis bank and take the dual of that")
     if int(scale) != scale or scale < 1:
         raise InvalidParameter(f"scale must be a positive integer, got {scale!r}")
     hops = _snap_to_divisors([ch.a * int(scale) for ch in bank.channels], bank.grid.length)

@@ -2,8 +2,9 @@
 
 Subcommands: design (write a bank spec and print the channel table),
 analyze (signal -> WFBC coefficients, optional PGM spectrogram),
-synthesize (coefficients -> signal, painless dual by default for
-non-tight banks) and diagnose (frame report, optional hop-scaling sweep).
+synthesize (coefficients -> signal, painless dual by default unless the
+bank is tight or already a dual) and diagnose (frame report, optional
+hop-scaling sweep).
 
 Exit codes enumerate the distinct failure conditions so scripts can tell
 them apart: 2 invalid parameters or degenerate inputs, 3 frequency
@@ -149,7 +150,7 @@ def cmd_analyze(args) -> int:
 def cmd_synthesize(args) -> int:
     built = specfile.load_bank_spec(args.bank)
     coeffs = transform.load_coefficients(args.coeffs, built)
-    use_dual = built.kind != "tight" if args.dual is None else args.dual
+    use_dual = built.kind not in ("tight", "dual") if args.dual is None else args.dual
     synth_bank = bank_mod.painless_dual(built) if use_dual else built
     sig = transform.synthesize(coeffs, synth_bank)
     if str(args.out).lower().endswith(".wav"):
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output signal (.wav or raw f64)")
     p.add_argument("--dual", action=argparse.BooleanOptionalAction, default=None,
                    help="synthesize with the painless dual "
-                        "(default: yes unless the bank is tight)")
+                        "(default: yes unless the bank is tight or a dual)")
     p.add_argument("--encoding", default="float32",
                    choices=("float32", "pcm16", "pcm24"),
                    help="WAV sample encoding (default float32)")

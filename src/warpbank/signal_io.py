@@ -142,10 +142,11 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     image = np.zeros((len(order), n_cols), dtype=np.uint8)
     if peak <= 0.0:  # silence: every pixel at the floor level
         return image, centers
+    columns = {n: (np.arange(n_cols) * n) // n_cols for n in {len(m) for m in mags}}
     for row, i in enumerate(order):
         with np.errstate(divide="ignore"):
             db = np.maximum(20.0 * np.log10(mags[i] / peak), SPECTROGRAM_FLOOR_DB)
         scaled = (db - SPECTROGRAM_FLOOR_DB) / (-SPECTROGRAM_FLOOR_DB)
         levels = np.round(255.0 * scaled).astype(np.uint8)
-        image[row] = levels[(np.arange(n_cols) * len(levels)) // n_cols]
+        image[row] = levels[columns[len(levels)]]
     return image, centers

@@ -6,7 +6,8 @@ response from the closed-form evaluators, which is bit-exact because the
 evaluation path is deterministic.  The channel table is authoritative on
 load (the policy record is kept for provenance only), so hand-edited
 files with holes in the channel set load fine and can be handed to
-diagnose, which will flag the holes.
+diagnose, which will flag the holes.  A ``dual`` spec records the
+geometry of its analysis bank and loads as that bank's painless dual.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .bank import Explicit, GridSpec, WarpedBank, build_bank
+from .bank import Explicit, GridSpec, WarpedBank, build_bank, painless_dual
 from .errors import InvalidParameter
 from .prototypes import BSplineWindow, CosineSumWindow
 from .warping import Domain, make_warping
 
 FORMAT_VERSION = 1
+KINDS = ("analysis", "tight", "dual")
 
 
 def bank_spec_record(bank: WarpedBank) -> dict:
@@ -61,7 +63,7 @@ def _window_from_record(record: dict):
         return CosineSumWindow(
             tuple(_number(b, "prototype.coeffs entry") for b in record["coeffs"]),
             _number(record["stretch"], "prototype.stretch"),
-            normalized=bool(record.get("normalized", False)),
+            normalized=_boolean(record.get("normalized", False), "prototype.normalized"),
         )
     if kind == "bspline":
         return BSplineWindow(order=_integer(record["order"], "prototype.order"),
@@ -86,11 +88,19 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _boolean(value, what: str) -> bool:
+    """``value`` if it is a JSON boolean; "no", 0 or null raises."""
+    if type(value) is not bool:
+        raise InvalidParameter(f"bank spec {what} must be true or false, got {value!r}")
+    return value
+
+
 def load_bank_spec(path) -> WarpedBank:
     """Rebuild a bank from a spec file.
 
     Coverage is not enforced here; a gapped channel table loads and is
-    reported by diagnostics instead.
+    reported by diagnostics instead.  A ``dual`` spec is the exception:
+    its bank must be painless and cover the grid for the dual to exist.
     """
     try:
         with open(path) as fh:
@@ -120,6 +130,9 @@ def load_bank_spec(path) -> WarpedBank:
                   _integer(ch["a_m_samples"], "channel a_m_samples"))
                  for ch in record["channels"]]
         kind = record.get("kind", "analysis")
+        if kind not in KINDS:
+            raise InvalidParameter(f"bank spec kind must be one of {', '.join(KINDS)}, "
+                                   f"got {kind!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"malformed bank spec: {exc!r}") from exc
     factors = dict(table)
@@ -128,6 +141,8 @@ def load_bank_spec(path) -> WarpedBank:
         raise InvalidParameter(f"bank spec lists channels {twice} more than once")
     bank = build_bank(warping, window, grid, Explicit(factors), kind=kind,
                       check_coverage=False)
+    if kind == "dual":
+        bank = painless_dual(bank)
     policy = record.get("factor_policy")
     if isinstance(policy, dict):
         bank.policy_record = dict(policy)

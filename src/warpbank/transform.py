@@ -6,11 +6,13 @@ hop a and N = L / a coefficients computes
     c_m[n] = <f, T_{n a} g_m> = sum_j fhat[j] response_m[j] exp(2 pi i j n / N),
 
 done by folding fhat * response onto N slots (j mod N) and one inverse
-FFT of length N.  The bank's plan (see bank) has a row per generator and
-groups the rows by N, so a full analysis costs one length-L FFT, then per
-group one bincount fold over the group's flat bins and one batched
-inverse FFT of its rows x N block.  Synthesis is the exact adjoint: per
-group one batched FFT, a gather through the fold slots, and one bincount
+FFT of length N.  The bank's plan (see bank) has a row per generator,
+groups the rows by N and gives every sampled entry its slot in one flat
+coefficient buffer, so a full analysis costs one length-L FFT, one
+bincount fold of all entries onto the buffer, then per group one batched
+in-place inverse FFT of its rows x N block.  Synthesis is the exact
+adjoint: the coefficients concatenated into the buffer, per group one
+batched in-place FFT, then one gather through the slots and one bincount
 scatter of fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0
 coefficient sits at time 0; there is no per-channel phase ramp.  A
 residual is a row with N = 1 and response 1, so its coefficient is the
@@ -115,15 +117,18 @@ def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def _fold_frames(bank: WarpedBank, weighted: np.ndarray, groups) -> list:
-    """Per-row coefficients from the plan's weighted spectrum entries:
-    fold each group onto its rows x N block, one inverse FFT per group.
-    Rows outside ``groups`` stay None."""
-    out = [None] * len(bank.plan.offsets)
-    for n, rows, span, slots in groups:
-        folded = _sum_at(slots, weighted[span], len(rows) * n).reshape(len(rows), n)
-        for i, row in zip(rows, np.fft.ifft(folded, norm="forward")):
-            out[i] = row
-    return out
+    """Per-row coefficients from the plan's weighted spectrum entries: one
+    fold onto the buffer prefix ``groups`` cover, one in-place inverse FFT
+    per group.  Returns a view of the buffer for each row of ``groups``,
+    in plan row order (the direct rows come first)."""
+    plan = bank.plan
+    size = groups[-1][1].stop
+    flat = _sum_at(plan.slots[:len(weighted)], weighted, size)
+    for n, block, _ in groups:
+        rows = flat[block].reshape(-1, n)
+        np.fft.ifft(rows, norm="forward", out=rows)
+    return [flat[o:o + n] for o, n in zip(plan.coefs.tolist(), plan.frames.tolist())
+            if o < size]
 
 
 def _coefficient_set(rows: list, bank: WarpedBank, mirrors: bool) -> CoefficientSet:
@@ -181,14 +186,19 @@ def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
 
 
 def _spread_frames(bank: WarpedBank, rows: list, groups, size: int) -> np.ndarray:
-    """Adjoint of ``_fold_frames``: one FFT per group, read through the
-    slots, weighted by the responses and summed onto ``size`` bins."""
+    """Adjoint of ``_fold_frames``: the rows concatenated into the buffer
+    prefix ``groups`` cover, one in-place FFT per group, then one gather
+    through the slots, weighted by the responses and summed onto ``size``
+    bins."""
     plan = bank.plan
     stop = groups[-1][2].stop
-    values = np.empty(stop, dtype=complex)
-    for _, members, span, slots in groups:
-        spec = np.fft.fft(np.stack([rows[i] for i in members]))
-        values[span] = spec.reshape(-1)[slots] * plan.response[span]
+    order = np.argsort(plan.coefs[:len(rows)])
+    flat = np.concatenate([rows[i] for i in order.tolist()], dtype=complex)
+    for n, block, _ in groups:
+        spec = flat[block].reshape(-1, n)
+        np.fft.fft(spec, out=spec)
+    values = flat[plan.slots[:stop]]
+    values *= plan.response[:stop]  # in place: one temporary fewer at the peak
     return _sum_at(plan.bins[:stop], values, size)
 
 
@@ -214,15 +224,15 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
 def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndarray:
     """The Walnut form of S applied to the complex spectrum ``fhat``, with
     ``response`` (one entry per plan entry) in place of the sampled
-    responses: per group fold fhat * response onto the slots and gather
-    N * folded[slots] * response back onto the bins.  Every row, residual
-    and mirror ones included, runs through the same fold and gather."""
+    responses: fold fhat * response onto the slots, scale each group's
+    block by its N, and gather folded[slots] * response back onto the
+    bins.  Every row, residual and mirror ones included, runs through the
+    same fold and gather."""
     plan = bank.plan
-    values = fhat[plan.bins] * response
-    for n, rows, span, slots in plan.groups:
-        folded = _sum_at(slots, values[span], len(rows) * n)
-        values[span] = n * folded[slots] * response[span]
-    return _sum_at(plan.bins, values, bank.grid.length)
+    folded = _sum_at(plan.slots, fhat[plan.bins] * response, plan.groups[-1][1].stop)
+    for n, block, _ in plan.groups:
+        folded[block] *= n
+    return _sum_at(plan.bins, folded[plan.slots] * response, bank.grid.length)
 
 
 def apply_frame_operator(signal, bank: WarpedBank) -> Signal:

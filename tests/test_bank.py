@@ -10,7 +10,7 @@ from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
                       design_tight, load_bank_spec, make_cosine_window, make_warping,
                       named_window, natural_factors, painless_dual,
                       painless_factors, round_factors_to_grid,
-                      with_scaled_factors)
+                      save_bank_spec, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 
@@ -317,6 +317,9 @@ def test_with_scaled_factors():
         with_scaled_factors(bank, 0)
     with pytest.raises(InvalidParameter):
         with_scaled_factors(bank, 1.5)
+    # a dual's responses do not come from its window: scale the analysis bank
+    with pytest.raises(InvalidParameter, match="dual"):
+        with_scaled_factors(painless_dual(bank), 1)
 
 
 def test_channel_responses_view_the_plan_from_construction():
@@ -330,7 +333,7 @@ def test_channel_responses_view_the_plan_from_construction():
             assert np.shares_memory(response, bank.plan.response)
 
 
-def test_painless_dual_rows_view_its_plan():
+def test_painless_dual_rows_view_its_plan(tmp_path):
     hamming = named_window("hamming", 3.0)
     for w, grid in (erb_grid(length=512), log_grid(length=256)):
         bank = build_bank(w, hamming, grid, Painless())
@@ -340,6 +343,13 @@ def test_painless_dual_rows_view_its_plan():
         np.testing.assert_array_equal(dual.plan.bins, bank.plan.bins)
         want = bank.plan.response / bank.diagonal()[bank.plan.bins]
         assert dual.plan.response.tobytes() == want.tobytes()
+        # a dual survives its spec file bit for bit
+        save_bank_spec(dual, tmp_path / "dual.json")
+        loaded = load_bank_spec(tmp_path / "dual.json")
+        assert loaded.kind == "dual" and loaded.fingerprint == dual.fingerprint
+        assert loaded.plan.response.tobytes() == want.tobytes()
+        for ch, dch in zip(loaded.channels, dual.channels):
+            assert ch.response.tobytes() == dch.response.tobytes()
 
 
 def test_fingerprint_tracks_geometry_not_kind():

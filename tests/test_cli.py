@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import InvalidParameter, Signal, analyze, cli, load_bank_spec
+from warpbank import (InvalidParameter, Signal, analyze, cli, load_bank_spec,
+                      painless_dual, save_bank_spec)
 from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_raw, read_wav,
                                 render_spectrogram, write_raw, write_wav)
 
@@ -53,7 +54,6 @@ def test_checked_in_banks_regenerate_byte_identically(spec, tmp_path):
     bank = load_bank_spec(spec)
     assert all(len(ch.response) for ch in bank.channels)
     copy = tmp_path / "copy.json"
-    from warpbank import save_bank_spec
     save_bank_spec(bank, copy)
     assert copy.read_bytes() == Path(spec).read_bytes()
 
@@ -102,6 +102,21 @@ def test_no_dual_flag_skips_dual_weighting(tmp_path):
     rec = read_raw(tmp_path / "out.f64", 8000.0).samples
     # plain synthesis applies the frame operator: diagonal 9/8 for Hann R=3
     assert np.linalg.norm(rec - 9.0 / 8.0 * x) <= 1e-9 * np.linalg.norm(x)
+
+
+def test_dual_spec_inverts_its_analysis_spec(tmp_path):
+    spec = design_bank(tmp_path, policy="painless", stretch=2.5)
+    dual_spec = tmp_path / "dual.json"
+    save_bank_spec(painless_dual(load_bank_spec(spec)), dual_spec)
+    x = np.random.default_rng(4).standard_normal(512)
+    write_raw(tmp_path / "in.f64", Signal(samples=x, fs=8000.0))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    # a dual spec synthesizes as it stands, not through a dual of the dual
+    assert run(["synthesize", "--bank", dual_spec, "--coeffs", tmp_path / "c.wfbc",
+                "--out", tmp_path / "out.f64"]) == 0
+    rec = read_raw(tmp_path / "out.f64", 8000.0).samples
+    assert np.linalg.norm(rec - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
@@ -371,7 +386,10 @@ def test_malformed_spec_file_is_exit_2(tmp_path):
     bad.write_text(json.dumps({"format_version": 99}))
     assert run(["diagnose", "--bank", bad]) == 2
     record = json.loads(design_bank(tmp_path).read_text())
-    for section, value in (("warping", {"family": 5}), ("prototype", [1])):
+    for section, value in (("warping", {"family": 5}), ("prototype", [1]),
+                           ("prototype", dict(record["prototype"], normalized="no")),
+                           ("prototype", dict(record["prototype"], normalized=1)),
+                           ("kind", 5), ("kind", "synthesis")):
         bad.write_text(json.dumps(dict(record, **{section: value})))
         assert run(["diagnose", "--bank", bad]) == 2
     assert run(["diagnose", "--bank", tmp_path / "missing.json"]) == 2

@@ -308,6 +308,8 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
 
         def row(i):
             span = slice(plan.offsets[i], plan.offsets[i] + sizes[i])
+            np.testing.assert_array_equal(
+                plan.slots[span], plan.coefs[i] + plan.bins[span] % plan.frames[i])
             return plan.bins[span], plan.response[span]
 
         for i, ch in enumerate(chans):
@@ -323,14 +325,39 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
             bins, resp = row(len(chans) + k)
             assert bins.tolist() == [r.bin_index] and resp.tolist() == [1.0]
 
-        direct = np.concatenate([plan.bins[span] for _, _, span, _ in plan.groups[:plan.direct]])
-        mirror = np.concatenate([plan.bins[span] for _, _, span, _ in plan.groups[plan.direct:]]
+        direct = np.concatenate([plan.bins[span] for _, _, span in plan.groups[:plan.direct]])
+        mirror = np.concatenate([plan.bins[span] for _, _, span in plan.groups[plan.direct:]]
                                 or [np.zeros(0, dtype=int)])
         if half:
             assert direct.min() >= 0 and direct.max() <= length // 2
             assert mirror.min() > length // 2 and mirror.max() <= length - 1
         else:
             assert plan.direct == len(plan.groups) and not len(mirror)
+
+        # the rows' coefficient blocks tile one buffer group after group,
+        # the direct groups (channels and residuals) first
+        ends = [0] + [block.stop for _, block, _ in plan.groups]
+        assert [block.start for _, block, _ in plan.groups] == ends[:-1]
+        assert ends[-1] == plan.frames.sum()
+        order = np.argsort(plan.coefs)
+        np.testing.assert_array_equal(
+            plan.coefs[order], np.cumsum(plan.frames[order]) - plan.frames[order])
+        for n, block, span in plan.groups:
+            members = (plan.coefs >= block.start) & (plan.coefs < block.stop)
+            assert set(plan.frames[members].tolist()) == {n}
+            assert np.count_nonzero(members) * n == block.stop - block.start
+            assert sum(sizes[i] for i in np.flatnonzero(members)) == span.stop - span.start
+        n_direct = len(chans) + len(res)
+        cstop = plan.groups[plan.direct - 1][1].stop
+        assert (plan.coefs[:n_direct] + plan.frames[:n_direct]).max() <= cstop
+        assert (plan.coefs[n_direct:] >= cstop).all()
+
+        # a real-input analysis fills only the direct prefix of the buffer
+        coeffs = analyze(np.random.default_rng(5).standard_normal(length), bank)
+        rows = coeffs.channels + coeffs.residuals
+        buffer = rows[0].base
+        assert all(c.base is buffer for c in rows)
+        assert buffer.size == (cstop if half else ends[-1])
 
 
 def flat_coefficients(coeffs):
