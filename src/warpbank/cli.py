@@ -7,10 +7,10 @@ bank is tight or already a dual) and diagnose (frame report, optional
 hop-scaling sweep).
 
 Exit codes enumerate the distinct failure conditions so scripts can tell
-them apart: 2 invalid parameters or degenerate inputs, 3 frequency
-coverage holes at construction, 4 signal length mismatch, 5 coefficient
-container mismatch or corruption, 6 painless-dual request on a
-non-painless bank.
+them apart: 2 invalid parameters, degenerate inputs or too little memory,
+3 frequency coverage holes at construction, 4 signal length mismatch, 5
+coefficient container mismatch or corruption, 6 painless-dual request on
+a non-painless bank.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def main(argv=None) -> int:
     except WarpBankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # MemoryError: e.g. a grid far too long
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -10,11 +10,11 @@ FFT of length N.  The bank's plan (see bank) has a row per generator,
 groups the rows by N and gives every sampled entry its slot in one flat
 coefficient buffer, so a full analysis costs one length-L FFT, one
 bincount fold of all entries onto the buffer, then per group one batched
-in-place inverse FFT of its rows x N block.  Synthesis is the exact
-adjoint: the coefficients concatenated into the buffer, per group one
-batched in-place FFT, then one gather through the slots and one bincount
-scatter of fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0
-coefficient sits at time 0; there is no per-channel phase ramp.  A
+in-place inverse FFT of its rows x N block; a CoefficientSet holds that
+buffer.  Synthesis is the exact adjoint: on a copy of the buffer, per
+group one batched in-place FFT, then one gather through the slots and one
+bincount scatter of fft(c_m)[j mod N] * response_m[j] onto the bins.  The
+n = 0 coefficient sits at time 0; there is no per-channel phase ramp.  A
 residual is a row with N = 1 and response 1, so its coefficient is the
 spectrum at its bin.
 
@@ -24,8 +24,8 @@ bins L - j.  Because N divides L, its slot (L - j) mod N is -j mod N, so
 the same inverse FFT yields the conjugated atoms' coefficients.  For real
 input the mirror coefficients are the conjugates of the direct ones, so
 they are never materialized; analysis runs the plan's direct groups on
-bins 0..L/2 of an rfft, and synthesis fills bins 0..L/2 from them and
-returns a real signal by irfft.
+bins 0..L/2 of an rfft into the direct prefix of the buffer, and
+synthesis fills bins 0..L/2 from it and returns a real signal by irfft.
 
 Coefficients serialize to the WFBC container: magic ``WFBC``, version and
 entry count as little-endian u32, then per entry a channel tag (i32), a
@@ -38,7 +38,8 @@ analyses the mirror entries, which repeat the channel tags.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,26 +67,46 @@ class Signal:
 
 @dataclass
 class CoefficientSet:
-    """Coefficients of one analysis: per-channel complex arrays in channel
-    order, plus residual (DC / Nyquist) scalars on half-line grids."""
+    """Coefficients of one analysis by ``bank`` in the plan's flat buffer,
+    row i's N at ``plan.coefs[i]``; a real-input half-line analysis holds
+    the direct prefix only.  ``channels``, ``residuals`` (DC / Nyquist on
+    half-line grids) and ``mirrors`` are views of it, made on first read."""
 
-    channels: list[np.ndarray]
-    residuals: list[np.ndarray]
-    mirrors: list[np.ndarray] | None
-    half_line: bool
-    fingerprint: str
+    buffer: np.ndarray
+    bank: WarpedBank = field(repr=False)
+
+    @property
+    def half_line(self) -> bool:
+        return self.bank.grid.domain is Domain.POSITIVE_HALF_LINE
+
+    @cached_property
+    def _views(self) -> tuple:
+        plan, size = self.bank.plan, len(self.buffer)
+        rows = tuple(self.buffer[o:o + n] for o, n
+                     in zip(plan.coefs.tolist(), plan.frames.tolist()) if o < size)
+        n = len(self.bank.channels)
+        r = n + len(self.bank.residuals)
+        return rows[:n], rows[n:r], rows[r:] or None
+
+    channels = property(lambda self: self._views[0])
+    residuals = property(lambda self: self._views[1])
+    mirrors = property(lambda self: self._views[2])
 
     @property
     def energy(self) -> float:
         """Sum of |c|^2 over the full atom set.  Mirror channels count
         even in the real-input shortcut, where they stay implicit."""
-        e = sum(float(np.sum(np.abs(c) ** 2)) for c in self.channels)
-        if self.mirrors is not None:
-            e += sum(float(np.sum(np.abs(c) ** 2)) for c in self.mirrors)
-        elif self.half_line:
-            e *= 2.0
-        e += sum(float(np.sum(np.abs(c) ** 2)) for c in self.residuals)
-        return e
+        e = np.vdot(self.buffer, self.buffer).real
+        if len(self.buffer) < _buffer_sizes(self.bank.plan)[1]:
+            n = len(self.bank.channels)
+            res = self.buffer[self.bank.plan.coefs[n:n + len(self.bank.residuals)]]
+            e = 2.0 * e - np.vdot(res, res).real
+        return float(e)
+
+
+def _buffer_sizes(plan) -> tuple[int, int]:
+    """Lengths of the buffer's direct-row prefix and of the whole buffer."""
+    return plan.groups[plan.direct - 1][1].stop, plan.groups[-1][1].stop
 
 
 def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
@@ -108,39 +129,29 @@ def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
     return samples
 
 
-def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Complex sums of ``values`` over equal ``index`` entries, 0..size-1."""
+def _gather_sum(source, take, weights, index, size: int) -> np.ndarray:
+    """Complex sums of source[take] * weights over equal ``index`` entries,
+    0..size-1, real and imaginary parts in turn: one real gather at a time."""
     out = np.empty(size, dtype=complex)
-    out.real = np.bincount(index, values.real, minlength=size)
-    out.imag = np.bincount(index, values.imag, minlength=size)
+    for part, dest in ((source.real, out.real), (source.imag, out.imag)):
+        values = part[take]
+        values *= weights
+        dest[:] = np.bincount(index, values, minlength=size)
+        del values
     return out
 
 
-def _fold_frames(bank: WarpedBank, weighted: np.ndarray, groups) -> list:
-    """Per-row coefficients from the plan's weighted spectrum entries: one
-    fold onto the buffer prefix ``groups`` cover, one in-place inverse FFT
-    per group.  Returns a view of the buffer for each row of ``groups``,
-    in plan row order (the direct rows come first)."""
-    plan = bank.plan
-    size = groups[-1][1].stop
-    flat = _sum_at(plan.slots[:len(weighted)], weighted, size)
+def _fold_frames(bank: WarpedBank, fhat: np.ndarray, groups) -> np.ndarray:
+    """Coefficient buffer of the spectrum ``fhat``: the plan's entries
+    fhat[bins] * response folded onto the prefix ``groups`` cover, then per
+    group one in-place inverse FFT."""
+    plan, stop = bank.plan, groups[-1][2].stop
+    flat = _gather_sum(fhat, plan.bins[:stop], plan.response[:stop], plan.slots[:stop],
+                       groups[-1][1].stop)
     for n, block, _ in groups:
         rows = flat[block].reshape(-1, n)
         np.fft.ifft(rows, norm="forward", out=rows)
-    return [flat[o:o + n] for o, n in zip(plan.coefs.tolist(), plan.frames.tolist())
-            if o < size]
-
-
-def _coefficient_set(rows: list, bank: WarpedBank, mirrors: bool) -> CoefficientSet:
-    """Split per-row coefficients in plan row order (channels, residuals,
-    mirror branches) into a CoefficientSet."""
-    n = len(bank.channels)
-    r = n + len(bank.residuals)
-    return CoefficientSet(
-        channels=rows[:n], residuals=rows[n:r], mirrors=rows[r:] if mirrors else None,
-        half_line=bank.grid.domain is Domain.POSITIVE_HALF_LINE,
-        fingerprint=bank.fingerprint,
-    )
+    return flat
 
 
 def analyze(signal, bank: WarpedBank) -> CoefficientSet:
@@ -155,51 +166,37 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     mirrors = half and np.iscomplexobj(samples)
     plan = bank.plan
     groups = plan.groups if mirrors else plan.groups[:plan.direct]
-    stop = groups[-1][2].stop
     # a real half-line analysis reads bins 0..L/2 only
     fft = np.fft.rfft if half and not mirrors else np.fft.fft
     fhat = fft(samples) / np.sqrt(length)
-    weighted = fhat[plan.bins[:stop]] * plan.response[:stop]
-    return _coefficient_set(_fold_frames(bank, weighted, groups), bank, mirrors)
+    return CoefficientSet(_fold_frames(bank, fhat, groups), bank)
 
 
 def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
-    """Raise FingerprintMismatch unless ``coeffs`` fits an analysis by
-    ``bank``: its fingerprint, and per plan row its N coefficients
-    (``plan.frames``) for the channels, the residuals and, if present,
-    the mirror branches."""
-    if coeffs.fingerprint != bank.fingerprint:
+    """Raise FingerprintMismatch unless ``coeffs`` has ``bank``'s fingerprint
+    and a one-dimensional buffer of a length ``_buffer_sizes`` allows."""
+    if coeffs.bank.fingerprint != bank.fingerprint:
         raise FingerprintMismatch(
             "coefficient set was produced by a bank with different geometry"
         )
-    shapes = [(n,) for n in bank.plan.frames.tolist()]
-    n = len(bank.channels)
-    r = n + len(bank.residuals)
-    for what, arrays, want in (("channel", coeffs.channels, shapes[:n]),
-                               ("mirror", coeffs.mirrors, shapes[r:]),
-                               ("residual", coeffs.residuals, shapes[n:r])):
-        if arrays is not None and [np.shape(c) for c in arrays] != want:
-            raise FingerprintMismatch(
-                f"coefficient set's {what} entries ({len(arrays)}) do not match "
-                f"the bank's ({len(want)}) in count or length"
-            )
+    prefix, full = _buffer_sizes(bank.plan)
+    if np.shape(coeffs.buffer) not in ((prefix,), (full,)):
+        raise FingerprintMismatch(
+            f"coefficient buffer has shape {np.shape(coeffs.buffer)}; the bank takes "
+            f"{full} coefficients, or {prefix} for real input on a half-line grid"
+        )
 
 
-def _spread_frames(bank: WarpedBank, rows: list, groups, size: int) -> np.ndarray:
-    """Adjoint of ``_fold_frames``: the rows concatenated into the buffer
-    prefix ``groups`` cover, one in-place FFT per group, then one gather
-    through the slots, weighted by the responses and summed onto ``size``
-    bins."""
-    plan = bank.plan
-    stop = groups[-1][2].stop
-    order = np.argsort(plan.coefs[:len(rows)])
-    flat = np.concatenate([rows[i] for i in order.tolist()], dtype=complex)
+def _spread_frames(bank: WarpedBank, buffer: np.ndarray, groups, size: int) -> np.ndarray:
+    """Adjoint of ``_fold_frames``: on a copy of ``buffer``, one in-place
+    FFT per group, then one gather through the slots, weighted by the
+    responses and summed onto ``size`` bins."""
+    plan, stop = bank.plan, groups[-1][2].stop
+    flat = np.array(buffer, dtype=complex)  # the caller's coefficients stay untouched
     for n, block, _ in groups:
         spec = flat[block].reshape(-1, n)
         np.fft.fft(spec, out=spec)
-    values = flat[plan.slots[:stop]]
-    values *= plan.response[:stop]  # in place: one temporary fewer at the peak
-    return _sum_at(plan.bins[:stop], values, size)
+    return _gather_sum(flat, plan.slots[:stop], plan.response[:stop], plan.bins[:stop], size)
 
 
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
@@ -209,11 +206,10 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     _check_shape(coeffs, bank)
     length = bank.grid.length
     plan = bank.plan
-    rows = list(coeffs.channels) + list(coeffs.residuals) + list(coeffs.mirrors or [])
-    groups = plan.groups if coeffs.mirrors is not None else plan.groups[:plan.direct]
-    # real-input shortcut: bins 0..L/2 only, negative bins by conjugate symmetry
-    shortcut = coeffs.half_line and coeffs.mirrors is None
-    spec = _spread_frames(bank, rows, groups, length // 2 + 1 if shortcut else length)
+    # real-input shortcut (direct prefix): bins 0..L/2, the rest by symmetry
+    shortcut = len(coeffs.buffer) < _buffer_sizes(plan)[1]
+    groups = plan.groups[:plan.direct] if shortcut else plan.groups
+    spec = _spread_frames(bank, coeffs.buffer, groups, length // 2 + 1 if shortcut else length)
     if shortcut:
         out = np.sqrt(length) * np.fft.irfft(spec, n=length)
     else:
@@ -229,10 +225,10 @@ def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndar
     bins.  Every row, residual and mirror ones included, runs through the
     same fold and gather."""
     plan = bank.plan
-    folded = _sum_at(plan.slots, fhat[plan.bins] * response, plan.groups[-1][1].stop)
+    folded = _gather_sum(fhat, plan.bins, response, plan.slots, plan.groups[-1][1].stop)
     for n, block, _ in plan.groups:
         folded[block] *= n
-    return _sum_at(plan.bins, folded[plan.slots] * response, bank.grid.length)
+    return _gather_sum(folded, plan.slots, response, plan.bins, bank.grid.length)
 
 
 def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
@@ -274,15 +270,15 @@ def _entry_plan(bank: WarpedBank, with_mirrors: bool) -> list[tuple[int, int]]:
 def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
     """Write a coefficient set to the binary WFBC container."""
     _check_shape(coeffs, bank)
-    rows = list(coeffs.channels) + list(coeffs.residuals) + list(coeffs.mirrors or [])
-    entries = _entry_plan(bank, coeffs.mirrors is not None)
+    buffer = np.asarray(coeffs.buffer, dtype="<c16")
+    coefs, frames = bank.plan.coefs.tolist(), bank.plan.frames.tolist()
+    entries = _entry_plan(bank, len(buffer) > _buffer_sizes(bank.plan)[0])
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(entries)))
         for row, tag in entries:
-            data = np.asarray(rows[row], dtype="<c16")
-            fh.write(struct.pack("<iI", tag, len(data)))
-            fh.write(data.tobytes())
+            fh.write(struct.pack("<iI", tag, frames[row]))
+            fh.write(buffer[coefs[row]:coefs[row] + frames[row]].tobytes())
 
 
 def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
@@ -291,9 +287,10 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
     The file stores no responses, only tagged coefficient vectors, so the
     bank's own geometry is the reference: any disagreement in entry count,
     channel tags or per-channel lengths means the file belongs to a
-    different bank and raises FingerprintMismatch.
+    different bank and raises FingerprintMismatch, as do non-finite
+    coefficients, which no analysis produces.
     """
-    frames = bank.plan.frames.tolist()
+    coefs, frames = bank.plan.coefs.tolist(), bank.plan.frames.tolist()
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12 or head[:4] != _MAGIC:
@@ -309,7 +306,7 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
                 f"bank, file has {count}"
             )
         with_mirrors = count == 2 * n + 2
-        rows: list = [None] * len(frames)
+        buffer = np.empty(_buffer_sizes(bank.plan)[with_mirrors], dtype="<c16")
         for row, tag in _entry_plan(bank, with_mirrors):
             entry = fh.read(8)
             if len(entry) < 8:
@@ -320,9 +317,11 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
                     f"entry mismatch: expected channel {tag} with {frames[row]} "
                     f"coefficients, file has {got_tag} with {got_len}"
                 )
-            rows[row] = np.empty(got_len, dtype="<c16")
-            if fh.readinto(rows[row]) != rows[row].nbytes:
+            data = buffer[coefs[row]:coefs[row] + got_len]
+            if fh.readinto(data) != data.nbytes:
                 raise FingerprintMismatch("coefficient file is truncated")
         if fh.read(1):
             raise FingerprintMismatch("coefficient file has trailing bytes")
-    return _coefficient_set(rows, bank, with_mirrors)
+    if not np.isfinite(buffer).all():
+        raise FingerprintMismatch("coefficient file is corrupt: non-finite coefficients")
+    return CoefficientSet(buffer, bank)

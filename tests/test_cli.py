@@ -238,6 +238,41 @@ def test_exit_code_5_on_foreign_or_corrupt_coefficients(tmp_path):
                 "--out", tmp_path / "out.f64"]) == 5
 
 
+@pytest.mark.parametrize("out", ["out.f64", "out.wav"])
+def test_exit_code_5_on_non_finite_coefficients(tmp_path, capsys, out):
+    spec = design_bank(tmp_path)
+    x = np.random.default_rng(23).standard_normal(512)
+    write_raw(tmp_path / "in.f64", Signal(samples=x, fs=8000.0))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    blob = bytearray((tmp_path / "c.wfbc").read_bytes())
+    blob[20:28] = np.float64(np.nan).tobytes()  # the first entry's first real part
+    (tmp_path / "nan.wfbc").write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run(["synthesize", "--bank", spec, "--coeffs", tmp_path / "nan.wfbc",
+                "--out", tmp_path / out, "--encoding", "pcm16"]) == 5
+    assert "corrupt" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
+def test_exit_code_2_when_out_of_memory():
+    # the address-space limit makes the grid's first large allocation fail
+    # at once, whatever the host's overcommit policy
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "warpbank.cli", "design", "--warp", "erb",
+                           "--L", str(2**40), "--fs", "44100"], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_exit_code_6_on_non_painless_dual(tmp_path):
     spec = design_bank(tmp_path, policy="painless")
     record = json.loads(spec.read_text())

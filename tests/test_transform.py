@@ -3,10 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from warpbank import (Domain, FingerprintMismatch, GridSpec, InvalidParameter,
-                      LengthMismatch, Painless, Signal, analyze, apply_frame_operator,
-                      build_bank, design_tight, load_coefficients,
-                      make_warping, named_window, painless_dual,
+from warpbank import (CoefficientSet, Domain, FingerprintMismatch, GridSpec,
+                      InvalidParameter, LengthMismatch, Painless, Signal, analyze,
+                      apply_frame_operator, build_bank, design_tight,
+                      load_coefficients, make_warping, named_window, painless_dual,
                       save_coefficients, synthesize)
 
 HANN = named_window("hann", 3.0)
@@ -180,25 +180,68 @@ def test_synthesize_checks_fingerprint():
     ("mirrors on the full line", "mirror"),
 ])
 def test_coefficient_set_shape_is_checked(edit, entries, tmp_path):
+    # a buffer edited as if the named entries were dropped, padded or cut
     rng = np.random.default_rng(19)
     bank = tight_bank("log", length=256)
-    coeffs = analyze(random_signal(256, rng), bank)
+    buffer = analyze(random_signal(256, rng), bank).buffer
+    coefs, frames = bank.plan.coefs, bank.plan.frames
+    n = len(bank.channels)
     if edit == "no residuals":
-        coeffs.residuals = []
+        buffer = np.delete(buffer, coefs[n:n + 2])
     elif edit == "long residual":
-        coeffs.residuals[0] = np.zeros(3, dtype=complex)
+        buffer = np.insert(buffer, coefs[n] + 1, [0.0, 0.0])
     elif edit == "short mirrors":
-        coeffs.mirrors = coeffs.mirrors[:-1]
+        buffer = np.delete(buffer, np.arange(coefs[-1], coefs[-1] + frames[-1]))
     elif edit == "short channel":
-        coeffs.channels[2] = coeffs.channels[2][:-1]
+        buffer = np.delete(buffer, coefs[2] + frames[2] - 1)
     else:
         bank = tight_bank("erblike", length=256)
-        coeffs = analyze(random_signal(256, rng), bank)
-        coeffs.mirrors = list(coeffs.channels)
-    with pytest.raises(FingerprintMismatch, match=entries):
+        buffer = analyze(random_signal(256, rng), bank).buffer
+        buffer = np.concatenate([buffer, buffer])
+    coeffs = CoefficientSet(buffer, bank)
+    with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
         synthesize(coeffs, bank)
-    with pytest.raises(FingerprintMismatch):
+    with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
         save_coefficients(coeffs, bank, tmp_path / "c.wfbc")
+    assert not (tmp_path / "c.wfbc").exists()
+
+
+BUFFER_SETS = [("log", True), ("log", False), ("erblike", True), ("erblike", False)]
+
+
+@pytest.mark.parametrize("family,real", BUFFER_SETS)
+def test_rows_are_views_and_synthesis_leaves_the_buffer(family, real):
+    rng = np.random.default_rng(21)
+    bank = tight_bank(family, length=256)
+    coeffs = analyze(random_signal(256, rng, real=real), bank)
+    rows = coeffs.channels + coeffs.residuals + (coeffs.mirrors or ())
+    implicit = real and coeffs.half_line
+    assert len(rows) == len(bank.plan.frames) - (len(bank.channels) if implicit else 0)
+    assert [len(c) for c in coeffs.channels] == [ch.n_frames for ch in bank.channels]
+    assert all(np.shares_memory(row, coeffs.buffer) for row in rows)
+    before = coeffs.buffer.copy()
+    first = synthesize(coeffs, bank).samples
+    second = synthesize(coeffs, bank).samples
+    assert first.tobytes() == second.tobytes()
+    assert coeffs.buffer.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("family,real", BUFFER_SETS)
+def test_energy_is_the_sum_over_rows(family, real):
+    rng = np.random.default_rng(22)
+    bank = tight_bank(family, length=256)
+    coeffs = analyze(random_signal(256, rng, real=real), bank)
+
+    def rows_energy(rows):
+        return sum(float(np.sum(np.abs(c) ** 2)) for c in rows)
+
+    # implicit mirror branches of a real half-line set count as the channels
+    want = rows_energy(coeffs.channels) + rows_energy(coeffs.residuals)
+    if coeffs.mirrors is not None:
+        want += rows_energy(coeffs.mirrors)
+    elif coeffs.half_line:
+        want += rows_energy(coeffs.channels)
+    assert abs(coeffs.energy - want) <= 1e-13 * want
 
 
 def test_coefficient_file_round_trip(tmp_path):
@@ -407,10 +450,7 @@ def test_plan_matches_dense_atoms(family, kw, fs, dense_atoms, plan_test_banks):
 
         # synthesis is the adjoint of analysis
         c = coeffs
-        c.channels = [random_signal(len(v), rng) for v in c.channels]
-        if c.mirrors is not None:
-            c.mirrors = [random_signal(len(v), rng) for v in c.mirrors]
-        c.residuals = [random_signal(1, rng) for _ in c.residuals]
+        c.buffer[:] = random_signal(len(c.buffer), rng)
         out = synthesize(c, bank).samples
         np.testing.assert_allclose(out, atoms.T @ flat_coefficients(c), rtol=0,
                                    atol=1e-12 * np.linalg.norm(flat_coefficients(c)))
