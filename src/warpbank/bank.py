@@ -30,6 +30,17 @@ the N of every row in ``plan.frames`` and, for every sampled entry, its
 slot in one flat coefficient buffer.  From then on each channel's
 response is a view of the plan, and analysis, synthesis, the diagonal and
 the dual all read the plan.
+
+A row may be the mirror row of another: its bins are its partner's
+negated and its response its partner's reversed, so for real input its
+coefficients are the conjugates of its partner's.  The mirror branches of
+a half-line grid are such rows by construction.  On the full line channel
+-m is the mirror row of channel m when the test in ``_mirror_partners``
+finds it so.  That leaves direct the rows at the Nyquist bin, which has
+no negative twin, and rows with a bin on an edge of their support, which
+is half-open.  The plan orders its rows by role, paired direct rows
+first, then unpaired direct rows, then mirror rows, so that real input
+needs only a prefix of the entries and of the coefficient buffer.
 """
 
 from __future__ import annotations
@@ -37,7 +48,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 from itertools import groupby
 from typing import Mapping
 
@@ -46,6 +58,10 @@ import numpy as np
 from .errors import CoverageError, EmptyBank, InvalidParameter, NotPainless
 from .prototypes import CosineSumWindow, named_window, normalize_for_tightness
 from .warping import Domain, WarpingFunction
+
+# _mirror_partners: how far the rows left unpaired may weigh a bin and its
+# negation apart, relative to the weight there, for channel -m to mirror m
+MIRROR_DIAGONAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,16 +146,18 @@ class BankPlan:
     """Flat sampled geometry, built with the bank, one row per generator:
     row i is channel i, then the residuals (N = 1, response 1 at their
     bin), then on half-line grids a mirror per channel (its response on
-    the bins L - bin).  ``frames[i]`` is row i's coefficient count N.
+    the bins L - bin).  ``frames[i]`` is row i's coefficient count N and
+    ``partner[i]`` the row that row i mirrors, or -1 for a direct row.
     ``bins`` (0..L-1), ``response`` and ``slots`` run group after group,
     one entry per sampled bin; row i's response starts at
     ``response[offsets[i]]``.  All coefficients live in one flat buffer,
     row i's N of them at ``coefs[i]``, and an entry folds onto the slot
     ``slots`` = its row's ``coefs`` + bin % N.  Group (N, block, span) has
-    the rows of one frame length: their entries ``span`` fold onto the
-    contiguous buffer slice ``block``, rows x N.  The first ``direct``
-    groups hold no mirror row (bins 0..L/2 only), so their entries and
-    blocks are prefixes of the entries and of the buffer."""
+    the rows of one role and frame length: their entries ``span`` fold
+    onto the contiguous buffer slice ``block``, rows x N.  The first
+    ``paired`` groups hold the direct rows that have a mirror row, the
+    first ``direct`` groups every direct row, so their entries and blocks
+    are prefixes of the entries and of the buffer."""
 
     groups: list[tuple[int, slice, slice]]
     bins: np.ndarray
@@ -148,14 +166,24 @@ class BankPlan:
     offsets: np.ndarray
     coefs: np.ndarray
     frames: np.ndarray
+    partner: np.ndarray
+    paired: int
     direct: int
+
+    @cached_property
+    def slot_frames(self) -> np.ndarray:
+        """N of the row of every buffer slot."""
+        return np.repeat([n for n, _, _ in self.groups],
+                         [block.stop - block.start for _, block, _ in self.groups])
 
 
 @dataclass
 class WarpedBank:
     """A warped filter bank.  Construction builds its ``plan`` and points
     every channel's response at its slice of ``plan.response``; a bank
-    made by ``dataclasses.replace`` builds its own."""
+    made by ``dataclasses.replace`` builds its own.  ``partner`` gives the
+    plan's mirror pairs instead of testing for them, as ``painless_dual``
+    does to keep its analysis bank's pairs."""
 
     warping: WarpingFunction
     window: object
@@ -165,11 +193,12 @@ class WarpedBank:
     residuals: list[ResidualChannel]
     policy_record: dict
     fingerprint: str
+    partner: InitVar[np.ndarray | None] = None
     plan: BankPlan = field(init=False, repr=False)
     _diag: np.ndarray | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        self.plan = _build_plan(self)
+    def __post_init__(self, partner) -> None:
+        self.plan = _build_plan(self, partner)
 
     @property
     def painless(self) -> bool:
@@ -180,9 +209,10 @@ class WarpedBank:
         row m adds N_m response_m[j]^2 at its bin."""
         if self._diag is None:
             plan = self.plan
-            weights = np.concatenate([n * plan.response[span] ** 2
-                                      for n, _, span in plan.groups])
-            self._diag = np.bincount(plan.bins, weights, minlength=self.grid.length)
+            entry_frames = np.repeat([n for n, _, _ in plan.groups],
+                                     [span.stop - span.start for _, _, span in plan.groups])
+            self._diag = np.bincount(plan.bins, entry_frames * plan.response ** 2,
+                                     minlength=self.grid.length)
         return self._diag
 
 
@@ -259,48 +289,115 @@ def _supports(warped: np.ndarray, support, ms) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(warped, support[0] + m), np.searchsorted(warped, support[1] + m)
 
 
-def _build_plan(bank: WarpedBank) -> BankPlan:
-    """Concatenate the rows' sampled responses grouped by (mirror?, N),
-    lay their coefficient blocks out in the same order, and point each
-    channel's response at its slice."""
-    chans = bank.channels
-    # (mirror?, N, first bin, response) per row
-    table = [(False, ch.n_frames, ch.start_bin, ch.response) for ch in chans]
-    table += [(False, 1, res.bin_index, np.ones(1)) for res in bank.residuals]
-    if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
-        table += [(True, n, b, r) for _, n, b, r in table[:len(chans)]]
-    order = sorted(range(len(table)), key=lambda i: table[i][:2])
-    sizes = np.array([len(table[i][3]) for i in order], dtype=np.intp)
+def _reflects(ch: Channel, other: Channel, length: int) -> bool:
+    """True if ``other`` has ``ch``'s hop, ``ch``'s bins negated (mod L)
+    and ``ch``'s response reversed, bit for bit.  Empty channels are left
+    alone: their zero coefficients gain nothing from a pair."""
+    size = len(ch.response)
+    if not size or other.a != ch.a or len(other.response) != size:
+        return False
+    if (other.start_bin + ch.start_bin + size - 1) % length:
+        return False
+    return other.response.tobytes() == ch.response[::-1].tobytes()
+
+
+def _mirror_partners(bank: WarpedBank, rows: int) -> np.ndarray:
+    """The row each of the ``rows`` plan rows mirrors, or -1.  A half-line
+    mirror branch mirrors its channel.  Channel -m mirrors channel m when
+    it ``_reflects`` it and the diagonal is symmetric on m's bins, so that
+    the painless dual of the bank keeps the pair.  Paired rows add the
+    same weight N r^2 at j and -j; so it is symmetric when the rows left
+    unpaired weigh each bin and its negation alike, to
+    ``MIRROR_DIAGONAL_RTOL``.  A channel set missing some -m does not."""
+    chans, length = bank.channels, bank.grid.length
+    partner = np.full(rows, -1, dtype=np.int64)
+    direct = len(chans) + len(bank.residuals)
+    partner[direct:] = np.arange(rows - direct)
+    index = {ch.m: i for i, ch in enumerate(chans)}
+    pairs = [(index[-ch.m], i) for i, ch in enumerate(chans)
+             if ch.m > 0 and -ch.m in index and _reflects(ch, chans[index[-ch.m]], length)]
+    if not pairs:
+        return partner
+    paired = {i for pair in pairs for i in pair}
+    spare = [ch for i, ch in enumerate(chans) if i not in paired]
+    # the spare weight on the signed bins -L/2..L/2 (full-line channels
+    # sample -L/2+1..L/2), so that reversing it negates the bins
+    half = length // 2
+    sizes = np.array([len(ch.response) for ch in spare], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    response = np.concatenate([table[i][3] for i in order])
+    bins = np.repeat(np.array([ch.start_bin + half for ch in spare], dtype=np.intp) - starts,
+                     sizes)
+    bins += np.arange(len(bins))
+    values = np.concatenate([ch.response for ch in spare] + [np.zeros(0)]) ** 2
+    values *= np.repeat([ch.n_frames for ch in spare], sizes)
+    weight = np.bincount(bins, values, minlength=length + 1)
+    weight[0] = weight[length]  # -L/2 is the Nyquist bin L/2
+    mirrored = weight[::-1]
+    skewed = np.abs(weight - mirrored) > MIRROR_DIAGONAL_RTOL * np.maximum(weight, mirrored)
+    if skewed.any():
+        pairs = [(j, i) for j, i in pairs if not skewed[
+            chans[i].start_bin + half:chans[i].start_bin + half + len(chans[i].response)].any()]
+    for j, i in pairs:
+        partner[j] = i
+    return partner
+
+
+def _build_plan(bank: WarpedBank, partner=None) -> BankPlan:
+    """Concatenate the rows' sampled responses grouped by (role, N), lay
+    their coefficient blocks out in the same order, and point each
+    channel's response at its slice.  The roles are 0 for a direct row
+    with a mirror row, 1 for one without, 2 for a mirror row; ``partner``
+    defaults to ``_mirror_partners``."""
+    chans = bank.channels
+    # (N, first bin, response, mirror branch?) per row
+    table = [(ch.n_frames, ch.start_bin, ch.response, False) for ch in chans]
+    table += [(1, res.bin_index, np.ones(1), False) for res in bank.residuals]
+    if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
+        table += [(n, b, r, True) for n, b, r, _ in table[:len(chans)]]
+    if partner is None:
+        partner = _mirror_partners(bank, len(table))
+    role = [1] * len(table)
+    for i, p in enumerate(partner.tolist()):
+        if p >= 0:
+            role[i], role[p] = 2, 0
+    key = [(r, row[0]) for r, row in zip(role, table)]
+    order = sorted(range(len(table)), key=key.__getitem__)
+    sizes = np.array([len(table[i][2]) for i in order], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    response = np.concatenate([table[i][2] for i in order])
     offsets = np.empty(len(table), dtype=np.intp)
     offsets[order] = starts
     for ch, start in zip(chans, offsets):
         ch.response = response[start:start + len(ch.response)]
-    # bin of each entry: its row's first bin plus its position, negated on mirrors
-    first = np.array([table[i][2] for i in order], dtype=np.intp)
+    # bin of each entry: its row's first bin plus its position, negated on
+    # half-line mirror branches, then mod L (signed bins lie in -L/2..L/2,
+    # so only the negative ones move; a division would cost more)
+    first = np.array([table[i][1] for i in order], dtype=np.intp)
     bins = np.repeat(first - starts, sizes)
     bins += np.arange(len(bins))
-    mirrored = np.repeat([table[i][0] for i in order], sizes)
-    bins = np.where(mirrored, -bins, bins) % bank.grid.length
+    branch = [table[i][3] for i in order]
+    if any(branch):
+        np.negative(bins, out=bins, where=np.repeat(branch, sizes))
+    np.add(bins, bank.grid.length, out=bins, where=bins < 0)
     # coefficient blocks of the rows, in the same order; an entry's slot
     # in its row's block is bin % N
-    frames = np.array([n for _, n, _, _ in table], dtype=np.int64)
+    frames = np.array([row[0] for row in table], dtype=np.int64)
     n_sorted = frames[order]
     blocks = np.cumsum(n_sorted) - n_sorted
     coefs = np.empty_like(frames)
     coefs[order] = blocks
     slots = np.repeat(blocks, sizes)
-    groups, direct, lo = [], 0, 0
-    for (mirror, n), rows in groupby(order, key=lambda i: table[i][:2]):
+    groups, counts, lo = [], [0, 0, 0], 0
+    for (r, n), rows in groupby(order, key=key.__getitem__):
         hi = lo + len(list(rows))
         block = slice(int(blocks[lo]), int(blocks[lo]) + (hi - lo) * n)
         span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
         slots[span] += bins[span] % n
         groups.append((n, block, span))
-        direct += not mirror
+        counts[r] += 1
         lo = hi
-    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, direct)
+    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, partner,
+                    counts[0], counts[0] + counts[1])
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:
@@ -340,8 +437,11 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             f"{warping.domain.value}"
         )
     lo_bin, hi_bin = grid.signed_bin_range()
-    with np.errstate(over="ignore"):
-        warped = warping.f(np.arange(lo_bin, hi_bin + 1) * grid.bin_hz)
+    try:
+        with np.errstate(over="ignore"):
+            warped = warping.f(np.arange(lo_bin, hi_bin + 1) * grid.bin_hz)
+    except MemoryError as exc:
+        raise InvalidParameter(f"a grid of L={grid.length} bins does not fit in memory") from exc
     half = grid.domain is Domain.POSITIVE_HALF_LINE
     if isinstance(policy, Explicit):
         if not policy.factors:
@@ -417,6 +517,9 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
     analysis by ``bank`` followed by synthesis with the dual is the
     identity.  The diagonal is 1 at the residual bins and symmetric
     under j -> L - j, so dividing the channels alone divides every row.
+    It is symmetric to rounding on the bins of mirror pairs (see
+    ``_mirror_partners``), so a mirror row takes its partner's quotient
+    reversed, and the dual keeps ``bank``'s pairs.
     """
     offenders = [ch.m for ch in bank.channels if not ch.painless]
     if offenders:
@@ -427,9 +530,12 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
     _require_coverage(bank, "the pointwise dual is undefined there")
     plan = bank.plan
     response = plan.response / bank.diagonal()[plan.bins]
-    return replace(bank, kind="dual", channels=[
-        replace(ch, response=response[start:start + len(ch.response)])
-        for ch, start in zip(bank.channels, plan.offsets)])
+    quotients = [response[start:start + len(ch.response)]
+                 for ch, start in zip(bank.channels, plan.offsets)]
+    quotients = [quotients[p][::-1] if p >= 0 else q
+                 for q, p in zip(quotients, plan.partner.tolist())]
+    return replace(bank, kind="dual", partner=plan.partner, channels=[
+        replace(ch, response=q) for ch, q in zip(bank.channels, quotients)])
 
 
 def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",

@@ -127,26 +127,30 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     (residual and mirror channels are omitted); each row's coefficients
     are nearest-index resampled onto the longest channel's time raster.
     Magnitudes are 20 log10 relative to the global maximum, floored at
-    -80 dB, mapped linearly onto 0..255.  Levels are computed per channel
-    on its own N_m coefficients and only then resampled, straight into
+    -80 dB, mapped linearly onto 0..255.  Levels are computed per stored
+    row on its own N_m coefficients, once for a channel and its implicit
+    mirror row (|conj c| = |c|), and only then resampled, straight into
     the uint8 image.  Returns the image and the row center frequencies
     in Hz.
     """
     order = np.argsort([ch.center_hz for ch in bank.channels])
     n_cols = max(ch.n_frames for ch in bank.channels)
-    mags = [np.abs(c) for c in coeffs.channels]
+    sources = coeffs.sources[:len(bank.channels)]
+    mags = {row: np.abs(coeffs.row(row)) for row in set(sources)}
     # nearest-index resampling reaches every coefficient, so the image
     # peak is the peak over all channels
-    peak = max(float(m.max()) for m in mags)
+    peak = max(float(m.max()) for m in mags.values())
     centers = [bank.channels[i].center_hz for i in order]
     image = np.zeros((len(order), n_cols), dtype=np.uint8)
     if peak <= 0.0:  # silence: every pixel at the floor level
         return image, centers
-    columns = {n: (np.arange(n_cols) * n) // n_cols for n in {len(m) for m in mags}}
-    for row, i in enumerate(order):
+    columns = {n: (np.arange(n_cols) * n) // n_cols for n in {len(m) for m in mags.values()}}
+    levels = {}
+    for row, mag in mags.items():
         with np.errstate(divide="ignore"):
-            db = np.maximum(20.0 * np.log10(mags[i] / peak), SPECTROGRAM_FLOOR_DB)
+            db = np.maximum(20.0 * np.log10(mag / peak), SPECTROGRAM_FLOOR_DB)
         scaled = (db - SPECTROGRAM_FLOOR_DB) / (-SPECTROGRAM_FLOOR_DB)
-        levels = np.round(255.0 * scaled).astype(np.uint8)
-        image[row] = levels[columns[len(levels)]]
+        levels[row] = np.round(255.0 * scaled).astype(np.uint8)
+    for row, i in enumerate(order):
+        image[row] = levels[sources[i]][columns[bank.channels[i].n_frames]]
     return image, centers

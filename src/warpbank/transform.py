@@ -18,21 +18,31 @@ n = 0 coefficient sits at time 0; there is no per-channel phase ramp.  A
 residual is a row with N = 1 and response 1, so its coefficient is the
 spectrum at its bin.
 
-Half-line banks carry a mirror branch of every warped channel on the
-negative-frequency bins: a row that reuses the channel's response on the
-bins L - j.  Because N divides L, its slot (L - j) mod N is -j mod N, so
-the same inverse FFT yields the conjugated atoms' coefficients.  For real
-input the mirror coefficients are the conjugates of the direct ones, so
-they are never materialized; analysis runs the plan's direct groups on
-bins 0..L/2 of an rfft into the direct prefix of the buffer, and
-synthesis fills bins 0..L/2 from it and returns a real signal by irfft.
+A mirror row (see bank) has its partner's bins negated and its response
+reversed.  Because N divides L, its slot (L - j) mod N is -j mod N, so for
+real input its coefficients are the conjugates of its partner's.  Half-line
+banks carry a mirror branch of every warped channel on the
+negative-frequency bins; on the full line channel -m is the mirror row of
+channel m wherever the two reflect each other bit for bit.  Real input
+computes the direct rows only, into the direct prefix of the buffer, and
+leaves every mirror row implicit.  Analysis folds them from the rfft,
+extended by conjugate symmetry on the full line, whose direct rows reach
+negative bins.  Synthesis spreads them and adds the mirror rows as the
+conjugate reflection of their partners' part.  On a half-line grid the
+direct rows sit on bins 0..L/2 and the residuals on the self-conjugate
+DC and Nyquist bins, so that is one irfft and the result is real.  On
+the full line the rows at the Nyquist bin have no mirror, so the result
+stays complex.
 
 Coefficients serialize to the WFBC container: magic ``WFBC``, version and
 entry count as little-endian u32, then per entry a channel tag (i32), a
 coefficient count (u32) and the coefficients as little-endian f64
 (re, im) pairs.  Half-line files hold the DC residual (tag m_min - 1),
 the channels, the Nyquist residual (tag m_max + 1), then for complex
-analyses the mirror entries, which repeat the channel tags.
+analyses the mirror entries, which repeat the channel tags.  Full-line
+files hold every channel; an implicit mirror row is written as the
+conjugate of its partner, and a file whose mirror rows are all bitwise
+the conjugates of their partners loads as the direct prefix.
 """
 
 from __future__ import annotations
@@ -68,9 +78,11 @@ class Signal:
 @dataclass
 class CoefficientSet:
     """Coefficients of one analysis by ``bank`` in the plan's flat buffer,
-    row i's N at ``plan.coefs[i]``; a real-input half-line analysis holds
-    the direct prefix only.  ``channels``, ``residuals`` (DC / Nyquist on
-    half-line grids) and ``mirrors`` are views of it, made on first read."""
+    row i's N at ``plan.coefs[i]``; a real-input analysis holds the direct
+    prefix only, and its mirror rows are implicit.  ``channels`` are views
+    of the buffer, and for implicit rows conjugate copies of their
+    partners.  ``residuals`` (DC / Nyquist on half-line grids) and the
+    half-line ``mirrors`` are views, the latter None when implicit."""
 
     buffer: np.ndarray
     bank: WarpedBank = field(repr=False)
@@ -80,33 +92,63 @@ class CoefficientSet:
         return self.bank.grid.domain is Domain.POSITIVE_HALF_LINE
 
     @cached_property
-    def _views(self) -> tuple:
+    def sources(self) -> tuple:
+        """For every plan row, the row whose coefficients the buffer holds
+        for it: the row itself, or for an implicit mirror row its partner,
+        whose conjugates they are."""
         plan, size = self.bank.plan, len(self.buffer)
-        rows = tuple(self.buffer[o:o + n] for o, n
-                     in zip(plan.coefs.tolist(), plan.frames.tolist()) if o < size)
-        n = len(self.bank.channels)
-        r = n + len(self.bank.residuals)
-        return rows[:n], rows[n:r], rows[r:] or None
+        return tuple(i if o < size else p for i, (o, p)
+                     in enumerate(zip(plan.coefs.tolist(), plan.partner.tolist())))
 
-    channels = property(lambda self: self._views[0])
-    residuals = property(lambda self: self._views[1])
-    mirrors = property(lambda self: self._views[2])
+    def row(self, i: int) -> np.ndarray:
+        """Plan row i's coefficients: a view of the buffer, or for an
+        implicit mirror row a conjugate copy of its partner's."""
+        source, plan = self.sources[i], self.bank.plan
+        start = int(plan.coefs[source])
+        view = self.buffer[start:start + int(plan.frames[source])]
+        return view if source == i else np.conj(view)
+
+    @property
+    def channels(self) -> tuple:
+        return tuple(self.row(i) for i in range(len(self.bank.channels)))
+
+    @property
+    def residuals(self) -> tuple:
+        n = len(self.bank.channels)
+        return tuple(self.row(i) for i in range(n, n + len(self.bank.residuals)))
+
+    @property
+    def mirrors(self) -> tuple | None:
+        first = len(self.bank.channels) + len(self.bank.residuals)
+        if first == len(self.sources) or self.sources[first] != first:
+            return None
+        return tuple(self.row(i) for i in range(first, len(self.sources)))
 
     @property
     def energy(self) -> float:
-        """Sum of |c|^2 over the full atom set.  Mirror channels count
-        even in the real-input shortcut, where they stay implicit."""
-        e = np.vdot(self.buffer, self.buffer).real
-        if len(self.buffer) < _buffer_sizes(self.bank.plan)[1]:
-            n = len(self.bank.channels)
-            res = self.buffer[self.bank.plan.coefs[n:n + len(self.bank.residuals)]]
-            e = 2.0 * e - np.vdot(res, res).real
-        return float(e)
+        """Sum of |c|^2 over the full atom set.  An implicit mirror row
+        counts as its partner, so a real-input set counts each paired
+        row twice."""
+        paired, _, full = _buffer_sizes(self.bank.plan)
+        if len(self.buffer) == full:
+            return float(np.vdot(self.buffer, self.buffer).real)
+        head, tail = self.buffer[:paired], self.buffer[paired:]
+        return float(2.0 * np.vdot(head, head).real + np.vdot(tail, tail).real)
 
 
-def _buffer_sizes(plan) -> tuple[int, int]:
-    """Lengths of the buffer's direct-row prefix and of the whole buffer."""
-    return plan.groups[plan.direct - 1][1].stop, plan.groups[-1][1].stop
+def _prefix(plan, groups: int) -> tuple[int, int]:
+    """Entry count and buffer length of the plan's first ``groups`` groups."""
+    if not groups:
+        return 0, 0
+    _, block, span = plan.groups[groups - 1]
+    return span.stop, block.stop
+
+
+def _buffer_sizes(plan) -> tuple[int, int, int]:
+    """Lengths of the buffer's prefix of paired direct rows, of its prefix
+    of all direct rows and of the whole buffer."""
+    return (_prefix(plan, plan.paired)[1], _prefix(plan, plan.direct)[1],
+            _prefix(plan, len(plan.groups))[1])
 
 
 def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
@@ -157,19 +199,19 @@ def _fold_frames(bank: WarpedBank, fhat: np.ndarray, groups) -> np.ndarray:
 def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     """Coefficients of ``signal`` against every atom of ``bank``.
 
-    Real input on a half-line grid skips the mirror channels; their
-    coefficients are conjugates of the direct ones by symmetry.
+    Real input skips the mirror rows; their coefficients are conjugates of
+    their partners' by symmetry.
     """
     samples = _checked_samples(signal, bank)
     length = bank.grid.length
-    half = bank.grid.domain is Domain.POSITIVE_HALF_LINE
-    mirrors = half and np.iscomplexobj(samples)
     plan = bank.plan
-    groups = plan.groups if mirrors else plan.groups[:plan.direct]
-    # a real half-line analysis reads bins 0..L/2 only
-    fft = np.fft.rfft if half and not mirrors else np.fft.fft
-    fhat = fft(samples) / np.sqrt(length)
-    return CoefficientSet(_fold_frames(bank, fhat, groups), bank)
+    if np.iscomplexobj(samples):
+        fhat = np.fft.fft(samples) / np.sqrt(length)
+        return CoefficientSet(_fold_frames(bank, fhat, plan.groups), bank)
+    fhat = np.fft.rfft(samples) / np.sqrt(length)
+    if bank.grid.domain is Domain.FULL_LINE:  # direct rows reach the negative bins
+        fhat = np.concatenate((fhat, fhat[-2:0:-1].conj()))
+    return CoefficientSet(_fold_frames(bank, fhat, plan.groups[:plan.direct]), bank)
 
 
 def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
@@ -179,24 +221,31 @@ def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
         raise FingerprintMismatch(
             "coefficient set was produced by a bank with different geometry"
         )
-    prefix, full = _buffer_sizes(bank.plan)
+    _, prefix, full = _buffer_sizes(bank.plan)
     if np.shape(coeffs.buffer) not in ((prefix,), (full,)):
         raise FingerprintMismatch(
             f"coefficient buffer has shape {np.shape(coeffs.buffer)}; the bank takes "
-            f"{full} coefficients, or {prefix} for real input on a half-line grid"
+            f"{full} coefficients, or {prefix} for real input"
         )
 
 
-def _spread_frames(bank: WarpedBank, buffer: np.ndarray, groups, size: int) -> np.ndarray:
-    """Adjoint of ``_fold_frames``: on a copy of ``buffer``, one in-place
-    FFT per group, then one gather through the slots, weighted by the
-    responses and summed onto ``size`` bins."""
-    plan, stop = bank.plan, groups[-1][2].stop
-    flat = np.array(buffer, dtype=complex)  # the caller's coefficients stay untouched
+def _row_spectra(buffer: np.ndarray, groups) -> np.ndarray:
+    """A copy of ``buffer`` with one in-place FFT per group; the caller's
+    coefficients stay untouched."""
+    flat = np.array(buffer, dtype=complex)
     for n, block, _ in groups:
         spec = flat[block].reshape(-1, n)
         np.fft.fft(spec, out=spec)
-    return _gather_sum(flat, plan.slots[:stop], plan.response[:stop], plan.bins[:stop], size)
+    return flat
+
+
+def _spread(bank: WarpedBank, spectra: np.ndarray, entries: slice, size: int) -> np.ndarray:
+    """Adjoint of the fold for the plan's ``entries``: one gather of the
+    row spectra through their slots, weighted by the responses and summed
+    onto ``size`` bins."""
+    plan = bank.plan
+    return _gather_sum(spectra, plan.slots[entries], plan.response[entries],
+                       plan.bins[entries], size)
 
 
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
@@ -206,14 +255,27 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     _check_shape(coeffs, bank)
     length = bank.grid.length
     plan = bank.plan
-    # real-input shortcut (direct prefix): bins 0..L/2, the rest by symmetry
-    shortcut = len(coeffs.buffer) < _buffer_sizes(plan)[1]
-    groups = plan.groups[:plan.direct] if shortcut else plan.groups
-    spec = _spread_frames(bank, coeffs.buffer, groups, length // 2 + 1 if shortcut else length)
-    if shortcut:
-        out = np.sqrt(length) * np.fft.irfft(spec, n=length)
-    else:
-        out = np.sqrt(length) * np.fft.ifft(spec)
+    # real-input shortcut (direct prefix): the mirror rows by symmetry
+    shortcut = len(coeffs.buffer) < _buffer_sizes(plan)[2]
+    half = shortcut and bank.grid.domain is Domain.POSITIVE_HALF_LINE
+    spectra = _row_spectra(coeffs.buffer, plan.groups[:plan.direct] if shortcut else plan.groups)
+    paired, direct = _prefix(plan, plan.paired)[0], _prefix(plan, plan.direct)[0]
+    if not shortcut:
+        spec = _spread(bank, spectra, slice(0, None), length)
+    elif half:  # bins 0..L/2, the rest by irfft
+        spec = _spread(bank, spectra, slice(0, direct), length // 2 + 1)
+    else:  # unpaired rows as they are, paired ones plus their conjugate reflection
+        spec = _spread(bank, spectra, slice(paired, direct), length)
+        part = _spread(bank, spectra, slice(0, paired), length)
+        spec += part  # and conj(part) at the negated bins, -0 = 0 and L - j
+        spec.real[0] += part.real[0]
+        spec.imag[0] -= part.imag[0]
+        spec.real[1:] += part.real[:0:-1]
+        spec.imag[1:] -= part.imag[:0:-1]
+        del part
+    del spectra  # free before the inverse FFT allocates
+    out = np.fft.irfft(spec, n=length) if half else np.fft.ifft(spec)
+    out *= np.sqrt(length)
     return Signal(samples=out, fs=bank.grid.fs)
 
 
@@ -226,8 +288,7 @@ def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndar
     same fold and gather."""
     plan = bank.plan
     folded = _gather_sum(fhat, plan.bins, response, plan.slots, plan.groups[-1][1].stop)
-    for n, block, _ in plan.groups:
-        folded[block] *= n
+    folded *= plan.slot_frames
     return _gather_sum(folded, plan.slots, response, plan.bins, bank.grid.length)
 
 
@@ -270,15 +331,19 @@ def _entry_plan(bank: WarpedBank, with_mirrors: bool) -> list[tuple[int, int]]:
 def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
     """Write a coefficient set to the binary WFBC container."""
     _check_shape(coeffs, bank)
-    buffer = np.asarray(coeffs.buffer, dtype="<c16")
-    coefs, frames = bank.plan.coefs.tolist(), bank.plan.frames.tolist()
-    entries = _entry_plan(bank, len(buffer) > _buffer_sizes(bank.plan)[0])
+    entries = _entry_plan(bank, len(coeffs.buffer) > _buffer_sizes(bank.plan)[1])
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(entries)))
         for row, tag in entries:
-            fh.write(struct.pack("<iI", tag, frames[row]))
-            fh.write(buffer[coefs[row]:coefs[row] + frames[row]].tobytes())
+            data = np.asarray(coeffs.row(row), dtype="<c16")
+            fh.write(struct.pack("<iI", tag, len(data)))
+            fh.write(data)
+
+
+def _conjugates(a: np.ndarray, b: np.ndarray) -> bool:
+    """True if ``a`` is bit for bit the conjugate of ``b``."""
+    return np.array_equal(a.view(np.uint64), np.conj(b).view(np.uint64))
 
 
 def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
@@ -288,9 +353,13 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
     bank's own geometry is the reference: any disagreement in entry count,
     channel tags or per-channel lengths means the file belongs to a
     different bank and raises FingerprintMismatch, as do non-finite
-    coefficients, which no analysis produces.
+    coefficients, which no analysis produces.  A full-line file lists
+    every channel; when each mirror row in it is bitwise the conjugate of
+    its partner, it loads as the direct prefix, which synthesizes to the
+    same sum.
     """
-    coefs, frames = bank.plan.coefs.tolist(), bank.plan.frames.tolist()
+    plan = bank.plan
+    coefs, frames = plan.coefs.tolist(), plan.frames.tolist()
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12 or head[:4] != _MAGIC:
@@ -305,9 +374,12 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
                 f"expected {' or '.join(map(str, counts))} entries for this "
                 f"bank, file has {count}"
             )
-        with_mirrors = count == 2 * n + 2
-        buffer = np.empty(_buffer_sizes(bank.plan)[with_mirrors], dtype="<c16")
-        for row, tag in _entry_plan(bank, with_mirrors):
+        _, prefix, full = _buffer_sizes(plan)
+        # the direct prefix, and apart from it the mirror rows, which only a
+        # real-input half-line file leaves out
+        head = np.empty(prefix, dtype="<c16")
+        tail = np.empty(0 if count == n + 2 else full - prefix, dtype="<c16")
+        for row, tag in _entry_plan(bank, count == 2 * n + 2):
             entry = fh.read(8)
             if len(entry) < 8:
                 raise FingerprintMismatch("coefficient file is truncated")
@@ -317,11 +389,19 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
                     f"entry mismatch: expected channel {tag} with {frames[row]} "
                     f"coefficients, file has {got_tag} with {got_len}"
                 )
-            data = buffer[coefs[row]:coefs[row] + got_len]
+            start = coefs[row]
+            data = (head[start:start + got_len] if start < prefix
+                    else tail[start - prefix:start - prefix + got_len])
             if fh.readinto(data) != data.nbytes:
                 raise FingerprintMismatch("coefficient file is truncated")
         if fh.read(1):
             raise FingerprintMismatch("coefficient file has trailing bytes")
-    if not np.isfinite(buffer).all():
+    if not (np.isfinite(head).all() and np.isfinite(tail).all()):
         raise FingerprintMismatch("coefficient file is corrupt: non-finite coefficients")
-    return CoefficientSet(buffer, bank)
+    # the full-line layout lists every channel, its mirror rows included
+    mirrors = [(coefs[i] - prefix, coefs[p], frames[i])
+               for i, p in enumerate(plan.partner[:n].tolist()) if p >= 0]
+    if len(tail) and not (mirrors and all(_conjugates(tail[t:t + k], head[h:h + k])
+                                          for t, h, k in mirrors)):
+        head = np.concatenate((head, tail))
+    return CoefficientSet(head, bank)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -341,7 +344,19 @@ def test_painless_dual_rows_view_its_plan(tmp_path):
         for ch in dual.channels:
             assert np.shares_memory(ch.response, dual.plan.response)
         np.testing.assert_array_equal(dual.plan.bins, bank.plan.bins)
-        want = bank.plan.response / bank.diagonal()[bank.plan.bins]
+        # a mirror row takes its partner's quotient reversed, which is its
+        # own quotient to rounding, since the diagonal is symmetric there
+        quotient = bank.plan.response / bank.diagonal()[bank.plan.bins]
+        want = quotient.copy()
+        plan = bank.plan
+        for i, p in enumerate(plan.partner[:len(bank.channels)]):
+            if p >= 0:
+                row = slice(plan.offsets[i], plan.offsets[i] + len(bank.channels[i].response))
+                mate = slice(plan.offsets[p], plan.offsets[p] + len(bank.channels[p].response))
+                want[row] = quotient[mate][::-1]
+        assert (plan.partner >= 0).any()
+        np.testing.assert_allclose(want, quotient, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(dual.plan.partner, plan.partner)
         assert dual.plan.response.tobytes() == want.tobytes()
         # a dual survives its spec file bit for bit
         save_bank_spec(dual, tmp_path / "dual.json")
@@ -362,3 +377,25 @@ def test_fingerprint_tracks_geometry_not_kind():
     assert other_warp.fingerprint != bank.fingerprint
     other_factors = with_scaled_factors(bank, 2)
     assert other_factors.fingerprint != bank.fingerprint
+
+
+def test_grid_too_large_for_memory_is_invalid_parameter():
+    # the address-space limit makes the grid's first allocation fail at once
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    code = ("import warpbank as wb\n"
+            "w = wb.make_warping('erb')\n"
+            "grid = wb.GridSpec(length=2**40, fs=44100.0, domain=w.domain)\n"
+            "try:\n"
+            "    wb.design_tight(w, grid)\n"
+            "except wb.InvalidParameter as exc:\n"
+            "    print(isinstance(exc.__cause__, MemoryError), exc)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("True ") and "memory" in done.stdout

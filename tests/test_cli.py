@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from warpbank import (InvalidParameter, Signal, analyze, cli, load_bank_spec,
-                      painless_dual, save_bank_spec)
+                      load_coefficients, painless_dual, save_bank_spec)
 from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_raw, read_wav,
                                 render_spectrogram, write_raw, write_wav)
 
@@ -88,6 +88,23 @@ def test_raw_round_trip_with_padding(tmp_path):
     rec = read_raw(tmp_path / "out.f64", 8000.0).samples
     assert np.linalg.norm(rec[:300] - x) <= 1e-10 * np.linalg.norm(x)
     assert np.linalg.norm(rec[300:]) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_painless_erb_round_trip_through_the_dual(tmp_path):
+    # ERB at 44.1 kHz pairs channel -m with m; the real-input file loads as
+    # the direct prefix and synthesizes through the dual by default
+    spec = design_bank(tmp_path, params=None, policy="painless", fs=44100.0)
+    bank = load_bank_spec(spec)
+    assert bank.kind != "tight" and (bank.plan.partner >= 0).any()
+    x = np.random.default_rng(3).standard_normal(512)
+    write_raw(tmp_path / "in.f64", Signal(samples=x, fs=44100.0))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    assert len(load_coefficients(tmp_path / "c.wfbc", bank).buffer) < bank.plan.frames.sum()
+    assert run(["synthesize", "--bank", spec, "--coeffs", tmp_path / "c.wfbc",
+                "--out", tmp_path / "out.f64"]) == 0
+    rec = read_raw(tmp_path / "out.f64", 44100.0).samples
+    assert np.linalg.norm(rec - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_no_dual_flag_skips_dual_weighting(tmp_path):

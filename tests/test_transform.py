@@ -3,11 +3,11 @@ import struct
 import numpy as np
 import pytest
 
-from warpbank import (CoefficientSet, Domain, FingerprintMismatch, GridSpec,
-                      InvalidParameter, LengthMismatch, Painless, Signal, analyze,
-                      apply_frame_operator, build_bank, design_tight,
+from warpbank import (CoefficientSet, Domain, Explicit, FingerprintMismatch,
+                      GridSpec, InvalidParameter, LengthMismatch, Natural, Painless,
+                      Signal, analyze, apply_frame_operator, build_bank, design_tight,
                       load_coefficients, make_warping, named_window, painless_dual,
-                      save_coefficients, synthesize)
+                      save_coefficients, synthesize, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 
@@ -207,18 +207,30 @@ def test_coefficient_set_shape_is_checked(edit, entries, tmp_path):
 
 
 BUFFER_SETS = [("log", True), ("log", False), ("erblike", True), ("erblike", False)]
+# erblike at 44.1 kHz pairs channel -m with m on the full line
+BUFFER_RATES = {"log": 2.0, "erblike": 44100.0}
 
 
 @pytest.mark.parametrize("family,real", BUFFER_SETS)
 def test_rows_are_views_and_synthesis_leaves_the_buffer(family, real):
     rng = np.random.default_rng(21)
-    bank = tight_bank(family, length=256)
+    bank = tight_bank(family, length=256, fs=BUFFER_RATES[family])
+    plan = bank.plan
     coeffs = analyze(random_signal(256, rng, real=real), bank)
-    rows = coeffs.channels + coeffs.residuals + (coeffs.mirrors or ())
-    implicit = real and coeffs.half_line
-    assert len(rows) == len(bank.plan.frames) - (len(bank.channels) if implicit else 0)
+    implicit = (plan.partner >= 0) & (plan.coefs >= len(coeffs.buffer))
+    assert implicit.any() == real
+    assert len(coeffs.buffer) == plan.frames[~implicit].sum()
     assert [len(c) for c in coeffs.channels] == [ch.n_frames for ch in bank.channels]
-    assert all(np.shares_memory(row, coeffs.buffer) for row in rows)
+    # direct rows view the buffer; an implicit row is its partner's conjugate
+    rows = coeffs.channels + coeffs.residuals + (coeffs.mirrors or ())
+    assert len(rows) == len(plan.frames) - np.count_nonzero(implicit[len(bank.channels):])
+    for i, row in enumerate(rows):
+        if implicit[i]:
+            mate = rows[plan.partner[i]]
+            assert not np.shares_memory(row, coeffs.buffer)
+            assert row.tobytes() == np.conj(mate).tobytes()
+        else:
+            assert np.shares_memory(row, coeffs.buffer)
     before = coeffs.buffer.copy()
     first = synthesize(coeffs, bank).samples
     second = synthesize(coeffs, bank).samples
@@ -229,17 +241,18 @@ def test_rows_are_views_and_synthesis_leaves_the_buffer(family, real):
 @pytest.mark.parametrize("family,real", BUFFER_SETS)
 def test_energy_is_the_sum_over_rows(family, real):
     rng = np.random.default_rng(22)
-    bank = tight_bank(family, length=256)
+    bank = tight_bank(family, length=256, fs=BUFFER_RATES[family])
     coeffs = analyze(random_signal(256, rng, real=real), bank)
 
     def rows_energy(rows):
         return sum(float(np.sum(np.abs(c) ** 2)) for c in rows)
 
+    # channels hold the implicit full-line mirror rows as conjugates; the
     # implicit mirror branches of a real half-line set count as the channels
     want = rows_energy(coeffs.channels) + rows_energy(coeffs.residuals)
     if coeffs.mirrors is not None:
         want += rows_energy(coeffs.mirrors)
-    elif coeffs.half_line:
+    elif bank.residuals:
         want += rows_energy(coeffs.channels)
     assert abs(coeffs.energy - want) <= 1e-13 * want
 
@@ -298,6 +311,59 @@ def test_coefficient_file_byte_layout(family, real, tmp_path):
     assert [(tag, n) for tag, n, _ in entries] == [(tag, len(c)) for tag, c in want]
     for (_, _, data), (_, c) in zip(entries, want):
         np.testing.assert_array_equal(data, c)
+
+
+def read_entries(path):
+    """(tag, coefficients) per entry of a WFBC file, and each entry's data offset."""
+    blob = path.read_bytes()
+    pos, entries = 12, []
+    for _ in range(struct.unpack_from("<II", blob, 4)[1]):
+        tag, n = struct.unpack_from("<iI", blob, pos)
+        entries.append((tag, np.frombuffer(blob, dtype="<c16", count=n, offset=pos + 8),
+                        pos + 8))
+        pos += 8 + 16 * n
+    assert pos == len(blob)
+    return entries
+
+
+def test_real_full_line_file_keeps_its_layout_and_loads_as_the_prefix(tmp_path):
+    rng = np.random.default_rng(25)
+    bank = tight_bank("erblike", length=512, fs=44100.0)
+    plan = bank.plan
+    x = rng.standard_normal(512)
+    real = analyze(x, bank)
+    assert len(real.buffer) < plan.frames.sum()
+    path = tmp_path / "real.wfbc"
+    save_coefficients(real, bank, path)
+    save_coefficients(analyze(random_signal(512, rng), bank), bank, tmp_path / "complex.wfbc")
+    # every channel in order, the implicit ones as their partners' conjugates
+    size = 12 + sum(8 + 16 * ch.n_frames for ch in bank.channels)
+    assert path.stat().st_size == (tmp_path / "complex.wfbc").stat().st_size == size
+    entries = read_entries(path)
+    assert [tag for tag, _, _ in entries] == [ch.m for ch in bank.channels]
+    for (_, data, _), row in zip(entries, real.channels):
+        assert data.tobytes() == row.tobytes()
+    back = load_coefficients(path, bank)
+    assert back.buffer.tobytes() == real.buffer.tobytes()
+    # a complex analysis's mirror rows are not its partners' conjugates
+    assert len(load_coefficients(tmp_path / "complex.wfbc", bank).buffer) == plan.frames.sum()
+
+    # one coefficient of an implicit row nudged by one ulp: the file loads whole
+    i = int(np.flatnonzero(plan.partner >= 0)[0])
+    blob = bytearray(path.read_bytes())
+    offset = entries[i][2]
+    value = np.frombuffer(bytes(blob[offset:offset + 8]), dtype="<f8")[0]
+    blob[offset:offset + 8] = np.array([np.nextafter(value, np.inf)], dtype="<f8").tobytes()
+    nudged = tmp_path / "nudged.wfbc"
+    nudged.write_bytes(bytes(blob))
+    whole = load_coefficients(nudged, bank)
+    assert len(whole.buffer) == plan.frames.sum()
+    full = np.empty(plan.frames.sum(), dtype=complex)
+    for row in range(len(plan.frames)):
+        full[plan.coefs[row]:plan.coefs[row] + plan.frames[row]] = real.row(row)
+    want = synthesize(CoefficientSet(full, bank), bank).samples
+    for got in (synthesize(whole, bank).samples, synthesize(real, bank).samples):
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_coefficient_file_rejects_corruption(tmp_path):
@@ -374,11 +440,24 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
         if half:
             assert direct.min() >= 0 and direct.max() <= length // 2
             assert mirror.min() > length // 2 and mirror.max() <= length - 1
-        else:
-            assert plan.direct == len(plan.groups) and not len(mirror)
+            np.testing.assert_array_equal(plan.partner, [-1] * (len(chans) + len(res))
+                                          + list(range(len(chans))))
+        else:  # the mirror rows are channels -m, their partners channels m
+            tags = [ch.m for ch in chans]
+            for i, p in enumerate(plan.partner):
+                assert p < 0 or tags[i] == -tags[p] < 0
+        # a mirror row's bins are its partner's negated
+        for i, p in enumerate(plan.partner):
+            if p >= 0:
+                np.testing.assert_array_equal(
+                    plan.bins[plan.offsets[i]:plan.offsets[i] + sizes[i]],
+                    -plan.bins[plan.offsets[p]:plan.offsets[p] + sizes[p]] % length
+                    if half else
+                    -plan.bins[plan.offsets[p]:plan.offsets[p] + sizes[p]][::-1] % length)
 
         # the rows' coefficient blocks tile one buffer group after group,
-        # the direct groups (channels and residuals) first
+        # the direct groups (channels and residuals) first, the paired ones
+        # before the unpaired ones
         ends = [0] + [block.stop for _, block, _ in plan.groups]
         assert [block.start for _, block, _ in plan.groups] == ends[:-1]
         assert ends[-1] == plan.frames.sum()
@@ -390,17 +469,22 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
             assert set(plan.frames[members].tolist()) == {n}
             assert np.count_nonzero(members) * n == block.stop - block.start
             assert sum(sizes[i] for i in np.flatnonzero(members)) == span.stop - span.start
-        n_direct = len(chans) + len(res)
-        cstop = plan.groups[plan.direct - 1][1].stop
-        assert (plan.coefs[:n_direct] + plan.frames[:n_direct]).max() <= cstop
-        assert (plan.coefs[n_direct:] >= cstop).all()
+        is_mirror = plan.partner >= 0
+        is_paired = np.isin(np.arange(len(plan.frames)), plan.partner)
+        pstop = ends[plan.paired]
+        cstop = ends[plan.direct]
+        assert (plan.coefs[is_paired] + plan.frames[is_paired]).max(initial=0) <= pstop
+        assert (plan.coefs[~is_paired & ~is_mirror] >= pstop).all()
+        assert (plan.coefs[~is_mirror] + plan.frames[~is_mirror]).max() <= cstop
+        assert (plan.coefs[is_mirror] >= cstop).all()
 
         # a real-input analysis fills only the direct prefix of the buffer
         coeffs = analyze(np.random.default_rng(5).standard_normal(length), bank)
-        rows = coeffs.channels + coeffs.residuals
+        rows = [row for i, row in enumerate(coeffs.channels) if not is_mirror[i]]
+        rows += coeffs.residuals
         buffer = rows[0].base
         assert all(c.base is buffer for c in rows)
-        assert buffer.size == (cstop if half else ends[-1])
+        assert buffer.size == cstop
 
 
 def flat_coefficients(coeffs):
@@ -467,3 +551,100 @@ def test_plan_matches_dense_atoms(family, kw, fs, dense_atoms, plan_test_banks):
             assert sx.dtype == np.float64
         np.testing.assert_allclose(sx, gram @ x, rtol=0,
                                    atol=1e-12 * np.linalg.norm(x))
+
+
+def reflected_pairs(bank):
+    """{row of channel -m: row of channel m} wherever channel -m has m's
+    hop, m's bins negated and m's response reversed, bit for bit."""
+    length = bank.grid.length
+    rows = {ch.m: i for i, ch in enumerate(bank.channels)}
+    pairs = {}
+    for m, i in rows.items():
+        if m <= 0 or -m not in rows:
+            continue
+        ch, other = bank.channels[i], bank.channels[rows[-m]]
+        bins = (ch.start_bin + np.arange(len(ch.response))) % length
+        others = (other.start_bin + np.arange(len(other.response))) % length
+        if (other.a == ch.a and np.array_equal(others, -bins[::-1] % length)
+                and other.response.tobytes() == ch.response[::-1].tobytes()):
+            pairs[rows[-m]] = i
+    return pairs
+
+
+def layout(plan):
+    return [(n, block) for n, block, _ in plan.groups], plan.paired, plan.direct
+
+
+PAIR_WINDOWS = [("hann", 3.0), ("hamming", 3.0), ("blackman", 5.0), ("boxcar", 3.0)]
+
+
+@pytest.mark.parametrize("window,stretch", PAIR_WINDOWS)
+@pytest.mark.parametrize("family,kw", [("erblike", {}), ("signedpow", {"l": 0.5})])
+def test_full_line_mirror_pairs(family, kw, window, stretch):
+    rng = np.random.default_rng(23)
+    w = make_warping(family, **kw)
+    for length in (360, 500, 512, 4096):
+        grid = GridSpec(length=length, fs=44100.0, domain=w.domain)
+        tight = design_tight(w, grid, window, stretch)
+        painless = build_bank(w, named_window(window, stretch), grid, Painless())
+        banks = [tight, painless, with_scaled_factors(tight, 2)]
+        if window == "hann":
+            banks.append(build_bank(w, named_window("bspline3", 3.0), grid, Natural()))
+        for bank in banks:
+            plan, n = bank.plan, len(bank.channels)
+            pairs = reflected_pairs(bank)
+            assert pairs
+            want = [pairs.get(i, -1) for i in range(n)]
+            np.testing.assert_array_equal(plan.partner, want)
+            # the rows at the Nyquist bin have no mirror and stay direct
+            for i, ch in enumerate(bank.channels):
+                if ch.start_bin + len(ch.response) > length // 2:
+                    assert plan.partner[i] < 0 and i not in pairs.values()
+            if bank.painless:
+                dual = painless_dual(bank)
+                np.testing.assert_array_equal(dual.plan.partner, plan.partner)
+                assert layout(dual.plan) == layout(plan)
+            # real input: the direct rows only, equal to the complex analysis
+            x = rng.standard_normal(length)
+            real, cplx = analyze(x, bank), analyze(x.astype(complex), bank)
+            assert len(real.buffer) == plan.frames[plan.partner < 0].sum()
+            for a, b in zip(real.channels, cplx.channels):  # rfft against fft rounding
+                assert np.linalg.norm(a - b) <= 1e-15 * np.linalg.norm(cplx.buffer)
+            full = np.concatenate(cplx.channels)
+            assert (np.linalg.norm(np.concatenate(real.channels) - full)
+                    <= 1e-15 * np.linalg.norm(full))
+
+
+@pytest.mark.parametrize("family,kw", [("log", {}), ("sympow", {"l": 0.5})])
+def test_half_line_plans_pair_only_the_mirror_branches(family, kw):
+    w = make_warping(family, **kw)
+    for length in (360, 512):
+        grid = GridSpec(length=length, fs=8.0, domain=w.domain)
+        tight = design_tight(w, grid, "hann", 3.0)
+        for bank in (tight, with_scaled_factors(tight, 2), painless_dual(tight)):
+            plan, n = bank.plan, len(bank.channels)
+            np.testing.assert_array_equal(plan.partner, [-1] * (n + 2) + list(range(n)))
+            # channels, then the residuals, then the mirror branches
+            sizes = [block.stop - block.start for _, block, _ in plan.groups]
+            assert sum(sizes[:plan.paired]) == plan.frames[:n].sum()
+            assert sizes[plan.paired:plan.direct] == [2]
+
+
+def test_mirror_pairs_need_a_symmetric_diagonal():
+    # without channel -10 the diagonal is not symmetric on the bins of
+    # channels 8..12, so a dual that reflected their quotients would not
+    # invert the analysis; those pairs stay unpaired
+    w = make_warping("erblike")
+    grid = GridSpec(length=512, fs=44100.0, domain=w.domain)
+    factors = {ch.m: ch.a for ch in design_tight(w, grid).channels if ch.m != -10}
+    bank = build_bank(w, HANN, grid, Explicit(factors))
+    tags = [ch.m for ch in bank.channels]
+    pairs = reflected_pairs(bank)
+    kept = {tags[j] for j in pairs if bank.plan.partner[j] >= 0}
+    assert {-8, -9, -11, -12} & {tags[j] for j in pairs} and not {-8, -9, -11, -12} & kept
+    assert {-1, -2, -40} <= kept
+    dual = painless_dual(bank)
+    rng = np.random.default_rng(24)
+    for x in (rng.standard_normal(512), random_signal(512, rng)):
+        rec = synthesize(analyze(x, bank), dual).samples
+        assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
