@@ -1,10 +1,11 @@
 """File I/O: WAV and raw-f64 signals, PGM images, CSV tables, and the
 spectrogram renderer for the analyze command.
 
-WAV support covers mono PCM 16/24-bit and float-32 through scipy's
-wavfile (24-bit arrives as the top bytes of int32); multichannel input is
-reduced to its first channel.  Raw signals are headerless little-endian
-f64 and carry no sample rate of their own.
+WAV input is RIFF/WAVE with PCM 8/16/24/32-bit or float 32/64-bit
+samples, plain or in the extensible format; multichannel input is reduced
+to its first channel.  WAV output is mono float32, pcm16 or pcm24.  Raw
+signals are headerless little-endian f64 and carry no sample rate of
+their own.
 """
 
 from __future__ import annotations
@@ -13,74 +14,129 @@ import os
 import struct
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import InvalidParameter
 from .transform import CoefficientSet, Signal
 
 SPECTROGRAM_FLOOR_DB = -80.0
-# bytes per sample of each WAV encoding write_wav offers
-_WAV_SAMPLE_BYTES = {"float32": 4, "pcm16": 2, "pcm24": 3}
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# bytes 2..15 of every standard KSDATAFORMAT_SUBTYPE GUID; bytes 0..1 hold
+# the format tag the extensible format wraps
+_SUBTYPE_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+# (format tag, bits per sample) -> (sample dtype, offset, full scale): a
+# sample v reads as (v - offset) / scale.  24-bit samples are widened into
+# the top bytes of an int32, hence its dtype and 2**31.
+_WAV_SAMPLE_FORMATS = {
+    (_PCM, 8): ("u1", 128.0, 128.0),
+    (_PCM, 16): ("<i2", 0.0, 2.0**15),
+    (_PCM, 24): ("<i4", 0.0, 2.0**31),
+    (_PCM, 32): ("<i4", 0.0, 2.0**31),
+    (_FLOAT, 32): ("<f4", 0.0, 1.0),
+    (_FLOAT, 64): ("<f8", 0.0, 1.0),
+}
+# (format tag, bytes per sample) of each WAV encoding write_wav offers
+_WAV_ENCODINGS = {"float32": (_FLOAT, 4), "pcm16": (_PCM, 2), "pcm24": (_PCM, 3)}
+
+
+def _bad_wav(path, reason: str) -> InvalidParameter:
+    return InvalidParameter(f"{path}: not a readable WAV file ({reason})")
 
 
 def read_wav(path) -> Signal:
-    """Mono float signal in [-1, 1] from a WAV file; a malformed or
-    truncated file raises InvalidParameter."""
-    try:
-        rate, data = wavfile.read(path)
-    except (ValueError, struct.error) as exc:
-        raise InvalidParameter(f"{path}: not a readable WAV file ({exc})") from exc
-    if data.ndim > 1:
-        data = data[:, 0]
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        samples = data.astype(np.float64)
-    return Signal(samples=np.asarray(samples, dtype=np.float64), fs=float(rate))
+    """Mono float signal in [-1, 1] from the first channel of a WAV file.
+
+    The chunks are walked up to `data`, skipping unknown ones with their
+    pad byte; a trailing partial sample frame is ignored.  A malformed or
+    truncated file, or a sample format not listed in the module docstring,
+    raises InvalidParameter."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        riff = fh.read(12)
+        if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            raise _bad_wav(path, "no RIFF/WAVE header")
+        layout = None
+        while True:
+            header = fh.read(8)
+            if len(header) < 8:
+                raise _bad_wav(path, "no data chunk")
+            chunk, length = header[:4], struct.unpack("<I", header[4:])[0]
+            start = fh.tell()
+            if start + length > size:
+                raise _bad_wav(path, f"{chunk!r} chunk runs past the end of the file")
+            if chunk == b"data":
+                break
+            if chunk == b"fmt ":
+                layout = _wav_layout(path, fh.read(length))
+            fh.seek(start + length + length % 2)
+        if layout is None:
+            raise _bad_wav(path, "no fmt chunk before the data chunk")
+        rate, channels, width, (dtype, offset, scale) = layout
+        frames = length // (channels * width)
+        block = np.fromfile(fh, dtype=np.uint8, count=frames * channels * width)
+    first = block.reshape(frames, channels * width)[:, :width]
+    if width == 3:  # widen into the top bytes of an int32
+        first = np.concatenate([np.zeros((frames, 1), dtype=np.uint8), first], axis=1)
+    samples = np.ascontiguousarray(first).view(dtype)[:, 0].astype(np.float64)
+    if scale != 1.0:  # integer samples
+        samples -= offset
+        samples /= scale
+    return Signal(samples=samples, fs=float(rate))
+
+
+def _wav_layout(path, fmt: bytes):
+    """(rate, channels, bytes per sample, sample format) of a fmt chunk."""
+    if len(fmt) < 16:
+        raise _bad_wav(path, f"fmt chunk of {len(fmt)} bytes, expected at least 16")
+    tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if tag == _EXTENSIBLE:
+        if len(fmt) < 40 or fmt[26:40] != _SUBTYPE_GUID_TAIL:
+            raise _bad_wav(path, "extensible format without a known subformat")
+        tag = struct.unpack("<H", fmt[24:26])[0]
+    if (tag, bits) not in _WAV_SAMPLE_FORMATS:
+        raise _bad_wav(path, f"format tag {tag:#x} with {bits}-bit samples is not supported")
+    width = bits // 8
+    if channels == 0 or block_align != channels * width:
+        raise _bad_wav(path, f"block align {block_align} for {channels} channels "
+                             f"of {bits}-bit samples")
+    if rate == 0:
+        raise _bad_wav(path, "sample rate 0")
+    return rate, channels, width, _WAV_SAMPLE_FORMATS[tag, bits]
 
 
 def write_wav(path, signal: Signal, encoding: str = "float32") -> None:
     """Write a mono WAV as float32, pcm16 or pcm24.  The sample rate must
     be a positive integer whose byte rate fits the header's u32 fields;
-    otherwise InvalidParameter is raised before the file is created."""
-    if encoding not in _WAV_SAMPLE_BYTES:
+    otherwise InvalidParameter is raised before the file is created.  PCM
+    samples are clipped to [-1, 1] and rounded to 2**(bits - 1) - 1 full
+    scale."""
+    if encoding not in _WAV_ENCODINGS:
         raise InvalidParameter(
             f"unknown WAV encoding {encoding!r}; expected float32, pcm16 or pcm24"
         )
+    tag, width = _WAV_ENCODINGS[encoding]
     fs = float(signal.fs)
-    if not (fs.is_integer() and 0 < fs * _WAV_SAMPLE_BYTES[encoding] < 2**32):
+    if not (fs.is_integer() and 0 < fs * width < 2**32):
         raise InvalidParameter(f"sample rate {fs:g} Hz is not a positive integer "
                                "that fits the WAV header")
     rate = int(fs)
     samples = np.asarray(signal.samples)
     if np.iscomplexobj(samples):
         samples = samples.real
-    if encoding == "float32":
-        wavfile.write(path, rate, samples.astype(np.float32))
-    elif encoding == "pcm16":
-        clipped = np.clip(samples, -1.0, 1.0)
-        wavfile.write(path, rate, np.round(clipped * 32767.0).astype(np.int16))
+    if tag == _FLOAT:
+        data = samples.astype("<f4").tobytes()
     else:
-        _write_wav_pcm24(path, rate, samples)
-
-
-def _write_wav_pcm24(path, rate: int, samples: np.ndarray) -> None:
-    clipped = np.clip(samples, -1.0, 1.0)
-    ints = np.round(clipped * 8388607.0).astype("<i4")
-    # keep the low three bytes of each little-endian int32
-    data = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        full_scale = 2.0 ** (8 * width - 1) - 1.0
+        ints = np.round(np.clip(samples, -1.0, 1.0) * full_scale).astype("<i4")
+        # keep the low bytes of each little-endian int32
+        data = ints.view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
+    pad = len(data) % 2  # RIFF chunks are word-aligned
     with open(path, "wb") as fh:
-        fh.write(b"RIFF")
-        fh.write(struct.pack("<I", 36 + len(data)))
-        fh.write(b"WAVEfmt ")
-        fh.write(struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 3, 3, 24))
-        fh.write(b"data")
-        fh.write(struct.pack("<I", len(data)))
+        fh.write(b"RIFF" + struct.pack("<I", 36 + len(data) + pad) + b"WAVE")
+        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, tag, 1, rate, rate * width,
+                                       width, 8 * width))
+        fh.write(b"data" + struct.pack("<I", len(data)))
         fh.write(data)
+        fh.write(b"\0" * pad)
 
 
 def read_raw(path, fs: float) -> Signal:

@@ -227,6 +227,28 @@ def test_diagnose_leaves_scipy_eigensolvers_unimported(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_commands_import_no_scipy(tmp_path):
+    spec = design_bank(tmp_path, length=256, fs=8000.0)
+    x = np.random.default_rng(3).uniform(-0.5, 0.5, 256)
+    write_wav(tmp_path / "x.wav", Signal(samples=x, fs=8000.0))
+    code = ("import sys\n"
+            "from warpbank import cli\n"
+            "bank, wav, coeffs, out = sys.argv[1:]\n"
+            "print([cli.main(['analyze', '--bank', bank, '--in', wav, '--out', coeffs]),\n"
+            "       cli.main(['synthesize', '--bank', bank, '--coeffs', coeffs,\n"
+            "                 '--out', out, '--encoding', 'pcm24']),\n"
+            "       cli.main(['diagnose', '--bank', bank])])\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code, str(spec), str(tmp_path / "x.wav"),
+                           str(tmp_path / "c.wfbc"), str(tmp_path / "y.wav")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[0, 0, 0]", "[]"]
+    assert np.max(np.abs(read_wav(tmp_path / "y.wav").samples - x)) < 2.0**-22
+
+
 def test_exit_code_3_on_coverage_hole(tmp_path):
     spec = design_bank(tmp_path, policy="painless")
     record = json.loads(spec.read_text())
