@@ -319,24 +319,42 @@ def _mirror_partners(bank: WarpedBank, rows: int) -> np.ndarray:
     if not pairs:
         return partner
     paired = {i for pair in pairs for i in pair}
-    spare = [ch for i, ch in enumerate(chans) if i not in paired]
-    # the spare weight on the signed bins -L/2..L/2 (full-line channels
-    # sample -L/2+1..L/2), so that reversing it negates the bins
-    half = length // 2
+    spare = [ch for i, ch in enumerate(chans) if i not in paired and len(ch.response)]
+    # The spare weight lives on the runs of bins the spare rows cover and
+    # their negations.  Merged, those runs list a set of signed bins closed
+    # under negation (-L/2 stands for the Nyquist bin L/2), so reversing
+    # the weight on them negates the bins.
+    runs = sorted(run for ch in spare for run in (
+        (ch.start_bin, ch.start_bin + len(ch.response)),
+        (1 - ch.start_bin - len(ch.response), 1 - ch.start_bin)))
+    merged = []
+    for lo, hi in runs:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    firsts = np.array([lo for lo, _ in merged], dtype=np.intp)
+    listed = np.cumsum([0] + [hi - lo for lo, hi in merged])
+    # each spare entry's position in that listing
+    first = np.array([ch.start_bin for ch in spare], dtype=np.intp)
     sizes = np.array([len(ch.response) for ch in spare], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    bins = np.repeat(np.array([ch.start_bin + half for ch in spare], dtype=np.intp) - starts,
-                     sizes)
+    home = np.searchsorted(firsts, first, side="right") - 1
+    bins = np.repeat(listed[home] + first - firsts[home] - starts, sizes)
     bins += np.arange(len(bins))
     values = np.concatenate([ch.response for ch in spare] + [np.zeros(0)]) ** 2
     values *= np.repeat([ch.n_frames for ch in spare], sizes)
-    weight = np.bincount(bins, values, minlength=length + 1)
-    weight[0] = weight[length]  # -L/2 is the Nyquist bin L/2
+    weight = np.bincount(bins, values, minlength=int(listed[-1]))
+    if len(firsts) and firsts[0] == -(length // 2):
+        weight[0] = weight[-1]
     mirrored = weight[::-1]
     skewed = np.abs(weight - mirrored) > MIRROR_DIAGONAL_RTOL * np.maximum(weight, mirrored)
     if skewed.any():
-        pairs = [(j, i) for j, i in pairs if not skewed[
-            chans[i].start_bin + half:chans[i].start_bin + half + len(chans[i].response)].any()]
+        skewed = np.concatenate([np.arange(lo, hi) for lo, hi in merged])[skewed]
+        start = np.array([chans[i].start_bin for _, i in pairs])
+        stop = start + [len(chans[i].response) for _, i in pairs]
+        clear = np.searchsorted(skewed, start) == np.searchsorted(skewed, stop)
+        pairs = [pair for pair, ok in zip(pairs, clear.tolist()) if ok]
     for j, i in pairs:
         partner[j] = i
     return partner
@@ -485,14 +503,18 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
     for m, center, j0, j1 in zip(ms, centers, starts, stops):
         a = factors[m]
         n_frames = grid.length // a
-        response = np.sqrt(a / grid.length) * np.asarray(window(warped[j0:j1] - m), dtype=float)
+        response = np.asarray(window(warped[j0:j1] - m), dtype=float)
+        response *= np.sqrt(a / grid.length)
         # painless iff no two nonzero response bins alias to the same
-        # coefficient slot, i.e. the nonzero span stays below N_m
-        nz = np.nonzero(response)[0]
+        # coefficient slot, i.e. the nonzero span stays below N_m; the
+        # span is the whole response unless an end entry is 0
+        span = len(response) - 1
+        if span > 0 and not (response[0] and response[-1]):
+            nz = np.flatnonzero(response)
+            span = int(nz[-1] - nz[0]) if len(nz) else 0
         channels.append(Channel(
             m=m, center_hz=float(center), a=a, n_frames=n_frames,
-            start_bin=lo_bin + int(j0), response=response,
-            painless=len(nz) == 0 or int(nz[-1] - nz[0]) < n_frames,
+            start_bin=lo_bin + int(j0), response=response, painless=span < n_frames,
         ))
     residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
     bank = WarpedBank(

@@ -76,15 +76,25 @@ class CosineSumWindow:
         return float(self.stretch).is_integer()
 
     def __call__(self, t):
+        # The sum runs over the whole probe, in place.  A bank's probes are
+        # sorted and lie inside the support but for rounding, so the mask
+        # is built only when the probe's extremes say a point lies outside;
+        # those points are summed at 0 and zeroed afterwards.
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
         half = self.stretch / 2.0
-        inside = (t >= -half) & (t < half)
-        ts = t[inside]
-        acc = np.full_like(ts, self.coeffs[0])
+        outside = None
+        if t.size and not (t.min() >= -half and t.max() < half):
+            outside = ~((t >= -half) & (t < half))
+            t = np.where(outside, 0.0, t)
+        out = np.full(t.shape, self.coeffs[0])
+        term = np.empty_like(out)
         for k, b in enumerate(self.coeffs[1:], start=1):
-            acc += b * np.cos((2.0 * np.pi * k / self.stretch) * ts)
-        out[inside] = acc
+            np.multiply(t, 2.0 * np.pi * k / self.stretch, out=term)
+            np.cos(term, out=term)
+            term *= b
+            out += term
+        if outside is not None:
+            out[outside] = 0.0
         return out
 
     @property

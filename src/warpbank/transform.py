@@ -9,11 +9,12 @@ done by folding fhat * response onto N slots (j mod N) and one inverse
 FFT of length N.  The bank's plan (see bank) has a row per generator,
 groups the rows by N and gives every sampled entry its slot in one flat
 coefficient buffer, so a full analysis costs one length-L FFT, one
-bincount fold of all entries onto the buffer, then per group one batched
-in-place inverse FFT of its rows x N block; a CoefficientSet holds that
-buffer.  Synthesis is the exact adjoint: on a copy of the buffer, per
-group one batched in-place FFT, then one gather through the slots and one
-bincount scatter of fft(c_m)[j mod N] * response_m[j] onto the bins.  The
+complex scatter-add (``np.add.at``) of all entries onto the buffer, then
+per group one batched in-place inverse FFT of its rows x N block; a
+CoefficientSet holds that buffer.  Synthesis is the exact adjoint: on a
+copy of the buffer, per group one batched in-place FFT, then one gather
+through the slots and one complex scatter-add of
+fft(c_m)[j mod N] * response_m[j] onto the bins.  The
 n = 0 coefficient sits at time 0; there is no per-channel phase ramp.  A
 residual is a row with N = 1 and response 1, so its coefficient is the
 spectrum at its bin.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -153,8 +154,8 @@ def _buffer_sizes(plan) -> tuple[int, int, int]:
 
 def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
     """The samples of ``signal``: one-dimensional of the bank's length,
-    finite, and at the bank's sample rate (to 1e-6 relative) if
-    ``signal`` is a Signal."""
+    finite numbers (bool, integer, float or complex), and at the bank's
+    sample rate (to 1e-6 relative) if ``signal`` is a Signal."""
     samples = signal.samples if isinstance(signal, Signal) else np.asarray(signal)
     length = bank.grid.length
     if samples.ndim != 1 or len(samples) != length:
@@ -166,27 +167,46 @@ def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
         raise InvalidParameter(
             f"signal sample rate {signal.fs:g} Hz does not match the bank's {fs:g} Hz"
         )
+    if samples.dtype.kind not in "biufc":
+        raise InvalidParameter(f"signal samples must be numbers, got dtype {samples.dtype}")
     if not np.isfinite(samples).all():
         raise InvalidParameter("signal has non-finite samples")
     return samples
 
 
+def _in_float_range(fn):
+    """Run ``fn`` with numpy's overflow and invalid-value errors raised, as
+    InvalidParameter.  Finite input far enough out (1e308, say) makes the
+    FFTs and sums leave the float range; the error state catches that
+    where it happens, with no extra pass over the results."""
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise InvalidParameter(f"{fn.__name__} leaves the float range ({exc})") from exc
+    return checked
+
+
 def _gather_sum(source, take, weights, index, size: int) -> np.ndarray:
     """Complex sums of source[take] * weights over equal ``index`` entries,
-    0..size-1, real and imaginary parts in turn: one real gather at a time."""
-    out = np.empty(size, dtype=complex)
-    for part, dest in ((source.real, out.real), (source.imag, out.imag)):
-        values = part[take]
-        values *= weights
-        dest[:] = np.bincount(index, values, minlength=size)
-        del values
+    0..size-1: one complex gather and one unbuffered complex scatter-add.
+    The real weights scale the two parts in place; a complex product
+    would first cast them to complex.  The result is allocated before the
+    temporary gather, which page-faults less over repeated calls."""
+    out = np.zeros(size, dtype=complex)
+    values = source[take]
+    values.real *= weights
+    values.imag *= weights
+    np.add.at(out, index, values)
     return out
 
 
 def _fold_frames(bank: WarpedBank, fhat: np.ndarray, groups) -> np.ndarray:
     """Coefficient buffer of the spectrum ``fhat``: the plan's entries
-    fhat[bins] * response folded onto the prefix ``groups`` cover, then per
-    group one in-place inverse FFT."""
+    fhat[bins] * response scatter-added onto the slots of the prefix
+    ``groups`` cover, then per group one in-place inverse FFT."""
     plan, stop = bank.plan, groups[-1][2].stop
     flat = _gather_sum(fhat, plan.bins[:stop], plan.response[:stop], plan.slots[:stop],
                        groups[-1][1].stop)
@@ -196,6 +216,7 @@ def _fold_frames(bank: WarpedBank, fhat: np.ndarray, groups) -> np.ndarray:
     return flat
 
 
+@_in_float_range
 def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     """Coefficients of ``signal`` against every atom of ``bank``.
 
@@ -241,13 +262,14 @@ def _row_spectra(buffer: np.ndarray, groups) -> np.ndarray:
 
 def _spread(bank: WarpedBank, spectra: np.ndarray, entries: slice, size: int) -> np.ndarray:
     """Adjoint of the fold for the plan's ``entries``: one gather of the
-    row spectra through their slots, weighted by the responses and summed
-    onto ``size`` bins."""
+    row spectra through their slots, weighted by the responses and
+    scatter-added onto ``size`` bins."""
     plan = bank.plan
     return _gather_sum(spectra, plan.slots[entries], plan.response[entries],
                        plan.bins[entries], size)
 
 
+@_in_float_range
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     """Weighted sum of ``bank``'s atoms.  Pass the analysis bank itself for
     a tight design, or its painless dual, to invert ``analyze``.  The sum
@@ -282,16 +304,17 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
 def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndarray:
     """The Walnut form of S applied to the complex spectrum ``fhat``, with
     ``response`` (one entry per plan entry) in place of the sampled
-    responses: fold fhat * response onto the slots, scale each group's
-    block by its N, and gather folded[slots] * response back onto the
-    bins.  Every row, residual and mirror ones included, runs through the
-    same fold and gather."""
+    responses: scatter-add fhat * response onto the slots, scale each
+    group's block by its N, and scatter-add folded[slots] * response back
+    onto the bins.  Every row, residual and mirror ones included, runs
+    through the same two complex scatter-adds, aliasing or not."""
     plan = bank.plan
     folded = _gather_sum(fhat, plan.bins, response, plan.slots, plan.groups[-1][1].stop)
     folded *= plan.slot_frames
     return _gather_sum(folded, plan.slots, response, plan.bins, bank.grid.length)
 
 
+@_in_float_range
 def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
     """S f = sum over atoms of <f, g> g, in the unitary DFT domain.
 

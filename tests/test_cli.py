@@ -205,6 +205,16 @@ def test_exit_code_2_on_non_finite_input(tmp_path, capsys):
     assert not (tmp_path / "c.wfbc").exists()
 
 
+def test_exit_code_2_when_finite_input_overflows(tmp_path, capsys):
+    # every sample is finite, but the spectrum is not
+    spec = design_bank(tmp_path, warp="sympow", params="c=1,d=1,l=0.5", length=256, fs=64.0)
+    write_raw(tmp_path / "in.f64", Signal(samples=np.full(256, 1e308), fs=64.0))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc", "--spectrogram", tmp_path / "s.pgm"]) == 2
+    assert "float range" in capsys.readouterr().err
+    assert not (tmp_path / "c.wfbc").exists() and not (tmp_path / "s.pgm").exists()
+
+
 def test_diagnose_leaves_scipy_eigensolvers_unimported(tmp_path):
     # their import alone would raise the peak RSS of diagnose by about a sixth
     spec = design_bank(tmp_path, length=128, fs=256.0)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from warpbank import (BSplineWindow, CosineSumWindow, DegenerateWindow,
-                      InvalidParameter, make_cosine_window, named_window,
+from warpbank import (BSplineWindow, CosineSumWindow, DegenerateWindow, GridSpec,
+                      InvalidParameter, Painless, build_bank, design_tight,
+                      make_cosine_window, make_warping, named_window,
                       normalize_for_tightness, sum_of_squares)
+from warpbank.prototypes import WINDOW_COEFFS
 
 
 def test_catalog_coefficients():
@@ -62,6 +64,92 @@ def test_cosine_window_support_and_edges():
     assert abs(win(0.0) - 1.0) < 1e-15
     vals = win(np.array([-2.0, 2.0, 100.0]))
     assert np.all(vals == 0.0)
+
+
+def masked_reference(win, t):
+    """The cosine sum evaluated on the probe points inside the support
+    only, and 0 elsewhere."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    half = win.stretch / 2.0
+    inside = (t >= -half) & (t < half)
+    ts = t[inside]
+    acc = np.full_like(ts, win.coeffs[0])
+    for k, b in enumerate(win.coeffs[1:], start=1):
+        acc += b * np.cos((2.0 * np.pi * k / win.stretch) * ts)
+    out[inside] = acc
+    return out
+
+
+def window_probes(half, rng):
+    inside = np.sort(rng.uniform(-half, half, 997))
+    edges = np.linspace(-half, half, 1001)  # -R/2 included, R/2 excluded
+    low = np.linspace(-half - 0.3, half - 0.1, 999)
+    high = np.linspace(-half + 0.1, half + 0.3, 999)
+    wide = np.linspace(-3.0 * half, 3.0 * half, 1000)
+    return {
+        "sorted inside": inside,
+        "touching both edges": edges,
+        "crossing the lower edge": low,
+        "crossing the upper edge": high,
+        "crossing both edges": wide,
+        "unsorted": rng.permutation(wide),
+        "ends inside, middle outside": np.array([0.1, 5.0 * half, -half, -4.0 * half, 0.2]),
+        "non-finite": np.array([0.0, np.nan, np.inf, -np.inf, 0.3]),
+        "0-d inside": np.float64(0.3),
+        "0-d at -R/2": np.float64(-half),
+        "0-d at R/2": np.float64(half),
+        "0-d outside": 3.0 * half,
+        "2-D": rng.permutation(wide).reshape(20, 50),
+        "empty": np.zeros(0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_COEFFS))
+@pytest.mark.parametrize("normalized", [False, True])
+def test_cosine_window_matches_the_masked_sum_bit_for_bit(name, normalized):
+    # the window sums over the whole probe and masks only when a point
+    # lies outside; it must agree with the masked sum to the last bit
+    rng = np.random.default_rng(31)
+    base = 2 * len(WINDOW_COEFFS[name]) - 1  # the smallest integer R > 2K
+    for stretch in (float(base), base + 0.7, base + 2.0):
+        win = named_window(name, stretch)
+        if normalized:
+            if not win.constant_overlap:
+                continue
+            win = normalize_for_tightness(win)
+        for label, t in window_probes(stretch / 2.0, rng).items():
+            got, want = win(t), masked_reference(win, t)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64, label
+            assert got.shape == np.shape(t) and got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("family,kw,length,fs,window,policy", [
+    ("erblike", {}, 4096, 44100.0, "hann", None),
+    ("sympow", {"l": 0.5}, 1024, 64.0, "hann", None),
+    ("log", {}, 512, 2.0, "blackman", Painless()),
+    ("signedpow", {"l": 0.5}, 500, 256.0, "hamming", Painless()),
+])
+def test_bank_samples_each_response_point_once(monkeypatch, family, kw, length, fs,
+                                               window, policy):
+    # one window call per channel on exactly its sampled bins, so a count
+    # of the points through the window is a count of response entries
+    calls, sample = [], CosineSumWindow.__call__
+
+    def counting(self, t):
+        calls.append(np.size(t))
+        return sample(self, t)
+
+    monkeypatch.setattr(CosineSumWindow, "__call__", counting)
+    w = make_warping(family, **kw)
+    grid = GridSpec(length=length, fs=fs, domain=w.domain)
+    stretch = 5.0 if window == "blackman" else 3.0
+    if policy is None:
+        bank = design_tight(w, grid, window, stretch)
+    else:
+        bank = build_bank(w, named_window(window, stretch), grid, policy)
+    assert calls == [len(ch.response) for ch in bank.channels]
+    assert sum(calls) == sum(len(ch.response) for ch in bank.channels) > 0
 
 
 def test_cosine_window_rejects_bad_coefficients():

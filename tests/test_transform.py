@@ -165,6 +165,34 @@ def test_non_finite_or_foreign_rate_input_is_rejected():
     analyze(Signal(samples=np.zeros(512), fs=2.0 * (1.0 + 1e-7)), bank)
 
 
+def test_non_numeric_input_is_rejected():
+    bank = tight_bank()
+    for bad in (np.array(["a"] * 512, dtype=object), np.array(["a"] * 512),
+                np.zeros(512, dtype="datetime64[s]")):
+        for op in (analyze, apply_frame_operator):
+            with pytest.raises(InvalidParameter, match="numbers"):
+                op(bad, bank)
+    for good in (np.zeros(512, dtype=bool), np.arange(512, dtype=np.uint8),
+                 np.zeros(512, dtype=np.float32)):
+        assert analyze(good, bank).energy == pytest.approx(float(np.sum(good.astype(float) ** 2)))
+
+
+@pytest.mark.parametrize("family,kw", [("sympow", {"l": 0.5}), ("erblike", {})])
+def test_overflow_is_invalid_parameter(family, kw):
+    # finite input whose transforms leave the float range fails typed
+    # instead of returning non-finite values
+    bank = tight_bank(family, kw, length=256)
+    big = np.full(256, 1e308)
+    for x in (big, big * (1 + 1j)):
+        for op in (analyze, apply_frame_operator):
+            with pytest.raises(InvalidParameter, match="float range"):
+                op(x, bank)
+    coeffs = analyze(np.ones(256), bank)
+    coeffs.buffer[:] = 1e308
+    with pytest.raises(InvalidParameter, match="float range"):
+        synthesize(coeffs, bank)
+
+
 def test_synthesize_checks_fingerprint():
     rng = np.random.default_rng(14)
     bank = tight_bank()
