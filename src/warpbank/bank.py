@@ -8,10 +8,12 @@ sampled as
 
 on the bins xi_j the grid actually has; channels whose warped support
 sticks out past the grid are truncated there (no wrap-around).  F is
-evaluated once, on the active bins; a designed bank holds exactly the
-channels whose support [c+m, d+m) holds some F(xi_j).  The downsampling
-factor a_m is an integer divisor of L, so the channel has exactly
-N_m = L / a_m coefficients, and the frame-operator diagonal
+evaluated once, on the active bins, and on the full line only on the
+non-negative ones: it is odd (see warping), so the negative bins take the
+negation.  A designed bank holds exactly the channels whose support
+[c+m, d+m) holds some F(xi_j).  The downsampling factor a_m is an
+integer divisor of L, so the channel has exactly N_m = L / a_m
+coefficients, and the frame-operator diagonal
 
     d(xi_j) = sum_m (L / a_m) response_m[j]^2 = sum_m theta(F(xi_j) - m)^2
 
@@ -34,13 +36,17 @@ the dual all read the plan.
 A row may be the mirror row of another: its bins are its partner's
 negated and its response its partner's reversed, so for real input its
 coefficients are the conjugates of its partner's.  The mirror branches of
-a half-line grid are such rows by construction.  On the full line channel
--m is the mirror row of channel m when the test in ``_mirror_partners``
-finds it so.  That leaves direct the rows at the Nyquist bin, which has
-no negative twin, and rows with a bin on an edge of their support, which
-is half-open.  The plan orders its rows by role, paired direct rows
-first, then unpaired direct rows, then mirror rows, so that real input
-needs only a prefix of the entries and of the coefficient buffer.
+a half-line grid are such rows by construction.  On the full line, where
+F is odd and the prototype even, channel -m is built as channel m
+reflected when its bins are exactly m's negated and its hop m's (see
+``_reflections``): the window is evaluated on m alone, and -m takes m's
+response reversed.  That leaves direct the rows at the Nyquist bin, which
+has no negative twin, and rows with a bin on an edge of their support,
+which is half-open.  A reflected pair becomes a mirror row and its
+partner where the diagonal is symmetric on its bins
+(``_mirror_partners``).  The plan orders its rows by role, paired direct
+rows first, then unpaired direct rows, then mirror rows, so that real
+input needs only a prefix of the entries and of the coefficient buffer.
 """
 
 from __future__ import annotations
@@ -182,8 +188,9 @@ class WarpedBank:
     """A warped filter bank.  Construction builds its ``plan`` and points
     every channel's response at its slice of ``plan.response``; a bank
     made by ``dataclasses.replace`` builds its own.  ``partner`` gives the
-    plan's mirror pairs instead of testing for them, as ``painless_dual``
-    does to keep its analysis bank's pairs."""
+    plan's mirror pairs: ``build_bank`` passes the pairs it built by
+    reflection, ``painless_dual`` its analysis bank's.  Without it only
+    the half-line mirror branches are paired."""
 
     warping: WarpingFunction
     window: object
@@ -289,37 +296,47 @@ def _supports(warped: np.ndarray, support, ms) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(warped, support[0] + m), np.searchsorted(warped, support[1] + m)
 
 
-def _reflects(ch: Channel, other: Channel, length: int) -> bool:
-    """True if ``other`` has ``ch``'s hop, ``ch``'s bins negated (mod L)
-    and ``ch``'s response reversed, bit for bit.  Empty channels are left
-    alone: their zero coefficients gain nothing from a pair."""
-    size = len(ch.response)
-    if not size or other.a != ch.a or len(other.response) != size:
-        return False
-    if (other.start_bin + ch.start_bin + size - 1) % length:
-        return False
-    return other.response.tobytes() == ch.response[::-1].tobytes()
+def _reflections(ms, factors, warped, starts, stops, support) -> dict[int, int]:
+    """Full-line channel pairs as {j: k}: channel ms[j] = -m is channel
+    ms[k] = m > 0 reflected.  Both have one hop, m's bins are not empty,
+    and -m's bins are exactly m's negated: warped bin i is signed bin
+    i - L/2 + 1, whose negation is warped bin L - 2 - i, and the Nyquist
+    bin L - 1 has none.  F is odd (see warping), so -m then probes the
+    window at exactly m's points negated, in reverse; theta is even inside
+    its support, so its response is m's reversed, bit for bit.  A pair
+    with a probe on an edge of the half-open support is left out."""
+    index = {m: k for k, m in enumerate(ms)}
+    last, (lo_s, hi_s) = len(warped) - 1, support
+    pairs = {}
+    for k, m in enumerate(ms):
+        j = index.get(-m)
+        if (m > 0 and j is not None and factors[m] == factors[-m]
+                and stops[k] > starts[k] and starts[j] + stops[k] == last
+                and stops[j] + starts[k] == last
+                and lo_s < warped[starts[k]] - m and warped[stops[k] - 1] - m < hi_s):
+            pairs[j] = k
+    return pairs
 
 
-def _mirror_partners(bank: WarpedBank, rows: int) -> np.ndarray:
-    """The row each of the ``rows`` plan rows mirrors, or -1.  A half-line
-    mirror branch mirrors its channel.  Channel -m mirrors channel m when
-    it ``_reflects`` it and the diagonal is symmetric on m's bins, so that
-    the painless dual of the bank keeps the pair.  Paired rows add the
-    same weight N r^2 at j and -j; so it is symmetric when the rows left
-    unpaired weigh each bin and its negation alike, to
-    ``MIRROR_DIAGONAL_RTOL``.  A channel set missing some -m does not."""
-    chans, length = bank.channels, bank.grid.length
+def _mirror_partners(channels: list[Channel], rows: int, pairs: list[tuple[int, int]],
+                     length: int) -> np.ndarray:
+    """The row each of ``rows`` plan rows mirrors, or -1.  Past the
+    direct rows of a half-line grid (channels, residuals) come the mirror
+    branches, one per channel, and each mirrors its channel.  Of the
+    full-line ``pairs`` (j, i), channel j built as channel i reflected, a
+    pair is kept when the diagonal is symmetric on i's bins, so that the
+    painless dual of the bank keeps it.  Paired rows add the same weight
+    N r^2 at j and -j; so it is symmetric when the rows left unpaired
+    weigh each bin and its negation alike, to ``MIRROR_DIAGONAL_RTOL``.
+    A channel set missing some -m does not."""
+    n = len(channels)
     partner = np.full(rows, -1, dtype=np.int64)
-    direct = len(chans) + len(bank.residuals)
-    partner[direct:] = np.arange(rows - direct)
-    index = {ch.m: i for i, ch in enumerate(chans)}
-    pairs = [(index[-ch.m], i) for i, ch in enumerate(chans)
-             if ch.m > 0 and -ch.m in index and _reflects(ch, chans[index[-ch.m]], length)]
+    if rows > n:
+        partner[rows - n:] = np.arange(n)
     if not pairs:
         return partner
     paired = {i for pair in pairs for i in pair}
-    spare = [ch for i, ch in enumerate(chans) if i not in paired and len(ch.response)]
+    spare = [ch for i, ch in enumerate(channels) if i not in paired and len(ch.response)]
     # The spare weight lives on the runs of bins the spare rows cover and
     # their negations.  Merged, those runs list a set of signed bins closed
     # under negation (-L/2 stands for the Nyquist bin L/2), so reversing
@@ -351,8 +368,8 @@ def _mirror_partners(bank: WarpedBank, rows: int) -> np.ndarray:
     skewed = np.abs(weight - mirrored) > MIRROR_DIAGONAL_RTOL * np.maximum(weight, mirrored)
     if skewed.any():
         skewed = np.concatenate([np.arange(lo, hi) for lo, hi in merged])[skewed]
-        start = np.array([chans[i].start_bin for _, i in pairs])
-        stop = start + [len(chans[i].response) for _, i in pairs]
+        start = np.array([channels[i].start_bin for _, i in pairs])
+        stop = start + [len(channels[i].response) for _, i in pairs]
         clear = np.searchsorted(skewed, start) == np.searchsorted(skewed, stop)
         pairs = [pair for pair, ok in zip(pairs, clear.tolist()) if ok]
     for j, i in pairs:
@@ -365,7 +382,7 @@ def _build_plan(bank: WarpedBank, partner=None) -> BankPlan:
     their coefficient blocks out in the same order, and point each
     channel's response at its slice.  The roles are 0 for a direct row
     with a mirror row, 1 for one without, 2 for a mirror row; ``partner``
-    defaults to ``_mirror_partners``."""
+    defaults to the half-line mirror branches alone."""
     chans = bank.channels
     # (N, first bin, response, mirror branch?) per row
     table = [(ch.n_frames, ch.start_bin, ch.response, False) for ch in chans]
@@ -373,7 +390,7 @@ def _build_plan(bank: WarpedBank, partner=None) -> BankPlan:
     if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
         table += [(n, b, r, True) for n, b, r, _ in table[:len(chans)]]
     if partner is None:
-        partner = _mirror_partners(bank, len(table))
+        partner = _mirror_partners(chans, len(table), [], bank.grid.length)
     role = [1] * len(table)
     for i, p in enumerate(partner.tolist()):
         if p >= 0:
@@ -455,12 +472,16 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             f"{warping.domain.value}"
         )
     lo_bin, hi_bin = grid.signed_bin_range()
+    half = grid.domain is Domain.POSITIVE_HALF_LINE
     try:
         with np.errstate(over="ignore"):
-            warped = warping.f(np.arange(lo_bin, hi_bin + 1) * grid.bin_hz)
+            if half:
+                warped = warping.f(np.arange(lo_bin, hi_bin + 1) * grid.bin_hz)
+            else:  # F is odd: on the negative bins the negated F of 1..L/2-1
+                warped = warping.f(np.arange(hi_bin + 1) * grid.bin_hz)
+                warped = np.concatenate((np.negative(warped[-2:0:-1]), warped))
     except MemoryError as exc:
         raise InvalidParameter(f"a grid of L={grid.length} bins does not fit in memory") from exc
-    half = grid.domain is Domain.POSITIVE_HALF_LINE
     if isinstance(policy, Explicit):
         if not policy.factors:
             raise EmptyBank("explicit factor map is empty")
@@ -499,12 +520,17 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
     if not np.isfinite(centers).all():
         bad = ms[int(np.argmin(np.isfinite(centers)))]
         raise InvalidParameter(f"channel {bad} has no finite center frequency")
+    pairs = {} if half else _reflections(ms, factors, warped, starts, stops, window.support)
+    responses = [None] * len(ms)
+    for k, (m, j0, j1) in enumerate(zip(ms, starts, stops)):
+        if k not in pairs:
+            responses[k] = np.asarray(window(warped[j0:j1] - m), dtype=float)
+            responses[k] *= np.sqrt(factors[m] / grid.length)
+    for j, k in pairs.items():
+        responses[j] = responses[k][::-1]
     channels = []
-    for m, center, j0, j1 in zip(ms, centers, starts, stops):
-        a = factors[m]
-        n_frames = grid.length // a
-        response = np.asarray(window(warped[j0:j1] - m), dtype=float)
-        response *= np.sqrt(a / grid.length)
+    for m, center, j0, response in zip(ms, centers, starts, responses):
+        n_frames = grid.length // factors[m]
         # painless iff no two nonzero response bins alias to the same
         # coefficient slot, i.e. the nonzero span stays below N_m; the
         # span is the whole response unless an end entry is 0
@@ -513,10 +539,13 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             nz = np.flatnonzero(response)
             span = int(nz[-1] - nz[0]) if len(nz) else 0
         channels.append(Channel(
-            m=m, center_hz=float(center), a=a, n_frames=n_frames,
+            m=m, center_hz=float(center), a=factors[m], n_frames=n_frames,
             start_bin=lo_bin + int(j0), response=response, painless=span < n_frames,
         ))
     residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
+    partner = None
+    if pairs:  # full line: no residuals or branches, a row per channel
+        partner = _mirror_partners(channels, len(channels), list(pairs.items()), grid.length)
     bank = WarpedBank(
         warping=warping,
         window=window,
@@ -526,6 +555,7 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
         residuals=residuals,
         policy_record=policy_record,
         fingerprint=_geometry_fingerprint(warping, window, grid, factors),
+        partner=partner,
     )
     if check_coverage:
         _require_coverage(bank, "the channel set does not cover the grid")

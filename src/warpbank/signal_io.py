@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidParameter
-from .transform import CoefficientSet, Signal
+from .transform import CoefficientSet, Signal, _buffer_sizes
 
 SPECTROGRAM_FLOOR_DB = -80.0
 _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
@@ -159,13 +159,13 @@ def write_raw(path, signal: Signal) -> None:
 
 def write_pgm(path, image: np.ndarray) -> None:
     """8-bit binary PGM (P5), row 0 at the top."""
-    image = np.asarray(image, dtype=np.uint8)
+    image = np.ascontiguousarray(image, dtype=np.uint8)
     if image.ndim != 2:
         raise InvalidParameter(f"PGM image must be 2-d, got shape {image.shape}")
     rows, cols = image.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+        fh.write(image)
 
 
 def write_csv(path, values, header: str | None = None) -> None:
@@ -183,30 +183,40 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     (residual and mirror channels are omitted); each row's coefficients
     are nearest-index resampled onto the longest channel's time raster.
     Magnitudes are 20 log10 relative to the global maximum, floored at
-    -80 dB, mapped linearly onto 0..255.  Levels are computed per stored
-    row on its own N_m coefficients, once for a channel and its implicit
-    mirror row (|conj c| = |c|), and only then resampled, straight into
+    -80 dB, mapped linearly onto 0..255.  Levels are computed in one pass
+    over the stored channel rows, where an implicit mirror row reads its
+    partner's (|conj c| = |c|), and only then resampled, straight into
     the uint8 image.  Returns the image and the row center frequencies
     in Hz.
     """
+    plan = bank.plan
     order = np.argsort([ch.center_hz for ch in bank.channels])
     n_cols = max(ch.n_frames for ch in bank.channels)
-    sources = coeffs.sources[:len(bank.channels)]
-    mags = {row: np.abs(coeffs.row(row)) for row in set(sources)}
-    # nearest-index resampling reaches every coefficient, so the image
-    # peak is the peak over all channels
-    peak = max(float(m.max()) for m in mags.values())
     centers = [bank.channels[i].center_hz for i in order]
     image = np.zeros((len(order), n_cols), dtype=np.uint8)
+    # the stored channel rows: on the full line every stored row, on a
+    # half-line grid the paired prefix (its residual and mirror rows follow)
+    stored = coeffs.buffer[:_buffer_sizes(plan)[0]] if coeffs.half_line else coeffs.buffer
+    # nearest-index resampling reaches every coefficient, so the image
+    # peak is the peak over all channels
+    levels = np.abs(stored)
+    peak = float(levels.max())
     if peak <= 0.0:  # silence: every pixel at the floor level
         return image, centers
-    columns = {n: (np.arange(n_cols) * n) // n_cols for n in {len(m) for m in mags.values()}}
-    levels = {}
-    for row, mag in mags.items():
-        with np.errstate(divide="ignore"):
-            db = np.maximum(20.0 * np.log10(mag / peak), SPECTROGRAM_FLOOR_DB)
-        scaled = (db - SPECTROGRAM_FLOOR_DB) / (-SPECTROGRAM_FLOOR_DB)
-        levels[row] = np.round(255.0 * scaled).astype(np.uint8)
+    levels /= peak
+    with np.errstate(divide="ignore"):
+        np.log10(levels, out=levels)
+    levels *= 20.0
+    np.maximum(levels, SPECTROGRAM_FLOOR_DB, out=levels)
+    levels -= SPECTROGRAM_FLOOR_DB
+    levels /= -SPECTROGRAM_FLOOR_DB
+    levels *= 255.0
+    levels = np.round(levels, out=levels).astype(np.uint8)
+    sources, starts = coeffs.sources, plan.coefs.tolist()
     for row, i in enumerate(order):
-        image[row] = levels[sources[i]][columns[bank.channels[i].n_frames]]
+        start, n = starts[sources[i]], bank.channels[i].n_frames
+        if n_cols % n:
+            image[row] = levels[start + (np.arange(n_cols) * n) // n_cols]
+        else:
+            image[row] = np.repeat(levels[start:start + n], n_cols // n)
     return image, centers

@@ -24,7 +24,7 @@ reversed.  Because N divides L, its slot (L - j) mod N is -j mod N, so for
 real input its coefficients are the conjugates of its partner's.  Half-line
 banks carry a mirror branch of every warped channel on the
 negative-frequency bins; on the full line channel -m is the mirror row of
-channel m wherever the two reflect each other bit for bit.  Real input
+channel m wherever ``build_bank`` built it as m reflected.  Real input
 computes the direct rows only, into the direct prefix of the buffer, and
 leaves every mirror row implicit.  Analysis folds them from the rfft,
 extended by conjugate symmetry on the full line, whose direct rows reach
@@ -273,7 +273,8 @@ def _spread(bank: WarpedBank, spectra: np.ndarray, entries: slice, size: int) ->
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     """Weighted sum of ``bank``'s atoms.  Pass the analysis bank itself for
     a tight design, or its painless dual, to invert ``analyze``.  The sum
-    is real only for a real-input analysis on a half-line grid."""
+    is real only for a real-input analysis on a half-line grid.
+    Coefficients holding NaN or inf raise InvalidParameter."""
     _check_shape(coeffs, bank)
     length = bank.grid.length
     plan = bank.plan
@@ -298,6 +299,10 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     del spectra  # free before the inverse FFT allocates
     out = np.fft.irfft(spec, n=length) if half else np.fft.ifft(spec)
     out *= np.sqrt(length)
+    # NaN and inf pass the FFTs and sums without a floating-point error
+    if not np.isfinite(out).all():
+        raise InvalidParameter("synthesis gives non-finite samples: the coefficients "
+                               "hold NaN or inf")
     return Signal(samples=out, fs=bank.grid.fs)
 
 

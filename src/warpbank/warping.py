@@ -3,7 +3,8 @@
 A warping map F takes the frequency domain D (the whole line, or the
 positive half line) bijectively onto the real line.  It is increasing and
 continuously differentiable, its derivative does not increase away from
-zero, and maps on the full line are odd.  Filter banks are built from
+zero, and maps on the full line are odd: both full-line families, and
+their inverses, evaluate sgn(t) g(|t|).  Filter banks are built from
 integer translates of a prototype window in warped coordinates, so the
 inverse map fixes channel centers and the inverse derivative
 
@@ -47,6 +48,15 @@ ERB_BREAK_HZ = 228.8
 class Domain(enum.Enum):
     FULL_LINE = "full_line"
     POSITIVE_HALF_LINE = "positive_half_line"
+
+
+def _odd(g, t) -> np.ndarray:
+    """sgn(t) g(|t|), the odd extension of the map g on t >= 0.  It is
+    odd bit for bit: for t != 0 the value at -t is exactly the negated
+    value at t, which lets a full-line bank evaluate F on the
+    non-negative bins only (see bank)."""
+    t = np.asarray(t, dtype=float)
+    return np.sign(t) * g(np.abs(t))
 
 
 def _positive(**params: float) -> None:
@@ -238,12 +248,10 @@ class ErbLikeWarping(WarpingFunction):
     domain: ClassVar[Domain] = Domain.FULL_LINE
 
     def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sign(t) * self.c * np.log1p(np.abs(t) / self.d)
+        return _odd(lambda u: self.c * np.log1p(u / self.d), t)
 
     def f_inv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.sign(x) * self.d * np.expm1(np.abs(x) / self.c)
+        return _odd(lambda u: self.d * np.expm1(u / self.c), x)
 
     def f_deriv(self, t):
         t = np.asarray(t, dtype=float)
@@ -266,12 +274,10 @@ class SignedPowWarping(_PowerLaw):
     domain: ClassVar[Domain] = Domain.FULL_LINE
 
     def f(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sign(t) * self.c * ((np.abs(t) / self.d + 1.0) ** self.l - 1.0)
+        return _odd(lambda u: self.c * ((u / self.d + 1.0) ** self.l - 1.0), t)
 
     def f_inv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.sign(x) * self.d * ((np.abs(x) / self.c + 1.0) ** (1.0 / self.l) - 1.0)
+        return _odd(lambda u: self.d * ((u / self.c + 1.0) ** (1.0 / self.l) - 1.0), x)
 
     def f_deriv(self, t):
         t = np.asarray(t, dtype=float)

@@ -3,8 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from warpbank import InvalidParameter, Signal, cli
-from warpbank.signal_io import read_wav, write_wav
+from warpbank import (GridSpec, InvalidParameter, Signal, analyze, cli, design_tight,
+                      make_warping, with_scaled_factors)
+from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_wav, render_spectrogram,
+                                write_pgm, write_wav)
 
 
 @pytest.fixture
@@ -175,3 +177,55 @@ def test_unsupported_wav_format_is_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "c.wfbc")]) == 2
     assert "format tag 0x2 with 4-bit samples is not supported" in capsys.readouterr().err
     assert not (tmp_path / "c.wfbc").exists()
+
+
+def per_row_spectrogram(coeffs, bank):
+    """The spectrogram renderer as it was before its one-pass rewrite,
+    kept as the reference: levels per stored row, resampled by gather."""
+    order = np.argsort([ch.center_hz for ch in bank.channels])
+    n_cols = max(ch.n_frames for ch in bank.channels)
+    sources = coeffs.sources[:len(bank.channels)]
+    mags = {row: np.abs(coeffs.row(row)) for row in set(sources)}
+    peak = max(float(m.max()) for m in mags.values())
+    image = np.zeros((len(order), n_cols), dtype=np.uint8)
+    if peak <= 0.0:
+        return image
+    columns = {n: (np.arange(n_cols) * n) // n_cols for n in {len(m) for m in mags.values()}}
+    levels = {}
+    for row, mag in mags.items():
+        with np.errstate(divide="ignore"):
+            db = np.maximum(20.0 * np.log10(mag / peak), SPECTROGRAM_FLOOR_DB)
+        scaled = (db - SPECTROGRAM_FLOOR_DB) / (-SPECTROGRAM_FLOOR_DB)
+        levels[row] = np.round(255.0 * scaled).astype(np.uint8)
+    for row, i in enumerate(order):
+        image[row] = levels[sources[i]][columns[bank.channels[i].n_frames]]
+    return image
+
+
+@pytest.mark.parametrize("family,kw,fs", [("erblike", {}, 44100.0),
+                                          ("sympow", {"l": 0.5}, 8.0)])
+@pytest.mark.parametrize("length", [360, 4096])
+def test_spectrogram_matches_the_per_row_renderer(family, kw, fs, length):
+    w = make_warping(family, **kw)
+    tight = design_tight(w, GridSpec(length=length, fs=fs, domain=w.domain))
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(length) * np.exp(-np.arange(length) / (length / 5))
+    gathered = 0
+    for bank in (tight, with_scaled_factors(tight, 4)):
+        n_cols = max(ch.n_frames for ch in bank.channels)
+        gathered += any(n_cols % ch.n_frames for ch in bank.channels)
+        for signal in (x, x + 1j * rng.standard_normal(length), np.zeros(length)):
+            coeffs = analyze(signal, bank)
+            image, centers = render_spectrogram(coeffs, bank)
+            want = per_row_spectrogram(coeffs, bank)
+            assert image.dtype == np.uint8 and image.tobytes() == want.tobytes()
+            assert centers == sorted(ch.center_hz for ch in bank.channels)
+            assert image.max() == (255 if signal.any() else 0)
+    # at L=360 some rows have an N that does not divide the column count
+    assert gathered if length == 360 else not gathered
+
+
+def test_pgm_holds_the_image_rows(tmp_path):
+    image = np.arange(60, dtype=np.uint8).reshape(6, 10)[:, ::2]  # not contiguous
+    write_pgm(tmp_path / "s.pgm", image)
+    assert (tmp_path / "s.pgm").read_bytes() == b"P5\n5 6\n255\n" + image.tobytes()

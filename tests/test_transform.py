@@ -193,6 +193,19 @@ def test_overflow_is_invalid_parameter(family, kw):
         synthesize(coeffs, bank)
 
 
+@pytest.mark.parametrize("family,fs", [("erblike", 44100.0), ("log", 2.0)])
+def test_non_finite_coefficients_are_invalid_parameter(family, fs):
+    # NaN raises no floating-point error in the FFTs and sums, so the
+    # samples are checked; inf trips the float-range guard on the way
+    bank = tight_bank(family, length=512, fs=fs)
+    for x in (np.ones(512), np.ones(512) * (1 + 1j)):
+        for bad in (np.nan, np.inf):
+            coeffs = analyze(x, bank)
+            coeffs.buffer[0] = bad
+            with pytest.raises(InvalidParameter):
+                synthesize(coeffs, bank)
+
+
 def test_synthesize_checks_fingerprint():
     rng = np.random.default_rng(14)
     bank = tight_bank()
@@ -641,6 +654,54 @@ def test_full_line_mirror_pairs(family, kw, window, stretch):
             full = np.concatenate(cplx.channels)
             assert (np.linalg.norm(np.concatenate(real.channels) - full)
                     <= 1e-15 * np.linalg.norm(full))
+
+
+ORACLE_WINDOWS = PAIR_WINDOWS + [("bspline2", 3.0), ("bspline3", 3.0)]
+
+
+@pytest.mark.parametrize("window,stretch", ORACLE_WINDOWS)
+@pytest.mark.parametrize("family,kw", [("erblike", {}), ("signedpow", {"l": 0.5})])
+def test_reflected_channels_match_their_own_sampling(family, kw, window, stretch):
+    # channel -m of a pair is built as channel m reversed; F is odd bit for
+    # bit on the grid, so that is exactly what sampling -m itself gives
+    w = make_warping(family, **kw)
+    for length in (360, 500, 512, 4096):
+        grid = GridSpec(length=length, fs=44100.0, domain=w.domain)
+        t = np.arange(1, length // 2) * grid.bin_hz  # the bins with a negative twin
+        assert w.f(-t).tobytes() == np.negative(w.f(t)).tobytes()
+        proto = named_window(window, stretch)
+        banks = [build_bank(w, proto, grid, Painless())]
+        if not window.startswith("bspline"):
+            banks.append(design_tight(w, grid, window, stretch))
+        for bank in banks:
+            reflected = reflected_pairs(bank)
+            assert reflected
+            for j in reflected:
+                ch = bank.channels[j]
+                bins = ch.start_bin + np.arange(len(ch.response))
+                want = np.asarray(bank.window(w.f(bins * grid.bin_hz) - ch.m), dtype=float)
+                want *= np.sqrt(ch.a / length)
+                assert ch.response.tobytes() == want.tobytes()
+
+
+def test_reflection_leaves_out_probes_on_the_support_edge():
+    # fs puts F of bin 1 one ulp below 1/2, so channel 1's probe at bin -1
+    # rounds onto -R/2, inside the half-open support, and channel -1's at
+    # bin 1 onto R/2, outside: the bins negate, the responses do not
+    w = make_warping("erblike", c=1.0, d=1.0)
+    length, target = 64, np.nextafter(0.5, 0.0)
+    t = np.expm1(target)
+    fs = next(length * u for u in t + np.arange(-50, 50) * np.spacing(t)
+              if w.f(np.array([u]))[0] == target)
+    grid = GridSpec(length=length, fs=fs, domain=w.domain)
+    bank = build_bank(w, named_window("hamming", 3.0), grid, Painless())
+    rows = {ch.m: ch for ch in bank.channels}
+    one, minus = rows[1], rows[-1]
+    assert minus.start_bin + len(minus.response) == 2 and one.start_bin == -1
+    assert minus.response[-1] == 0.0 < one.response[0]
+    bins = minus.start_bin + np.arange(len(minus.response))
+    want = bank.window(w.f(bins * grid.bin_hz) + 1) * np.sqrt(minus.a / length)
+    assert minus.response.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family,kw", [("log", {}), ("sympow", {"l": 0.5})])
