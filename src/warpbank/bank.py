@@ -11,8 +11,9 @@ sticks out past the grid are truncated there (no wrap-around).  F is
 evaluated once, on the active bins, and on the full line only on the
 non-negative ones: it is odd (see warping), so the negative bins take the
 negation.  A designed bank holds exactly the channels whose support
-[c+m, d+m) holds some F(xi_j).  The downsampling factor a_m is an
-integer divisor of L, so the channel has exactly N_m = L / a_m
+[c+m, d+m) holds some F(xi_j), open at c+m too where theta vanishes at
+its edges (Hann, Blackman, the B-splines).  The downsampling factor a_m
+is an integer divisor of L, so the channel has exactly N_m = L / a_m
 coefficients, and the frame-operator diagonal
 
     d(xi_j) = sum_m (L / a_m) response_m[j]^2 = sum_m theta(F(xi_j) - m)^2
@@ -25,28 +26,27 @@ warping cannot reach.  Each warped channel then also has a mirror branch,
 its response on the negative bins L - bin (see transform), so the bank
 covers all of C^L and real signals round-trip through conjugate symmetry.
 
-A bank builds its plan when it is constructed: one flat table with a row
-per generator (channels, residuals, mirror branches), grouped by frame
-length N (hops snap to divisors of L, so a bank has few distinct N), with
-the N of every row in ``plan.frames`` and, for every sampled entry, its
-slot in one flat coefficient buffer.  From then on each channel's
-response is a view of the plan, and analysis, synthesis, the diagonal and
-the dual all read the plan.
+A mirror row is its partner seen through f -> conj(f(-.)): its partner's
+response on the negated bins, so for real input its coefficients are the
+conjugates of its partner's.  The mirror branches of a half-line grid are
+such rows.  On the full line, where F is odd and theta even, channel -m
+is channel m reflected when its bins are exactly m's negated and its hop
+m's (see ``_reflections``): the window is evaluated on m alone, and -m's
+response is a reversed view of m's.  That leaves direct the rows at the
+Nyquist bin, which has no negative twin, and rows with a probe on the
+closed edge of a half-open support.  A reflected pair becomes a mirror
+row and its partner where the diagonal is symmetric on its bins
+(``_mirror_partners``).
 
-A row may be the mirror row of another: its bins are its partner's
-negated and its response its partner's reversed, so for real input its
-coefficients are the conjugates of its partner's.  The mirror branches of
-a half-line grid are such rows by construction.  On the full line, where
-F is odd and the prototype even, channel -m is built as channel m
-reflected when its bins are exactly m's negated and its hop m's (see
-``_reflections``): the window is evaluated on m alone, and -m takes m's
-response reversed.  That leaves direct the rows at the Nyquist bin, which
-has no negative twin, and rows with a bin on an edge of their support,
-which is half-open.  A reflected pair becomes a mirror row and its
-partner where the diagonal is symmetric on its bins
-(``_mirror_partners``).  The plan orders its rows by role, paired direct
-rows first, then unpaired direct rows, then mirror rows, so that real
-input needs only a prefix of the entries and of the coefficient buffer.
+A bank builds its plan when it is constructed: one flat table of the
+sampled entries of its direct rows (channels and residuals; a mirror row
+reads its partner's), grouped by frame length N (hops snap to divisors of
+L, so a bank has few distinct N), paired rows first, with the N of every
+row in ``plan.frames`` and, for every entry, its slot in one flat
+coefficient buffer.  The mirror rows' coefficients follow the direct
+prefix in a copy of the paired rows' layout, so real input needs only
+that prefix.  Each channel's response is a view of the plan, and
+analysis, synthesis, the diagonal and the dual all read the plan.
 """
 
 from __future__ import annotations
@@ -151,19 +151,19 @@ class ResidualChannel:
 class BankPlan:
     """Flat sampled geometry, built with the bank, one row per generator:
     row i is channel i, then the residuals (N = 1, response 1 at their
-    bin), then on half-line grids a mirror per channel (its response on
-    the bins L - bin).  ``frames[i]`` is row i's coefficient count N and
-    ``partner[i]`` the row that row i mirrors, or -1 for a direct row.
-    ``bins`` (0..L-1), ``response`` and ``slots`` run group after group,
-    one entry per sampled bin; row i's response starts at
-    ``response[offsets[i]]``.  All coefficients live in one flat buffer,
-    row i's N of them at ``coefs[i]``, and an entry folds onto the slot
-    ``slots`` = its row's ``coefs`` + bin % N.  Group (N, block, span) has
-    the rows of one role and frame length: their entries ``span`` fold
-    onto the contiguous buffer slice ``block``, rows x N.  The first
-    ``paired`` groups hold the direct rows that have a mirror row, the
-    first ``direct`` groups every direct row, so their entries and blocks
-    are prefixes of the entries and of the buffer."""
+    bin), then on half-line grids a mirror branch per channel.
+    ``frames[i]`` is row i's coefficient count N and ``partner[i]`` the
+    row that row i mirrors, or -1 for a direct row.  ``bins`` (0..L-1),
+    ``response`` and ``slots`` run group after group, one entry per sampled
+    bin of a direct row; row i's response starts at
+    ``response[offsets[i]]``, a mirror row's at its partner's.  All
+    coefficients live in one flat buffer, row i's N of them at
+    ``coefs[i]``, and an entry folds onto the slot ``slots`` = its row's
+    ``coefs`` + bin % N.  Group (N, block, span) has the direct rows of one
+    frame length, paired or not: their entries ``span`` fold onto the
+    contiguous buffer slice ``block``, rows x N.  The first ``paired``
+    groups hold the rows that have a mirror row.  Past the last group's
+    block, the mirror rows' block repeats their blocks, row for row."""
 
     groups: list[tuple[int, slice, slice]]
     bins: np.ndarray
@@ -174,13 +174,12 @@ class BankPlan:
     frames: np.ndarray
     partner: np.ndarray
     paired: int
-    direct: int
 
     @cached_property
     def slot_frames(self) -> np.ndarray:
         """N of the row of every buffer slot."""
-        return np.repeat([n for n, _, _ in self.groups],
-                         [block.stop - block.start for _, block, _ in self.groups])
+        frames = self.frames[np.argsort(self.coefs)]
+        return np.repeat(frames, frames)
 
 
 @dataclass
@@ -213,13 +212,19 @@ class WarpedBank:
 
     def diagonal(self) -> np.ndarray:
         """Frame-operator diagonal over all L bins (cached): entry j of
-        row m adds N_m response_m[j]^2 at its bin."""
+        row m adds N_m response_m[j]^2 at its bin, a mirror row its
+        partner's at the negated bins, after the direct rows and by N."""
         if self._diag is None:
-            plan = self.plan
-            entry_frames = np.repeat([n for n, _, _ in plan.groups],
-                                     [span.stop - span.start for _, _, span in plan.groups])
-            self._diag = np.bincount(plan.bins, entry_frames * plan.response ** 2,
-                                     minlength=self.grid.length)
+            plan, length = self.plan, self.grid.length
+            weights = plan.response ** 2 * np.repeat([n for n, _, _ in plan.groups],
+                                                     [s.stop - s.start for _, _, s in plan.groups])
+            mirror = np.flatnonzero(plan.partner >= 0)
+            mates = plan.partner[mirror[np.argsort(plan.frames[mirror], kind="stable")]]
+            sizes = np.array([len(self.channels[p].response) for p in mates], dtype=np.intp)
+            take = np.repeat(plan.offsets[mates] - np.cumsum(sizes) + sizes, sizes)
+            take += np.arange(len(take))
+            self._diag = np.bincount(np.concatenate((plan.bins, -plan.bins[take] % length)),
+                                     np.concatenate((weights, weights[take])), minlength=length)
         return self._diag
 
 
@@ -273,27 +278,28 @@ def _check_tags(first, last, residual: bool) -> None:
                                "the 32-bit channel tags of the coefficient file")
 
 
-def _touching_channels(warped: np.ndarray, support, residual: bool) -> list[int]:
-    """Every m whose warped support [c+m, d+m) holds one of the sorted
-    warped bins.  Bin j admits floor(F_j - d) < m <= floor(F_j - c), and
-    adds only the m above those the bins below it admitted; the bounds are
-    widened by one against rounding, and the supports decide."""
-    lo_s, hi_s = support
+def _touching_channels(warped: np.ndarray, window, residual: bool) -> list[int]:
+    """Every m whose warped support (see ``_supports``) holds one of the
+    sorted warped bins.  Bin j admits floor(F_j - d) < m <= floor(F_j - c),
+    and adds only the m above those the bins below it admitted; the bounds
+    are widened by one against rounding, and the supports decide."""
+    lo_s, hi_s = window.support
     top = np.floor(warped - lo_s) + 1
     below = np.maximum(np.floor(warped - hi_s) - 1, np.concatenate(([-np.inf], top[:-1])))
     _check_tags(below[0] + 1, top[-1], residual)
     counts = np.maximum(top - below, 0).astype(np.int64)
     first = (below + 1).astype(np.int64) - (np.cumsum(counts) - counts)
     ms = np.repeat(first, counts) + np.arange(counts.sum())
-    starts, stops = _supports(warped, support, ms)
+    starts, stops = _supports(warped, window, ms)
     return ms[stops > starts].tolist()
 
 
-def _supports(warped: np.ndarray, support, ms) -> tuple[np.ndarray, np.ndarray]:
+def _supports(warped: np.ndarray, window, ms) -> tuple[np.ndarray, np.ndarray]:
     """Index ranges [starts, stops) of the sorted warped bins inside each
-    channel's support [c+m, d+m)."""
-    m = np.asarray(ms, dtype=float)
-    return np.searchsorted(warped, support[0] + m), np.searchsorted(warped, support[1] + m)
+    channel's support [c+m, d+m), open at c+m too where theta vanishes."""
+    m, (lo_s, hi_s) = np.asarray(ms, dtype=float), window.support
+    side = "right" if window.vanishes_at_edges else "left"
+    return np.searchsorted(warped, lo_s + m, side), np.searchsorted(warped, hi_s + m)
 
 
 def _reflections(ms, factors, warped, starts, stops, support) -> dict[int, int]:
@@ -378,61 +384,53 @@ def _mirror_partners(channels: list[Channel], rows: int, pairs: list[tuple[int, 
 
 
 def _build_plan(bank: WarpedBank, partner=None) -> BankPlan:
-    """Concatenate the rows' sampled responses grouped by (role, N), lay
-    their coefficient blocks out in the same order, and point each
-    channel's response at its slice.  The roles are 0 for a direct row
-    with a mirror row, 1 for one without, 2 for a mirror row; ``partner``
-    defaults to the half-line mirror branches alone."""
-    chans = bank.channels
-    # (N, first bin, response, mirror branch?) per row
-    table = [(ch.n_frames, ch.start_bin, ch.response, False) for ch in chans]
-    table += [(1, res.bin_index, np.ones(1), False) for res in bank.residuals]
-    if bank.grid.domain is Domain.POSITIVE_HALF_LINE:
-        table += [(n, b, r, True) for n, b, r, _ in table[:len(chans)]]
+    """Concatenate the direct rows' sampled responses grouped by (paired?,
+    N), lay their coefficient blocks out in the same order, then the
+    mirror rows' as a copy of the paired rows' layout, and point each
+    channel's response at its slice, a mirror channel's at its partner's
+    reversed.  ``partner`` defaults to the half-line mirror branches."""
+    chans, length = bank.channels, bank.grid.length
+    # (N, first bin, response) per channel and residual
+    table = [(ch.n_frames, ch.start_bin, ch.response) for ch in chans]
+    table += [(1, res.bin_index, np.ones(1)) for res in bank.residuals]
+    branches = chans if bank.grid.domain is Domain.POSITIVE_HALF_LINE else []
+    frames = np.array([row[0] for row in table] + [ch.n_frames for ch in branches], dtype=np.int64)
     if partner is None:
-        partner = _mirror_partners(chans, len(table), [], bank.grid.length)
-    role = [1] * len(table)
-    for i, p in enumerate(partner.tolist()):
-        if p >= 0:
-            role[i], role[p] = 2, 0
-    key = [(r, row[0]) for r, row in zip(role, table)]
-    order = sorted(range(len(table)), key=key.__getitem__)
+        partner = _mirror_partners(chans, len(frames), [], length)
+    mates = partner.tolist()
+    partners = set(mates)
+    key = [(i not in partners, row[0]) for i, row in enumerate(table)]
+    order = sorted((i for i in range(len(table)) if mates[i] < 0), key=key.__getitem__)
     sizes = np.array([len(table[i][2]) for i in order], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     response = np.concatenate([table[i][2] for i in order])
-    offsets = np.empty(len(table), dtype=np.intp)
-    offsets[order] = starts
-    for ch, start in zip(chans, offsets):
-        ch.response = response[start:start + len(ch.response)]
-    # bin of each entry: its row's first bin plus its position, negated on
-    # half-line mirror branches, then mod L (signed bins lie in -L/2..L/2,
-    # so only the negative ones move; a division would cost more)
+    n_sorted = frames[order]
+    blocks = np.cumsum(n_sorted) - n_sorted
+    offsets, coefs = np.zeros(len(frames), dtype=np.intp), np.zeros_like(frames)
+    offsets[order], coefs[order] = starts, blocks
+    source = np.where(partner >= 0, partner, np.arange(len(frames)))
+    offsets, coefs = offsets[source], coefs[source] + (partner >= 0) * n_sorted.sum()
+    for ch, start, mate in zip(chans, offsets, mates):  # a mirror channel's reversed
+        ch.response = response[start:start + len(ch.response)][::-1 if mate >= 0 else 1]
+    # bin of each entry: its row's first bin plus its position, then mod L
+    # (signed bins lie in -L/2..L/2, so only the negative ones move; a
+    # division would cost more)
     first = np.array([table[i][1] for i in order], dtype=np.intp)
     bins = np.repeat(first - starts, sizes)
     bins += np.arange(len(bins))
-    branch = [table[i][3] for i in order]
-    if any(branch):
-        np.negative(bins, out=bins, where=np.repeat(branch, sizes))
-    np.add(bins, bank.grid.length, out=bins, where=bins < 0)
-    # coefficient blocks of the rows, in the same order; an entry's slot
-    # in its row's block is bin % N
-    frames = np.array([row[0] for row in table], dtype=np.int64)
-    n_sorted = frames[order]
-    blocks = np.cumsum(n_sorted) - n_sorted
-    coefs = np.empty_like(frames)
-    coefs[order] = blocks
+    np.add(bins, length, out=bins, where=bins < 0)
+    # an entry's slot in its row's block is bin % N
     slots = np.repeat(blocks, sizes)
-    groups, counts, lo = [], [0, 0, 0], 0
-    for (r, n), rows in groupby(order, key=key.__getitem__):
+    groups, paired, lo = [], 0, 0
+    for (unpaired, n), rows in groupby(order, key=key.__getitem__):
         hi = lo + len(list(rows))
         block = slice(int(blocks[lo]), int(blocks[lo]) + (hi - lo) * n)
         span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
         slots[span] += bins[span] % n
         groups.append((n, block, span))
-        counts[r] += 1
+        paired += not unpaired
         lo = hi
-    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, partner,
-                    counts[0], counts[0] + counts[1])
+    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, partner, paired)
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:
@@ -497,7 +495,7 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             factors[m] = int(a)
         policy_record = {"policy": "explicit"}
     else:
-        ms = _touching_channels(warped, window.support, half) if len(warped) else []
+        ms = _touching_channels(warped, window, half) if len(warped) else []
         if not ms:
             raise EmptyBank("no channel's warped support holds a bin of the grid")
         if isinstance(policy, Painless):
@@ -514,7 +512,7 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
         rounded = round_factors_to_grid(a_real, grid)
         factors = dict(zip(ms, (int(a) for a in rounded)))
 
-    starts, stops = _supports(warped, window.support, ms)
+    starts, stops = _supports(warped, window, ms)
     with np.errstate(over="ignore"):
         centers = warping.f_inv(np.array(ms, dtype=float))
     if not np.isfinite(centers).all():
@@ -567,11 +565,11 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
 
     Requires every channel painless and full coverage; with that,
     analysis by ``bank`` followed by synthesis with the dual is the
-    identity.  The diagonal is 1 at the residual bins and symmetric
-    under j -> L - j, so dividing the channels alone divides every row.
-    It is symmetric to rounding on the bins of mirror pairs (see
-    ``_mirror_partners``), so a mirror row takes its partner's quotient
-    reversed, and the dual keeps ``bank``'s pairs.
+    identity.  The diagonal is 1 at the residual bins, so dividing the
+    direct rows' entries divides every direct row.  It is symmetric to
+    rounding on the bins of mirror pairs (see ``_mirror_partners``), so
+    each mirror row, its partner's quotient reflected, is its own quotient
+    too, and the dual keeps ``bank``'s pairs.
     """
     offenders = [ch.m for ch in bank.channels if not ch.painless]
     if offenders:
@@ -582,12 +580,9 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
     _require_coverage(bank, "the pointwise dual is undefined there")
     plan = bank.plan
     response = plan.response / bank.diagonal()[plan.bins]
-    quotients = [response[start:start + len(ch.response)]
-                 for ch, start in zip(bank.channels, plan.offsets)]
-    quotients = [quotients[p][::-1] if p >= 0 else q
-                 for q, p in zip(quotients, plan.partner.tolist())]
     return replace(bank, kind="dual", partner=plan.partner, channels=[
-        replace(ch, response=q) for ch, q in zip(bank.channels, quotients)])
+        replace(ch, response=response[start:start + len(ch.response)])
+        for ch, start in zip(bank.channels, plan.offsets)])
 
 
 def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",

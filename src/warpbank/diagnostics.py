@@ -72,15 +72,15 @@ def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
     """(A_suff, B_suff): Gershgorin bounds of the sampled frame operator.
 
     In the DFT domain S[j, j'] = sum_m N_m g_m[j] g_m[j'] over the plan's
-    rows (channels, residuals, mirror branches) with j = j' (mod N_m), so every
-    eigenvalue lies within R_j - S[j, j] of some diagonal entry S[j, j],
-    R_j being the absolute row sum.  S's own fold and gather run on the
-    all-ones spectrum with |g_m| in place of g_m give
-    sum_m N_m |g_m[j]| sum_j' |g_m[j']| >= R_j: the triangle inequality
-    per channel only adds, so A_suff = min_j (2 S[j, j] - R_j) and
-    B_suff = max_j R_j stay valid.  A painless channel puts each nonzero
-    bin alone in its slot, so on a painless bank R_j = S[j, j] and the
-    bounds are the diagonal's extremes.
+    rows, a mirror row as its partner reflected (see ``_walnut``), with
+    j = j' (mod N_m), so every eigenvalue lies within R_j - S[j, j] of
+    some diagonal entry S[j, j], R_j being the absolute row sum.  S's own
+    fold and gather run on the all-ones spectrum with |g_m| in place of
+    g_m give sum_m N_m |g_m[j]| sum_j' |g_m[j']| >= R_j: the triangle
+    inequality per channel only adds, so A_suff = min_j (2 S[j, j] - R_j)
+    and B_suff = max_j R_j stay valid.  A painless channel puts each
+    nonzero bin alone in its slot, so on a painless bank R_j = S[j, j] and
+    the bounds are the diagonal's extremes.
     """
     plan = bank.plan
     ones = np.ones(bank.grid.length, dtype=complex)

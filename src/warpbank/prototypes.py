@@ -75,6 +75,12 @@ class CosineSumWindow:
         """True when the squared-translate sum is exactly constant."""
         return float(self.stretch).is_integer()
 
+    @property
+    def vanishes_at_edges(self) -> bool:
+        """theta(-R/2) = sum_k (-1)^k b_k is 0 to rounding (Hann, Blackman)."""
+        edge = sum((-1) ** k * b for k, b in enumerate(self.coeffs))
+        return abs(edge) <= len(self.coeffs) * np.finfo(float).eps * sum(map(abs, self.coeffs))
+
     def __call__(self, t):
         # The sum runs over the whole probe, in place.  A bank's probes are
         # sorted and lie inside the support but for rounding, so the mask
@@ -129,6 +135,7 @@ class BSplineWindow:
 
     sum_of_squares_constant = None
     constant_overlap = False
+    vanishes_at_edges = True
 
     def __call__(self, t):
         # rescale so the unit B-spline's support [-order/2, order/2]

@@ -6,34 +6,32 @@ hop a and N = L / a coefficients computes
     c_m[n] = <f, T_{n a} g_m> = sum_j fhat[j] response_m[j] exp(2 pi i j n / N),
 
 done by folding fhat * response onto N slots (j mod N) and one inverse
-FFT of length N.  The bank's plan (see bank) has a row per generator,
-groups the rows by N and gives every sampled entry its slot in one flat
-coefficient buffer, so a full analysis costs one length-L FFT, one
-complex scatter-add (``np.add.at``) of all entries onto the buffer, then
-per group one batched in-place inverse FFT of its rows x N block; a
-CoefficientSet holds that buffer.  Synthesis is the exact adjoint: on a
-copy of the buffer, per group one batched in-place FFT, then one gather
-through the slots and one complex scatter-add of
-fft(c_m)[j mod N] * response_m[j] onto the bins.  The
-n = 0 coefficient sits at time 0; there is no per-channel phase ramp.  A
-residual is a row with N = 1 and response 1, so its coefficient is the
-spectrum at its bin.
+FFT of length N.  The bank's plan (see bank) gives every sampled entry of
+a direct row its slot in one flat coefficient buffer and groups the rows
+by N, so an analysis costs one length-L FFT, one complex scatter-add
+(``np.add.at``) of the entries onto the buffer, then per group one
+batched in-place inverse FFT of its rows x N block; a CoefficientSet
+holds that buffer.  Synthesis is the exact adjoint: on a copy of the
+buffer, per group one batched in-place FFT, then one gather through the
+slots and one complex scatter-add of fft(c_m)[j mod N] * response_m[j]
+onto the bins.  The n = 0 coefficient sits at time 0; there is no
+per-channel phase ramp.  A residual is a row with N = 1 and response 1,
+so its coefficient is the spectrum at its bin.
 
-A mirror row (see bank) has its partner's bins negated and its response
-reversed.  Because N divides L, its slot (L - j) mod N is -j mod N, so for
-real input its coefficients are the conjugates of its partner's.  Half-line
-banks carry a mirror branch of every warped channel on the
-negative-frequency bins; on the full line channel -m is the mirror row of
-channel m wherever ``build_bank`` built it as m reflected.  Real input
-computes the direct rows only, into the direct prefix of the buffer, and
-leaves every mirror row implicit.  Analysis folds them from the rfft,
-extended by conjugate symmetry on the full line, whose direct rows reach
-negative bins.  Synthesis spreads them and adds the mirror rows as the
-conjugate reflection of their partners' part.  On a half-line grid the
-direct rows sit on bins 0..L/2 and the residuals on the self-conjugate
-DC and Nyquist bins, so that is one irfft and the result is real.  On
-the full line the rows at the Nyquist bin have no mirror, so the result
-stays complex.
+A mirror row (see bank) is its partner seen through f -> conj(f(-.)), so
+its coefficients are the conjugates of its partner's for conj f: the
+fold of the reflected spectrum fhat[-k] through the partner's entries,
+then a forward FFT.  Complex analysis adds that fold of the paired
+entries into the mirror block; synthesis spreads the mirror block
+through them after inverse FFTs and adds the result reflected.  Real
+input computes the direct rows only, into the direct prefix of the
+buffer, from the rfft, extended by conjugate symmetry on the full line,
+whose direct rows reach negative bins; its mirror rows conjugate their
+partners, so synthesis adds the paired rows' spread conjugated and
+reflected.  On a half-line grid the direct rows sit on bins 0..L/2 and
+the residuals on the self-conjugate DC and Nyquist bins, so that is one
+irfft and the result is real.  On the full line the rows at the Nyquist
+bin have no mirror, so the result stays complex.
 
 Coefficients serialize to the WFBC container: magic ``WFBC``, version and
 entry count as little-endian u32, then per entry a channel tag (i32), a
@@ -50,7 +48,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
@@ -147,9 +145,9 @@ def _prefix(plan, groups: int) -> tuple[int, int]:
 
 def _buffer_sizes(plan) -> tuple[int, int, int]:
     """Lengths of the buffer's prefix of paired direct rows, of its prefix
-    of all direct rows and of the whole buffer."""
-    return (_prefix(plan, plan.paired)[1], _prefix(plan, plan.direct)[1],
-            _prefix(plan, len(plan.groups))[1])
+    of all direct rows and of the whole buffer, mirror block included."""
+    paired, direct = _prefix(plan, plan.paired)[1], _prefix(plan, len(plan.groups))[1]
+    return paired, direct, direct + paired
 
 
 def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
@@ -189,13 +187,12 @@ def _in_float_range(fn):
     return checked
 
 
-def _gather_sum(source, take, weights, index, size: int) -> np.ndarray:
-    """Complex sums of source[take] * weights over equal ``index`` entries,
-    0..size-1: one complex gather and one unbuffered complex scatter-add.
-    The real weights scale the two parts in place; a complex product
-    would first cast them to complex.  The result is allocated before the
-    temporary gather, which page-faults less over repeated calls."""
-    out = np.zeros(size, dtype=complex)
+def _gather_sum(source, take, weights, index, out: np.ndarray) -> np.ndarray:
+    """Add the complex sums of source[take] * weights over equal ``index``
+    entries onto ``out``, allocated before the temporary gather, which
+    page-faults less over repeated calls: one complex gather and one
+    unbuffered complex scatter-add.  The real weights scale the two parts
+    in place; a complex product would first cast them to complex."""
     values = source[take]
     values.real *= weights
     values.imag *= weights
@@ -203,17 +200,29 @@ def _gather_sum(source, take, weights, index, size: int) -> np.ndarray:
     return out
 
 
-def _fold_frames(bank: WarpedBank, fhat: np.ndarray, groups) -> np.ndarray:
-    """Coefficient buffer of the spectrum ``fhat``: the plan's entries
-    fhat[bins] * response scatter-added onto the slots of the prefix
-    ``groups`` cover, then per group one in-place inverse FFT."""
-    plan, stop = bank.plan, groups[-1][2].stop
-    flat = _gather_sum(fhat, plan.bins[:stop], plan.response[:stop], plan.slots[:stop],
-                       groups[-1][1].stop)
-    for n, block, _ in groups:
-        rows = flat[block].reshape(-1, n)
-        np.fft.ifft(rows, norm="forward", out=rows)
-    return flat
+def _fold(plan, fhat: np.ndarray, response: np.ndarray, size: int) -> np.ndarray:
+    """fhat[bins] * ``response`` summed onto the slots of a ``size`` buffer,
+    and past the direct prefix, if it reaches there, the same fold of the
+    reflected spectrum fhat[-k] through the paired entries."""
+    out = _gather_sum(fhat, plan.bins, response, plan.slots, np.zeros(size, dtype=complex))
+    stop, direct = _prefix(plan, plan.paired)[0], _buffer_sizes(plan)[1]
+    if size > direct:
+        _gather_sum(np.concatenate((fhat[:1], fhat[:0:-1])), plan.bins[:stop],
+                    response[:stop], plan.slots[:stop], out[direct:])
+    return out
+
+
+def _row_ffts(flat: np.ndarray, plan, inverse: bool) -> None:
+    """In place, per group one batched FFT of its rows x N block of
+    ``flat``, the unscaled inverse one if ``inverse``, and the other one on
+    the copies of the paired groups' blocks in a mirror block."""
+    ffts = (np.fft.fft, partial(np.fft.ifft, norm="forward"))
+    direct = _buffer_sizes(plan)[1]
+    for part, groups, fft in ((flat, plan.groups, ffts[inverse]),
+                              (flat[direct:], plan.groups[:plan.paired], ffts[not inverse])):
+        for n, block, _ in groups if len(part) else ():
+            rows = part[block].reshape(-1, n)
+            fft(rows, out=rows)
 
 
 @_in_float_range
@@ -224,15 +233,17 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     their partners' by symmetry.
     """
     samples = _checked_samples(signal, bank)
-    length = bank.grid.length
-    plan = bank.plan
+    length, plan = bank.grid.length, bank.plan
+    _, direct, full = _buffer_sizes(plan)
     if np.iscomplexobj(samples):
-        fhat = np.fft.fft(samples) / np.sqrt(length)
-        return CoefficientSet(_fold_frames(bank, fhat, plan.groups), bank)
-    fhat = np.fft.rfft(samples) / np.sqrt(length)
-    if bank.grid.domain is Domain.FULL_LINE:  # direct rows reach the negative bins
-        fhat = np.concatenate((fhat, fhat[-2:0:-1].conj()))
-    return CoefficientSet(_fold_frames(bank, fhat, plan.groups[:plan.direct]), bank)
+        fhat, size = np.fft.fft(samples) / np.sqrt(length), full
+    else:
+        fhat, size = np.fft.rfft(samples) / np.sqrt(length), direct
+        if bank.grid.domain is Domain.FULL_LINE:  # direct rows reach the negative bins
+            fhat = np.concatenate((fhat, fhat[-2:0:-1].conj()))
+    flat = _fold(plan, fhat, plan.response, size)
+    _row_ffts(flat, plan, inverse=True)
+    return CoefficientSet(flat, bank)
 
 
 def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
@@ -250,23 +261,25 @@ def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
         )
 
 
-def _row_spectra(buffer: np.ndarray, groups) -> np.ndarray:
-    """A copy of ``buffer`` with one in-place FFT per group; the caller's
-    coefficients stay untouched."""
-    flat = np.array(buffer, dtype=complex)
-    for n, block, _ in groups:
-        spec = flat[block].reshape(-1, n)
-        np.fft.fft(spec, out=spec)
-    return flat
-
-
-def _spread(bank: WarpedBank, spectra: np.ndarray, entries: slice, size: int) -> np.ndarray:
-    """Adjoint of the fold for the plan's ``entries``: one gather of the
-    row spectra through their slots, weighted by the responses and
-    scatter-added onto ``size`` bins."""
-    plan = bank.plan
-    return _gather_sum(spectra, plan.slots[entries], plan.response[entries],
-                       plan.bins[entries], size)
+def _spread(plan, spectra: np.ndarray, response: np.ndarray, size: int) -> np.ndarray:
+    """Adjoint of ``_fold`` onto ``size`` bins: the row spectra gathered
+    through the slots, times ``response``, summed onto the bins, the
+    unpaired entries' and then the paired ones', plus the reflection of
+    the paired entries' gather from the mirror block, or without one (real
+    input) the conjugate reflection of the paired rows' own."""
+    stop, direct = _prefix(plan, plan.paired)[0], _buffer_sizes(plan)[1]
+    out = _gather_sum(spectra, plan.slots[stop:], response[stop:], plan.bins[stop:],
+                      np.zeros(size, dtype=complex))
+    paired = plan.slots[:stop], response[:stop], plan.bins[:stop]
+    part = _gather_sum(spectra, *paired, np.zeros(size, dtype=complex))
+    out += part
+    if len(spectra) > direct:
+        part = _gather_sum(spectra[direct:], *paired, np.zeros(size, dtype=complex))
+    else:
+        np.conjugate(part, out=part)
+    out[0] += part[0]  # at the negated bins: -0 = 0 and L - j
+    out[1:] += part[:0:-1]
+    return out
 
 
 @_in_float_range
@@ -276,26 +289,17 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     is real only for a real-input analysis on a half-line grid.
     Coefficients holding NaN or inf raise InvalidParameter."""
     _check_shape(coeffs, bank)
-    length = bank.grid.length
-    plan = bank.plan
-    # real-input shortcut (direct prefix): the mirror rows by symmetry
-    shortcut = len(coeffs.buffer) < _buffer_sizes(plan)[2]
-    half = shortcut and bank.grid.domain is Domain.POSITIVE_HALF_LINE
-    spectra = _row_spectra(coeffs.buffer, plan.groups[:plan.direct] if shortcut else plan.groups)
-    paired, direct = _prefix(plan, plan.paired)[0], _prefix(plan, plan.direct)[0]
-    if not shortcut:
-        spec = _spread(bank, spectra, slice(0, None), length)
-    elif half:  # bins 0..L/2, the rest by irfft
-        spec = _spread(bank, spectra, slice(0, direct), length // 2 + 1)
-    else:  # unpaired rows as they are, paired ones plus their conjugate reflection
-        spec = _spread(bank, spectra, slice(paired, direct), length)
-        part = _spread(bank, spectra, slice(0, paired), length)
-        spec += part  # and conj(part) at the negated bins, -0 = 0 and L - j
-        spec.real[0] += part.real[0]
-        spec.imag[0] -= part.imag[0]
-        spec.real[1:] += part.real[:0:-1]
-        spec.imag[1:] -= part.imag[:0:-1]
-        del part
+    length, plan = bank.grid.length, bank.plan
+    # a real-input set on a half-line grid sits on bins 0..L/2; irfft adds the rest
+    half = (len(coeffs.buffer) < _buffer_sizes(plan)[2]
+            and bank.grid.domain is Domain.POSITIVE_HALF_LINE)
+    spectra = np.array(coeffs.buffer, dtype=complex)  # the caller's stay untouched
+    _row_ffts(spectra, plan, inverse=False)
+    if half:
+        spec = _gather_sum(spectra, plan.slots, plan.response, plan.bins,
+                           np.zeros(length // 2 + 1, dtype=complex))
+    else:
+        spec = _spread(plan, spectra, plan.response, length)
     del spectra  # free before the inverse FFT allocates
     out = np.fft.irfft(spec, n=length) if half else np.fft.ifft(spec)
     out *= np.sqrt(length)
@@ -309,14 +313,13 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
 def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndarray:
     """The Walnut form of S applied to the complex spectrum ``fhat``, with
     ``response`` (one entry per plan entry) in place of the sampled
-    responses: scatter-add fhat * response onto the slots, scale each
-    group's block by its N, and scatter-add folded[slots] * response back
-    onto the bins.  Every row, residual and mirror ones included, runs
-    through the same two complex scatter-adds, aliasing or not."""
+    responses: ``_fold`` into a complex analysis's buffer, each slot scaled
+    by its row's N, and ``_spread`` back.  Every row, residual and mirror
+    ones included, runs through the same scatter-adds, aliasing or not."""
     plan = bank.plan
-    folded = _gather_sum(fhat, plan.bins, response, plan.slots, plan.groups[-1][1].stop)
+    folded = _fold(plan, fhat, response, _buffer_sizes(plan)[2])
     folded *= plan.slot_frames
-    return _gather_sum(folded, plan.slots, response, plan.bins, bank.grid.length)
+    return _spread(plan, folded, response, bank.grid.length)
 
 
 @_in_float_range
@@ -331,9 +334,8 @@ def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
     """
     samples = _checked_samples(signal, bank)
     length = bank.grid.length
-    plan = bank.plan
     fhat = np.fft.fft(samples) / np.sqrt(length)
-    spec = _walnut(fhat, plan.response, bank)
+    spec = _walnut(fhat, bank.plan.response, bank)
     out = np.sqrt(length) * np.fft.ifft(spec)
     if bank.grid.domain is Domain.POSITIVE_HALF_LINE and not np.iscomplexobj(samples):
         out = out.real
@@ -367,11 +369,6 @@ def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
             data = np.asarray(coeffs.row(row), dtype="<c16")
             fh.write(struct.pack("<iI", tag, len(data)))
             fh.write(data)
-
-
-def _conjugates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if ``a`` is bit for bit the conjugate of ``b``."""
-    return np.array_equal(a.view(np.uint64), np.conj(b).view(np.uint64))
 
 
 def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
@@ -426,10 +423,11 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
             raise FingerprintMismatch("coefficient file has trailing bytes")
     if not (np.isfinite(head).all() and np.isfinite(tail).all()):
         raise FingerprintMismatch("coefficient file is corrupt: non-finite coefficients")
-    # the full-line layout lists every channel, its mirror rows included
-    mirrors = [(coefs[i] - prefix, coefs[p], frames[i])
-               for i, p in enumerate(plan.partner[:n].tolist()) if p >= 0]
-    if len(tail) and not (mirrors and all(_conjugates(tail[t:t + k], head[h:h + k])
-                                          for t, h, k in mirrors)):
+    # the full-line layout lists every channel, its mirror rows included;
+    # row for row the conjugates of the paired prefix, they stay implicit
+    rows = [slice(start, start + n) for n, block, _ in plan.groups[:plan.paired]
+            for start in range(block.start, block.stop, n)]
+    if len(tail) and (bank.residuals or not all(np.array_equal(
+            tail[r].view(np.uint64), np.conj(head[r]).view(np.uint64)) for r in rows)):
         head = np.concatenate((head, tail))
     return CoefficientSet(head, bank)

@@ -59,9 +59,11 @@ def test_channel_set_is_every_translate_holding_a_bin(family, kw, length, fs, wi
     lo_s, hi_s = proto.support
     lo_bin, hi_bin = grid.signed_bin_range()
     warped = w.f(np.arange(lo_bin, hi_bin + 1) * grid.bin_hz)
-    # brute force over a window of m far wider than the warped bins
+    # brute force over a window of m far wider than the warped bins; Hann
+    # vanishes at -R/2, so its support is open there
     wide = range(int(np.floor(warped[0])) - 20, int(np.ceil(warped[-1])) + 21)
-    held = {m: np.nonzero((warped >= lo_s + m) & (warped < hi_s + m))[0] for m in wide}
+    inside = np.greater if window == "hann" else np.greater_equal
+    held = {m: np.nonzero(inside(warped, lo_s + m) & (warped < hi_s + m))[0] for m in wide}
     expected = [m for m in wide if len(held[m])]
     for policy in (Painless(), Natural()):
         bank = build_bank(w, proto, grid, policy, check_coverage=False)
@@ -344,20 +346,21 @@ def test_painless_dual_rows_view_its_plan(tmp_path):
         for ch in dual.channels:
             assert np.shares_memory(ch.response, dual.plan.response)
         np.testing.assert_array_equal(dual.plan.bins, bank.plan.bins)
-        # a mirror row takes its partner's quotient reversed, which is its
-        # own quotient to rounding, since the diagonal is symmetric there
-        quotient = bank.plan.response / bank.diagonal()[bank.plan.bins]
-        want = quotient.copy()
-        plan = bank.plan
-        for i, p in enumerate(plan.partner[:len(bank.channels)]):
-            if p >= 0:
-                row = slice(plan.offsets[i], plan.offsets[i] + len(bank.channels[i].response))
-                mate = slice(plan.offsets[p], plan.offsets[p] + len(bank.channels[p].response))
-                want[row] = quotient[mate][::-1]
-        assert (plan.partner >= 0).any()
-        np.testing.assert_allclose(want, quotient, rtol=1e-15, atol=0)
+        # the dual divides the direct rows' entries, and its mirror rows
+        # reflect their partners' quotients; that is their own quotient to
+        # rounding, since the diagonal is symmetric on their bins
+        plan, diag = bank.plan, bank.diagonal()
+        want = plan.response / diag[plan.bins]
         np.testing.assert_array_equal(dual.plan.partner, plan.partner)
         assert dual.plan.response.tobytes() == want.tobytes()
+        for ch, dch, p in zip(bank.channels, dual.channels, plan.partner):
+            if p >= 0:
+                mate = dual.channels[p].response
+                assert dch.response.tobytes() == mate[::-1].tobytes()
+            bins = ch.start_bin + np.arange(len(ch.response))
+            np.testing.assert_allclose(dch.response, ch.response / diag[bins],
+                                       rtol=1e-15, atol=0)
+        assert (plan.partner >= 0).any()
         # a dual survives its spec file bit for bit
         save_bank_spec(dual, tmp_path / "dual.json")
         loaded = load_bank_spec(tmp_path / "dual.json")

@@ -152,8 +152,8 @@ def test_bank_samples_each_response_point_once(monkeypatch, family, kw, length, 
     plan = bank.plan
     direct = [len(ch.response) for ch, p in zip(bank.channels, plan.partner) if p < 0]
     assert calls == direct and sum(calls) > 0
-    # the direct groups hold these entries and the half-line residuals'
-    assert sum(calls) + len(bank.residuals) == plan.groups[plan.direct - 1][2].stop
+    # the plan holds these entries and the half-line residuals' only
+    assert sum(calls) + len(bank.residuals) == len(plan.bins)
     if not bank.residuals:
         assert len(calls) < len(bank.channels)
 

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from warpbank import (CoefficientSet, Domain, Explicit, FingerprintMismatch,
                       GridSpec, InvalidParameter, LengthMismatch, Natural, Painless,
                       Signal, analyze, apply_frame_operator, build_bank, design_tight,
-                      load_coefficients, make_warping, named_window, painless_dual,
-                      save_coefficients, synthesize, with_scaled_factors)
+                      load_bank_spec, load_coefficients, make_warping, named_window,
+                      painless_dual, save_coefficients, synthesize, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 
@@ -451,8 +452,16 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
         frames = [ch.n_frames for ch in chans]
         assert plan.frames.dtype == np.int64
         assert plan.frames.tolist() == frames + [1] * len(res) + (frames if half else [])
+        is_mirror = plan.partner >= 0
+        if half:  # the mirror rows are the branches, one per channel
+            np.testing.assert_array_equal(plan.partner, [-1] * (len(chans) + len(res))
+                                          + list(range(len(chans))))
+        else:  # the mirror rows are channels -m, their partners channels m
+            tags = [ch.m for ch in chans]
+            for i, p in enumerate(plan.partner):
+                assert p < 0 or tags[i] == -tags[p] < 0
 
-        # rows: the channels, the residuals, then a mirror per channel
+        # rows: the channels, the residuals, then a mirror per half-line channel
         sizes = [len(ch.response) for ch in chans]
         sizes += [1] * len(res) + (sizes if half else [])
 
@@ -463,46 +472,35 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
             return plan.bins[span], plan.response[span]
 
         for i, ch in enumerate(chans):
+            if is_mirror[i]:  # channel m's response reversed, a view of it
+                mate = chans[plan.partner[i]].response
+                assert np.shares_memory(ch.response, mate)
+                assert ch.response.tobytes() == mate[::-1].tobytes()
+                continue
             bins, resp = row(i)
             signed = ch.start_bin + np.arange(len(ch.response))
             np.testing.assert_array_equal(bins, signed % length)
             np.testing.assert_array_equal(resp, ch.response)
-            if half:
-                bins, resp = row(len(chans) + len(res) + i)
-                np.testing.assert_array_equal(bins, length - signed)
-                np.testing.assert_array_equal(resp, ch.response)
         for k, r in enumerate(res):
             bins, resp = row(len(chans) + k)
             assert bins.tolist() == [r.bin_index] and resp.tolist() == [1.0]
 
-        direct = np.concatenate([plan.bins[span] for _, _, span in plan.groups[:plan.direct]])
-        mirror = np.concatenate([plan.bins[span] for _, _, span in plan.groups[plan.direct:]]
-                                or [np.zeros(0, dtype=int)])
+        # no entry belongs to a mirror row: the direct rows' spans tile them
+        direct = np.flatnonzero(~is_mirror)
+        assert len(plan.bins) == len(plan.response) == len(plan.slots)
+        cover = np.zeros(len(plan.bins), dtype=int)
+        for i in direct:
+            cover[plan.offsets[i]:plan.offsets[i] + sizes[i]] += 1
+        assert (cover == 1).all()
         if half:
-            assert direct.min() >= 0 and direct.max() <= length // 2
-            assert mirror.min() > length // 2 and mirror.max() <= length - 1
-            np.testing.assert_array_equal(plan.partner, [-1] * (len(chans) + len(res))
-                                          + list(range(len(chans))))
-        else:  # the mirror rows are channels -m, their partners channels m
-            tags = [ch.m for ch in chans]
-            for i, p in enumerate(plan.partner):
-                assert p < 0 or tags[i] == -tags[p] < 0
-        # a mirror row's bins are its partner's negated
-        for i, p in enumerate(plan.partner):
-            if p >= 0:
-                np.testing.assert_array_equal(
-                    plan.bins[plan.offsets[i]:plan.offsets[i] + sizes[i]],
-                    -plan.bins[plan.offsets[p]:plan.offsets[p] + sizes[p]] % length
-                    if half else
-                    -plan.bins[plan.offsets[p]:plan.offsets[p] + sizes[p]][::-1] % length)
+            assert plan.bins.min() >= 0 and plan.bins.max() <= length // 2
 
-        # the rows' coefficient blocks tile one buffer group after group,
-        # the direct groups (channels and residuals) first, the paired ones
-        # before the unpaired ones
+        # the direct rows' coefficient blocks tile the direct prefix group
+        # after group, the paired ones first; each mirror row's block lies
+        # past it, where its partner's lies in the paired prefix
         ends = [0] + [block.stop for _, block, _ in plan.groups]
         assert [block.start for _, block, _ in plan.groups] == ends[:-1]
-        assert ends[-1] == plan.frames.sum()
-        order = np.argsort(plan.coefs)
+        order = direct[np.argsort(plan.coefs[direct])]
         np.testing.assert_array_equal(
             plan.coefs[order], np.cumsum(plan.frames[order]) - plan.frames[order])
         for n, block, span in plan.groups:
@@ -510,14 +508,14 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
             assert set(plan.frames[members].tolist()) == {n}
             assert np.count_nonzero(members) * n == block.stop - block.start
             assert sum(sizes[i] for i in np.flatnonzero(members)) == span.stop - span.start
-        is_mirror = plan.partner >= 0
         is_paired = np.isin(np.arange(len(plan.frames)), plan.partner)
-        pstop = ends[plan.paired]
-        cstop = ends[plan.direct]
+        pstop, cstop = ends[plan.paired], ends[-1]
         assert (plan.coefs[is_paired] + plan.frames[is_paired]).max(initial=0) <= pstop
         assert (plan.coefs[~is_paired & ~is_mirror] >= pstop).all()
-        assert (plan.coefs[~is_mirror] + plan.frames[~is_mirror]).max() <= cstop
-        assert (plan.coefs[is_mirror] >= cstop).all()
+        np.testing.assert_array_equal(plan.coefs[is_mirror],
+                                      cstop + plan.coefs[plan.partner[is_mirror]])
+        assert plan.frames[is_mirror].sum() == pstop
+        assert plan.frames.sum() == cstop + pstop
 
         # a real-input analysis fills only the direct prefix of the buffer
         coeffs = analyze(np.random.default_rng(5).standard_normal(length), bank)
@@ -594,6 +592,25 @@ def test_plan_matches_dense_atoms(family, kw, fs, dense_atoms, plan_test_banks):
                                    atol=1e-12 * np.linalg.norm(x))
 
 
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
+    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
+])
+def test_diagonal_is_the_dense_frame_operator_diagonal(family, kw, fs, dense_atoms,
+                                                       plan_test_banks):
+    # the diagonal of U S U^H, S = atoms^T conj(atoms) and U the unitary
+    # DFT, on tight, hop-scaled and explicit banks, paired rows included
+    for bank in plan_test_banks(family, kw, fs).values():
+        length = bank.grid.length
+        atoms = dense_atoms(bank)
+        dft = np.fft.fft(np.eye(length)) / np.sqrt(length)
+        want = np.diag(dft @ (atoms.T @ atoms.conj()) @ dft.conj().T)
+        diag = bank.diagonal()
+        assert diag.shape == (length,) and diag.dtype == np.float64
+        np.testing.assert_allclose(diag, want.real, rtol=0, atol=1e-12 * diag.max())
+        assert np.abs(want.imag).max() <= 1e-12 * diag.max()
+
+
 def reflected_pairs(bank):
     """{row of channel -m: row of channel m} wherever channel -m has m's
     hop, m's bins negated and m's response reversed, bit for bit."""
@@ -613,7 +630,7 @@ def reflected_pairs(bank):
 
 
 def layout(plan):
-    return [(n, block) for n, block, _ in plan.groups], plan.paired, plan.direct
+    return [(n, block) for n, block, _ in plan.groups], plan.paired
 
 
 PAIR_WINDOWS = [("hann", 3.0), ("hamming", 3.0), ("blackman", 5.0), ("boxcar", 3.0)]
@@ -704,6 +721,40 @@ def test_reflection_leaves_out_probes_on_the_support_edge():
     assert minus.response.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("window,stretch", PAIR_WINDOWS + [("hann", 4.0), ("bspline3", 3.0)])
+def test_edge_aligned_grids_pair_where_theta_vanishes_there(window, stretch):
+    # at fs = 256 the square-root scale puts F of bins exactly on support
+    # edges; where theta vanishes at its edges the support is open, so no
+    # probe sits on one, and the channels pair.  Hamming and boxcar do not
+    # vanish at -R/2: a probe on that closed edge is an asymmetry
+    w = make_warping("signedpow", l=0.5)
+    grid = GridSpec(length=4096, fs=256.0, domain=w.domain)
+    proto = named_window(window, stretch)
+    bank = build_bank(w, proto, grid, Painless())
+    plan, n = bank.plan, len(bank.channels)
+    lo_s = proto.support[0]
+    on_edge = [w.f(np.array([ch.start_bin * grid.bin_hz]))[0] - ch.m == lo_s
+               for ch in bank.channels]
+    if window in ("hamming", "boxcar"):
+        assert any(on_edge) and not (plan.partner >= 0).any()
+        return
+    assert not any(on_edge)
+    pairs = reflected_pairs(bank)
+    assert len(pairs) >= 7
+    np.testing.assert_array_equal(plan.partner, [pairs.get(i, -1) for i in range(n)])
+    dual = painless_dual(bank)
+    rng = np.random.default_rng(25)
+    for x in (rng.standard_normal(4096), random_signal(4096, rng)):
+        rec = synthesize(analyze(x, bank), dual).samples
+        assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_edge_aligned_spec_bank_pairs():
+    bank = load_bank_spec(Path(__file__).parent.parent / "banks" / "sqrtpow_r3.json")
+    assert bank.grid.length == 2048 and len(bank.channels) == 23
+    assert np.count_nonzero(bank.plan.partner >= 0) == 8
+
+
 @pytest.mark.parametrize("family,kw", [("log", {}), ("sympow", {"l": 0.5})])
 def test_half_line_plans_pair_only_the_mirror_branches(family, kw):
     w = make_warping(family, **kw)
@@ -716,7 +767,7 @@ def test_half_line_plans_pair_only_the_mirror_branches(family, kw):
             # channels, then the residuals, then the mirror branches
             sizes = [block.stop - block.start for _, block, _ in plan.groups]
             assert sum(sizes[:plan.paired]) == plan.frames[:n].sum()
-            assert sizes[plan.paired:plan.direct] == [2]
+            assert sizes[plan.paired:] == [2]
 
 
 def test_mirror_pairs_need_a_symmetric_diagonal():
