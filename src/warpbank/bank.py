@@ -38,15 +38,15 @@ closed edge of a half-open support.  A reflected pair becomes a mirror
 row and its partner where the diagonal is symmetric on its bins
 (``_mirror_partners``).
 
-A bank builds its plan when it is constructed: one flat table of the
+``build_bank`` builds the bank's plan once: one flat table of the
 sampled entries of its direct rows (channels and residuals; a mirror row
 reads its partner's), grouped by frame length N (hops snap to divisors of
 L, so a bank has few distinct N), paired rows first, with the N of every
 row in ``plan.frames`` and, for every entry, its slot in one flat
 coefficient buffer.  The mirror rows' coefficients follow the direct
 prefix in a copy of the paired rows' layout, so real input needs only
-that prefix.  Each channel's response is a view of the plan, and
-analysis, synthesis, the diagonal and the dual all read the plan.
+that prefix.  Each channel's response is a view of the plan, which every
+consumer reads; the painless dual shares it, with new responses.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
 from typing import Mapping
@@ -149,9 +149,9 @@ class ResidualChannel:
 
 @dataclass
 class BankPlan:
-    """Flat sampled geometry, built with the bank, one row per generator:
-    row i is channel i, then the residuals (N = 1, response 1 at their
-    bin), then on half-line grids a mirror branch per channel.
+    """Flat sampled geometry, one row per generator: row i is channel i,
+    then the residuals (N = 1, response 1 at their bin), then on half-line
+    grids a mirror branch per channel.
     ``frames[i]`` is row i's coefficient count N and ``partner[i]`` the
     row that row i mirrors, or -1 for a direct row.  ``bins`` (0..L-1),
     ``response`` and ``slots`` run group after group, one entry per sampled
@@ -162,8 +162,10 @@ class BankPlan:
     ``coefs`` + bin % N.  Group (N, block, span) has the direct rows of one
     frame length, paired or not: their entries ``span`` fold onto the
     contiguous buffer slice ``block``, rows x N.  The first ``paired``
-    groups hold the rows that have a mirror row.  Past the last group's
-    block, the mirror rows' block repeats their blocks, row for row."""
+    groups, ``paired_entries`` entries and ``paired_size`` slots, hold the
+    rows that have a mirror row, and all direct rows fill ``direct_size``
+    slots: a real-input buffer.  A complex-input one adds the mirror rows'
+    block, a row-for-row copy of the paired blocks' layout."""
 
     groups: list[tuple[int, slice, slice]]
     bins: np.ndarray
@@ -174,6 +176,9 @@ class BankPlan:
     frames: np.ndarray
     partner: np.ndarray
     paired: int
+    paired_entries: int
+    paired_size: int
+    direct_size: int
 
     @cached_property
     def slot_frames(self) -> np.ndarray:
@@ -181,15 +186,18 @@ class BankPlan:
         frames = self.frames[np.argsort(self.coefs)]
         return np.repeat(frames, frames)
 
+    def weights(self, first: int = 0) -> np.ndarray:
+        """N r^2 of the entries of group ``first`` and the groups after it."""
+        groups = self.groups[first:]
+        frames = np.repeat([n for n, _, _ in groups], [s.stop - s.start for _, _, s in groups])
+        return self.response[len(self.response) - len(frames):] ** 2 * frames
+
 
 @dataclass
 class WarpedBank:
-    """A warped filter bank.  Construction builds its ``plan`` and points
-    every channel's response at its slice of ``plan.response``; a bank
-    made by ``dataclasses.replace`` builds its own.  ``partner`` gives the
-    plan's mirror pairs: ``build_bank`` passes the pairs it built by
-    reflection, ``painless_dual`` its analysis bank's.  Without it only
-    the half-line mirror branches are paired."""
+    """A warped filter bank: its channels and residuals, and the ``plan``
+    that ``build_bank`` built from them.  Every channel's response is a
+    view of ``plan.response`` (see ``_plan_views``)."""
 
     warping: WarpingFunction
     window: object
@@ -199,12 +207,8 @@ class WarpedBank:
     residuals: list[ResidualChannel]
     policy_record: dict
     fingerprint: str
-    partner: InitVar[np.ndarray | None] = None
-    plan: BankPlan = field(init=False, repr=False)
+    plan: BankPlan = field(repr=False)
     _diag: np.ndarray | None = field(init=False, default=None, repr=False)
-
-    def __post_init__(self, partner) -> None:
-        self.plan = _build_plan(self, partner)
 
     @property
     def painless(self) -> bool:
@@ -212,19 +216,16 @@ class WarpedBank:
 
     def diagonal(self) -> np.ndarray:
         """Frame-operator diagonal over all L bins (cached): entry j of
-        row m adds N_m response_m[j]^2 at its bin, a mirror row its
-        partner's at the negated bins, after the direct rows and by N."""
+        row m adds N_m response_m[j]^2 at its bin, and a paired entry
+        adds it again at the negated bin for its mirror row."""
         if self._diag is None:
             plan, length = self.plan, self.grid.length
-            weights = plan.response ** 2 * np.repeat([n for n, _, _ in plan.groups],
-                                                     [s.stop - s.start for _, _, s in plan.groups])
-            mirror = np.flatnonzero(plan.partner >= 0)
-            mates = plan.partner[mirror[np.argsort(plan.frames[mirror], kind="stable")]]
-            sizes = np.array([len(self.channels[p].response) for p in mates], dtype=np.intp)
-            take = np.repeat(plan.offsets[mates] - np.cumsum(sizes) + sizes, sizes)
-            take += np.arange(len(take))
-            self._diag = np.bincount(np.concatenate((plan.bins, -plan.bins[take] % length)),
-                                     np.concatenate((weights, weights[take])), minlength=length)
+            weights, stop = plan.weights(), plan.paired_entries
+            # on L + 1 bins, the last one bin -0, so that reversing negates the bins
+            diag = np.bincount(plan.bins, weights, minlength=length + 1)
+            diag[::-1] += np.bincount(plan.bins[:stop], weights[:stop], minlength=length + 1)
+            diag[0] += diag[length]
+            self._diag = diag[:length]
         return self._diag
 
 
@@ -324,79 +325,50 @@ def _reflections(ms, factors, warped, starts, stops, support) -> dict[int, int]:
     return pairs
 
 
-def _mirror_partners(channels: list[Channel], rows: int, pairs: list[tuple[int, int]],
-                     length: int) -> np.ndarray:
-    """The row each of ``rows`` plan rows mirrors, or -1.  Past the
-    direct rows of a half-line grid (channels, residuals) come the mirror
-    branches, one per channel, and each mirrors its channel.  Of the
-    full-line ``pairs`` (j, i), channel j built as channel i reflected, a
-    pair is kept when the diagonal is symmetric on i's bins, so that the
-    painless dual of the bank keeps it.  Paired rows add the same weight
-    N r^2 at j and -j; so it is symmetric when the rows left unpaired
-    weigh each bin and its negation alike, to ``MIRROR_DIAGONAL_RTOL``.
-    A channel set missing some -m does not."""
-    n = len(channels)
-    partner = np.full(rows, -1, dtype=np.int64)
-    if rows > n:
-        partner[rows - n:] = np.arange(n)
+def _mirror_partners(plan: BankPlan, channels: list[Channel], pairs: dict[int, int],
+                     length: int) -> dict[int, int]:
+    """The full-line ``pairs`` {j: k} (channel j built as channel k
+    reflected, all paired in ``plan``) on whose bins the diagonal is
+    symmetric, so that the painless dual keeps them.  Paired rows add the
+    same weight N r^2 at a bin and its negation, so that holds when the
+    plan's unpaired entries weigh k's bins and their negations alike, to
+    ``MIRROR_DIAGONAL_RTOL`` of the larger.  A channel set missing some -m
+    does not."""
     if not pairs:
-        return partner
-    paired = {i for pair in pairs for i in pair}
-    spare = [ch for i, ch in enumerate(channels) if i not in paired and len(ch.response)]
-    # The spare weight lives on the runs of bins the spare rows cover and
-    # their negations.  Merged, those runs list a set of signed bins closed
-    # under negation (-L/2 stands for the Nyquist bin L/2), so reversing
-    # the weight on them negates the bins.
-    runs = sorted(run for ch in spare for run in (
-        (ch.start_bin, ch.start_bin + len(ch.response)),
-        (1 - ch.start_bin - len(ch.response), 1 - ch.start_bin)))
-    merged = []
-    for lo, hi in runs:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    firsts = np.array([lo for lo, _ in merged], dtype=np.intp)
-    listed = np.cumsum([0] + [hi - lo for lo, hi in merged])
-    # each spare entry's position in that listing
-    first = np.array([ch.start_bin for ch in spare], dtype=np.intp)
-    sizes = np.array([len(ch.response) for ch in spare], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    home = np.searchsorted(firsts, first, side="right") - 1
-    bins = np.repeat(listed[home] + first - firsts[home] - starts, sizes)
-    bins += np.arange(len(bins))
-    values = np.concatenate([ch.response for ch in spare] + [np.zeros(0)]) ** 2
-    values *= np.repeat([ch.n_frames for ch in spare], sizes)
-    weight = np.bincount(bins, values, minlength=int(listed[-1]))
-    if len(firsts) and firsts[0] == -(length // 2):
-        weight[0] = weight[-1]
-    mirrored = weight[::-1]
-    skewed = np.abs(weight - mirrored) > MIRROR_DIAGONAL_RTOL * np.maximum(weight, mirrored)
-    if skewed.any():
-        skewed = np.concatenate([np.arange(lo, hi) for lo, hi in merged])[skewed]
-        start = np.array([channels[i].start_bin for _, i in pairs])
-        stop = start + [len(channels[i].response) for _, i in pairs]
-        clear = np.searchsorted(skewed, start) == np.searchsorted(skewed, stop)
-        pairs = [pair for pair, ok in zip(pairs, clear.tolist()) if ok]
-    for j, i in pairs:
-        partner[j] = i
-    return partner
+        return pairs
+    stop, half = plan.paired_entries, length // 2
+    # on L + 1 bins, the last one bin -0, so that bins 0..L/2 and their
+    # negations L..L/2 are two half-length views
+    weight = np.bincount(plan.bins[stop:], plan.weights(plan.paired), minlength=length + 1)
+    weight[length] = weight[0]
+    low, high = weight[:half + 1], weight[half:][::-1]
+    skewed = np.abs(low - high) > MIRROR_DIAGONAL_RTOL * np.maximum(low, high)
+    if not skewed.any():
+        return pairs
+    # the paired entries on skewed bins, and the direct rows holding none
+    skewed = np.concatenate((skewed, skewed[-2:0:-1]))  # over bins 0..L-1
+    hits = np.flatnonzero(skewed[plan.bins[:stop]])
+    first = plan.offsets[list(pairs.values())]
+    last = first + [len(channels[k].response) for k in pairs.values()]
+    clear = np.searchsorted(hits, first) == np.searchsorted(hits, last)
+    return {j: k for (j, k), ok in zip(pairs.items(), clear.tolist()) if ok}
 
 
-def _build_plan(bank: WarpedBank, partner=None) -> BankPlan:
+def _build_plan(channels: list[Channel], residuals: list[ResidualChannel], grid: GridSpec,
+                pairs: dict[int, int]) -> BankPlan:
     """Concatenate the direct rows' sampled responses grouped by (paired?,
     N), lay their coefficient blocks out in the same order, then the
-    mirror rows' as a copy of the paired rows' layout, and point each
-    channel's response at its slice, a mirror channel's at its partner's
-    reversed.  ``partner`` defaults to the half-line mirror branches."""
-    chans, length = bank.channels, bank.grid.length
+    mirror rows' as a copy of the paired rows' layout.  The mirror rows
+    are the half-line mirror branches, each of its channel, and the
+    full-line ``pairs`` {j: k}, channel j of channel k."""
     # (N, first bin, response) per channel and residual
-    table = [(ch.n_frames, ch.start_bin, ch.response) for ch in chans]
-    table += [(1, res.bin_index, np.ones(1)) for res in bank.residuals]
-    branches = chans if bank.grid.domain is Domain.POSITIVE_HALF_LINE else []
+    table = [(ch.n_frames, ch.start_bin, ch.response) for ch in channels]
+    table += [(1, res.bin_index, np.ones(1)) for res in residuals]
+    branches = channels if grid.domain is Domain.POSITIVE_HALF_LINE else []
     frames = np.array([row[0] for row in table] + [ch.n_frames for ch in branches], dtype=np.int64)
-    if partner is None:
-        partner = _mirror_partners(chans, len(frames), [], length)
+    partner = np.full(len(frames), -1, dtype=np.int64)
+    partner[len(table):] = np.arange(len(branches))
+    partner[list(pairs)] = list(pairs.values())
     mates = partner.tolist()
     partners = set(mates)
     key = [(i not in partners, row[0]) for i, row in enumerate(table)]
@@ -410,15 +382,13 @@ def _build_plan(bank: WarpedBank, partner=None) -> BankPlan:
     offsets[order], coefs[order] = starts, blocks
     source = np.where(partner >= 0, partner, np.arange(len(frames)))
     offsets, coefs = offsets[source], coefs[source] + (partner >= 0) * n_sorted.sum()
-    for ch, start, mate in zip(chans, offsets, mates):  # a mirror channel's reversed
-        ch.response = response[start:start + len(ch.response)][::-1 if mate >= 0 else 1]
     # bin of each entry: its row's first bin plus its position, then mod L
     # (signed bins lie in -L/2..L/2, so only the negative ones move; a
     # division would cost more)
     first = np.array([table[i][1] for i in order], dtype=np.intp)
     bins = np.repeat(first - starts, sizes)
     bins += np.arange(len(bins))
-    np.add(bins, length, out=bins, where=bins < 0)
+    np.add(bins, grid.length, out=bins, where=bins < 0)
     # an entry's slot in its row's block is bin % N
     slots = np.repeat(blocks, sizes)
     groups, paired, lo = [], 0, 0
@@ -430,7 +400,19 @@ def _build_plan(bank: WarpedBank, partner=None) -> BankPlan:
         groups.append((n, block, span))
         paired += not unpaired
         lo = hi
-    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, partner, paired)
+    ends = [(0, 0)] + [(span.stop, block.stop) for _, block, span in groups]
+    (paired_entries, paired_size), direct_size = ends[paired], ends[-1][1]
+    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, partner, paired,
+                    paired_entries, paired_size, direct_size)
+
+
+def _plan_views(channels: list[Channel], plan: BankPlan) -> list[Channel]:
+    """``channels``, each response pointed at its row's slice of
+    ``plan.response``, a mirror channel's at its partner's reversed."""
+    for ch, start, mate in zip(channels, plan.offsets.tolist(), plan.partner.tolist()):
+        view = plan.response[start:start + len(ch.response)]
+        ch.response = view[::-1] if mate >= 0 else view
+    return channels
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:
@@ -541,19 +523,20 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             start_bin=lo_bin + int(j0), response=response, painless=span < n_frames,
         ))
     residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
-    partner = None
-    if pairs:  # full line: no residuals or branches, a row per channel
-        partner = _mirror_partners(channels, len(channels), list(pairs.items()), grid.length)
+    plan = _build_plan(channels, residuals, grid, pairs)
+    kept = _mirror_partners(plan, channels, pairs, grid.length)
+    if len(kept) < len(pairs):
+        plan = _build_plan(channels, residuals, grid, kept)
     bank = WarpedBank(
         warping=warping,
         window=window,
         grid=grid,
         kind=kind,
-        channels=channels,
+        channels=_plan_views(channels, plan),
         residuals=residuals,
         policy_record=policy_record,
         fingerprint=_geometry_fingerprint(warping, window, grid, factors),
-        partner=partner,
+        plan=plan,
     )
     if check_coverage:
         _require_coverage(bank, "the channel set does not cover the grid")
@@ -569,7 +552,8 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
     direct rows' entries divides every direct row.  It is symmetric to
     rounding on the bins of mirror pairs (see ``_mirror_partners``), so
     each mirror row, its partner's quotient reflected, is its own quotient
-    too, and the dual keeps ``bank``'s pairs.
+    too.  The dual's plan is therefore ``bank``'s with the quotients as
+    its responses: bins, slots, layout and pairs are shared.
     """
     offenders = [ch.m for ch in bank.channels if not ch.painless]
     if offenders:
@@ -578,11 +562,9 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
             "the pointwise dual formula does not apply"
         )
     _require_coverage(bank, "the pointwise dual is undefined there")
-    plan = bank.plan
-    response = plan.response / bank.diagonal()[plan.bins]
-    return replace(bank, kind="dual", partner=plan.partner, channels=[
-        replace(ch, response=response[start:start + len(ch.response)])
-        for ch, start in zip(bank.channels, plan.offsets)])
+    plan = replace(bank.plan, response=bank.plan.response / bank.diagonal()[bank.plan.bins])
+    channels = _plan_views([replace(ch) for ch in bank.channels], plan)
+    return replace(bank, kind="dual", plan=plan, channels=channels)
 
 
 def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",

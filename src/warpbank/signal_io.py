@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidParameter
-from .transform import CoefficientSet, Signal, _buffer_sizes
+from .transform import CoefficientSet, Signal
 
 SPECTROGRAM_FLOOR_DB = -80.0
 _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
@@ -196,7 +196,7 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     image = np.zeros((len(order), n_cols), dtype=np.uint8)
     # the stored channel rows: on the full line every stored row, on a
     # half-line grid the paired prefix (its residual and mirror rows follow)
-    stored = coeffs.buffer[:_buffer_sizes(plan)[0]] if coeffs.half_line else coeffs.buffer
+    stored = coeffs.buffer[:plan.paired_size] if coeffs.half_line else coeffs.buffer
     # nearest-index resampling reaches every coefficient, so the image
     # peak is the peak over all channels
     levels = np.abs(stored)

@@ -22,13 +22,13 @@ A mirror row (see bank) is its partner seen through f -> conj(f(-.)), so
 its coefficients are the conjugates of its partner's for conj f: the
 fold of the reflected spectrum fhat[-k] through the partner's entries,
 then a forward FFT.  Complex analysis adds that fold of the paired
-entries into the mirror block; synthesis spreads the mirror block
-through them after inverse FFTs and adds the result reflected.  Real
-input computes the direct rows only, into the direct prefix of the
-buffer, from the rfft, extended by conjugate symmetry on the full line,
-whose direct rows reach negative bins; its mirror rows conjugate their
-partners, so synthesis adds the paired rows' spread conjugated and
-reflected.  On a half-line grid the direct rows sit on bins 0..L/2 and
+entries into the mirror block; synthesis gathers the mirror block
+through them after inverse FFTs and scatters the result onto the
+negated bins.  Real input computes the direct rows only, into the direct
+prefix of the buffer, from the rfft, extended by conjugate symmetry on
+the full line, whose direct rows reach negative bins; its mirror rows
+conjugate their partners, so synthesis scatters the paired rows' own
+gather, conjugated, onto the negated bins.  On a half-line grid the direct rows sit on bins 0..L/2 and
 the residuals on the self-conjugate DC and Nyquist bins, so that is one
 irfft and the result is real.  On the full line the rows at the Nyquist
 bin have no mirror, so the result stays complex.
@@ -128,26 +128,11 @@ class CoefficientSet:
         """Sum of |c|^2 over the full atom set.  An implicit mirror row
         counts as its partner, so a real-input set counts each paired
         row twice."""
-        paired, _, full = _buffer_sizes(self.bank.plan)
-        if len(self.buffer) == full:
+        plan = self.bank.plan
+        if len(self.buffer) > plan.direct_size:
             return float(np.vdot(self.buffer, self.buffer).real)
-        head, tail = self.buffer[:paired], self.buffer[paired:]
+        head, tail = self.buffer[:plan.paired_size], self.buffer[plan.paired_size:]
         return float(2.0 * np.vdot(head, head).real + np.vdot(tail, tail).real)
-
-
-def _prefix(plan, groups: int) -> tuple[int, int]:
-    """Entry count and buffer length of the plan's first ``groups`` groups."""
-    if not groups:
-        return 0, 0
-    _, block, span = plan.groups[groups - 1]
-    return span.stop, block.stop
-
-
-def _buffer_sizes(plan) -> tuple[int, int, int]:
-    """Lengths of the buffer's prefix of paired direct rows, of its prefix
-    of all direct rows and of the whole buffer, mirror block included."""
-    paired, direct = _prefix(plan, plan.paired)[1], _prefix(plan, len(plan.groups))[1]
-    return paired, direct, direct + paired
 
 
 def _checked_samples(signal, bank: WarpedBank) -> np.ndarray:
@@ -192,23 +177,25 @@ def _gather_sum(source, take, weights, index, out: np.ndarray) -> np.ndarray:
     entries onto ``out``, allocated before the temporary gather, which
     page-faults less over repeated calls: one complex gather and one
     unbuffered complex scatter-add.  The real weights scale the two parts
-    in place; a complex product would first cast them to complex."""
+    in place; a complex product would first cast them to complex.
+    Returns the weighted gather."""
     values = source[take]
     values.real *= weights
     values.imag *= weights
     np.add.at(out, index, values)
-    return out
+    return values
 
 
 def _fold(plan, fhat: np.ndarray, response: np.ndarray, size: int) -> np.ndarray:
     """fhat[bins] * ``response`` summed onto the slots of a ``size`` buffer,
     and past the direct prefix, if it reaches there, the same fold of the
     reflected spectrum fhat[-k] through the paired entries."""
-    out = _gather_sum(fhat, plan.bins, response, plan.slots, np.zeros(size, dtype=complex))
-    stop, direct = _prefix(plan, plan.paired)[0], _buffer_sizes(plan)[1]
-    if size > direct:
+    out = np.zeros(size, dtype=complex)
+    _gather_sum(fhat, plan.bins, response, plan.slots, out)
+    stop = plan.paired_entries
+    if size > plan.direct_size:
         _gather_sum(np.concatenate((fhat[:1], fhat[:0:-1])), plan.bins[:stop],
-                    response[:stop], plan.slots[:stop], out[direct:])
+                    response[:stop], plan.slots[:stop], out[plan.direct_size:])
     return out
 
 
@@ -217,9 +204,9 @@ def _row_ffts(flat: np.ndarray, plan, inverse: bool) -> None:
     ``flat``, the unscaled inverse one if ``inverse``, and the other one on
     the copies of the paired groups' blocks in a mirror block."""
     ffts = (np.fft.fft, partial(np.fft.ifft, norm="forward"))
-    direct = _buffer_sizes(plan)[1]
     for part, groups, fft in ((flat, plan.groups, ffts[inverse]),
-                              (flat[direct:], plan.groups[:plan.paired], ffts[not inverse])):
+                              (flat[plan.direct_size:], plan.groups[:plan.paired],
+                               ffts[not inverse])):
         for n, block, _ in groups if len(part) else ():
             rows = part[block].reshape(-1, n)
             fft(rows, out=rows)
@@ -234,11 +221,10 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     """
     samples = _checked_samples(signal, bank)
     length, plan = bank.grid.length, bank.plan
-    _, direct, full = _buffer_sizes(plan)
     if np.iscomplexobj(samples):
-        fhat, size = np.fft.fft(samples) / np.sqrt(length), full
+        fhat, size = np.fft.fft(samples) / np.sqrt(length), plan.direct_size + plan.paired_size
     else:
-        fhat, size = np.fft.rfft(samples) / np.sqrt(length), direct
+        fhat, size = np.fft.rfft(samples) / np.sqrt(length), plan.direct_size
         if bank.grid.domain is Domain.FULL_LINE:  # direct rows reach the negative bins
             fhat = np.concatenate((fhat, fhat[-2:0:-1].conj()))
     flat = _fold(plan, fhat, plan.response, size)
@@ -248,12 +234,13 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
 
 def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
     """Raise FingerprintMismatch unless ``coeffs`` has ``bank``'s fingerprint
-    and a one-dimensional buffer of a length ``_buffer_sizes`` allows."""
+    and a one-dimensional buffer of the plan's direct or full size."""
     if coeffs.bank.fingerprint != bank.fingerprint:
         raise FingerprintMismatch(
             "coefficient set was produced by a bank with different geometry"
         )
-    _, prefix, full = _buffer_sizes(bank.plan)
+    prefix = bank.plan.direct_size
+    full = prefix + bank.plan.paired_size
     if np.shape(coeffs.buffer) not in ((prefix,), (full,)):
         raise FingerprintMismatch(
             f"coefficient buffer has shape {np.shape(coeffs.buffer)}; the bank takes "
@@ -261,24 +248,22 @@ def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
         )
 
 
-def _spread(plan, spectra: np.ndarray, response: np.ndarray, size: int) -> np.ndarray:
-    """Adjoint of ``_fold`` onto ``size`` bins: the row spectra gathered
-    through the slots, times ``response``, summed onto the bins, the
-    unpaired entries' and then the paired ones', plus the reflection of
-    the paired entries' gather from the mirror block, or without one (real
-    input) the conjugate reflection of the paired rows' own."""
-    stop, direct = _prefix(plan, plan.paired)[0], _buffer_sizes(plan)[1]
-    out = _gather_sum(spectra, plan.slots[stop:], response[stop:], plan.bins[stop:],
-                      np.zeros(size, dtype=complex))
-    paired = plan.slots[:stop], response[:stop], plan.bins[:stop]
-    part = _gather_sum(spectra, *paired, np.zeros(size, dtype=complex))
-    out += part
-    if len(spectra) > direct:
-        part = _gather_sum(spectra[direct:], *paired, np.zeros(size, dtype=complex))
+def _spread(plan, spectra: np.ndarray, response: np.ndarray, length: int) -> np.ndarray:
+    """Adjoint of ``_fold`` onto ``length`` bins: the row spectra gathered
+    through the slots, times ``response``, summed onto the bins, then the
+    paired entries' gather from the mirror block, or without one (real
+    input) the paired part of the first gather conjugated, summed onto the
+    negated bins.  Bin -j is entry j - 1 of the reversed output, and -0
+    entry -1."""
+    stop = plan.paired_entries
+    out = np.zeros(length, dtype=complex)
+    values = _gather_sum(spectra, plan.slots, response, plan.bins, out)[:stop]
+    negated = plan.bins[:stop] - 1
+    if len(spectra) > plan.direct_size:
+        _gather_sum(spectra[plan.direct_size:], plan.slots[:stop], response[:stop],
+                    negated, out[::-1])
     else:
-        np.conjugate(part, out=part)
-    out[0] += part[0]  # at the negated bins: -0 = 0 and L - j
-    out[1:] += part[:0:-1]
+        np.add.at(out[::-1], negated, np.conjugate(values, out=values))
     return out
 
 
@@ -291,13 +276,12 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     _check_shape(coeffs, bank)
     length, plan = bank.grid.length, bank.plan
     # a real-input set on a half-line grid sits on bins 0..L/2; irfft adds the rest
-    half = (len(coeffs.buffer) < _buffer_sizes(plan)[2]
-            and bank.grid.domain is Domain.POSITIVE_HALF_LINE)
+    half = coeffs.half_line and len(coeffs.buffer) == plan.direct_size
     spectra = np.array(coeffs.buffer, dtype=complex)  # the caller's stay untouched
     _row_ffts(spectra, plan, inverse=False)
     if half:
-        spec = _gather_sum(spectra, plan.slots, plan.response, plan.bins,
-                           np.zeros(length // 2 + 1, dtype=complex))
+        spec = np.zeros(length // 2 + 1, dtype=complex)
+        _gather_sum(spectra, plan.slots, plan.response, plan.bins, spec)
     else:
         spec = _spread(plan, spectra, plan.response, length)
     del spectra  # free before the inverse FFT allocates
@@ -317,7 +301,7 @@ def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndar
     by its row's N, and ``_spread`` back.  Every row, residual and mirror
     ones included, runs through the same scatter-adds, aliasing or not."""
     plan = bank.plan
-    folded = _fold(plan, fhat, response, _buffer_sizes(plan)[2])
+    folded = _fold(plan, fhat, response, plan.direct_size + plan.paired_size)
     folded *= plan.slot_frames
     return _spread(plan, folded, response, bank.grid.length)
 
@@ -361,7 +345,7 @@ def _entry_plan(bank: WarpedBank, with_mirrors: bool) -> list[tuple[int, int]]:
 def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
     """Write a coefficient set to the binary WFBC container."""
     _check_shape(coeffs, bank)
-    entries = _entry_plan(bank, len(coeffs.buffer) > _buffer_sizes(bank.plan)[1])
+    entries = _entry_plan(bank, len(coeffs.buffer) > bank.plan.direct_size)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(entries)))
@@ -399,11 +383,11 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
                 f"expected {' or '.join(map(str, counts))} entries for this "
                 f"bank, file has {count}"
             )
-        _, prefix, full = _buffer_sizes(plan)
+        prefix = plan.direct_size
         # the direct prefix, and apart from it the mirror rows, which only a
         # real-input half-line file leaves out
         head = np.empty(prefix, dtype="<c16")
-        tail = np.empty(0 if count == n + 2 else full - prefix, dtype="<c16")
+        tail = np.empty(0 if count == n + 2 else plan.paired_size, dtype="<c16")
         for row, tag in _entry_plan(bank, count == 2 * n + 2):
             entry = fh.read(8)
             if len(entry) < 8:
@@ -424,10 +408,14 @@ def load_coefficients(path, bank: WarpedBank) -> CoefficientSet:
     if not (np.isfinite(head).all() and np.isfinite(tail).all()):
         raise FingerprintMismatch("coefficient file is corrupt: non-finite coefficients")
     # the full-line layout lists every channel, its mirror rows included;
-    # row for row the conjugates of the paired prefix, they stay implicit
-    rows = [slice(start, start + n) for n, block, _ in plan.groups[:plan.paired]
-            for start in range(block.start, block.stop, n)]
-    if len(tail) and (bank.residuals or not all(np.array_equal(
-            tail[r].view(np.uint64), np.conj(head[r]).view(np.uint64)) for r in rows)):
+    # when the mirror block, a row-for-row copy of the paired prefix, is
+    # bitwise its conjugate, they stay implicit.  The block is conjugated
+    # in place and back (exact): a fresh conjugate would page-fault
+    if len(tail) and not bank.residuals:
+        np.conjugate(tail, out=tail)
+        if np.array_equal(tail.view(np.uint64), head[:plan.paired_size].view(np.uint64)):
+            tail = tail[:0]
+        np.conjugate(tail, out=tail)
+    if len(tail):
         head = np.concatenate((head, tail))
     return CoefficientSet(head, bank)

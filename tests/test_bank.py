@@ -14,6 +14,7 @@ from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
                       named_window, natural_factors, painless_dual,
                       painless_factors, round_factors_to_grid,
                       save_bank_spec, with_scaled_factors)
+from warpbank import specfile
 
 HANN = named_window("hann", 3.0)
 
@@ -338,14 +339,23 @@ def test_channel_responses_view_the_plan_from_construction():
             assert np.shares_memory(response, bank.plan.response)
 
 
-def test_painless_dual_rows_view_its_plan(tmp_path):
+GEOMETRY = ("bins", "slots", "offsets", "coefs", "frames", "partner")
+
+
+def test_painless_dual_rows_view_its_plan(tmp_path, monkeypatch):
     hamming = named_window("hamming", 3.0)
     for w, grid in (erb_grid(length=512), log_grid(length=256)):
         bank = build_bank(w, hamming, grid, Painless())
+        before = [ch.response.tobytes() for ch in bank.channels]
         dual = painless_dual(bank)
         for ch in dual.channels:
             assert np.shares_memory(ch.response, dual.plan.response)
-        np.testing.assert_array_equal(dual.plan.bins, bank.plan.bins)
+        # the dual shares its analysis bank's geometry and leaves its
+        # responses alone
+        for name in GEOMETRY:
+            assert getattr(dual.plan, name) is getattr(bank.plan, name)
+        assert [ch.response.tobytes() for ch in bank.channels] == before
+        assert all(np.shares_memory(ch.response, bank.plan.response) for ch in bank.channels)
         # the dual divides the direct rows' entries, and its mirror rows
         # reflect their partners' quotients; that is their own quotient to
         # rounding, since the diagonal is symmetric on their bins
@@ -361,13 +371,21 @@ def test_painless_dual_rows_view_its_plan(tmp_path):
             np.testing.assert_allclose(dch.response, ch.response / diag[bins],
                                        rtol=1e-15, atol=0)
         assert (plan.partner >= 0).any()
-        # a dual survives its spec file bit for bit
+        # a dual survives its spec file bit for bit, and one loaded from it
+        # shares the geometry of the analysis bank the loader built
         save_bank_spec(dual, tmp_path / "dual.json")
+        analysis = []
+        monkeypatch.setattr(specfile, "painless_dual",
+                            lambda b: analysis.append(b) or painless_dual(b))
         loaded = load_bank_spec(tmp_path / "dual.json")
+        monkeypatch.undo()
         assert loaded.kind == "dual" and loaded.fingerprint == dual.fingerprint
         assert loaded.plan.response.tobytes() == want.tobytes()
         for ch, dch in zip(loaded.channels, dual.channels):
             assert ch.response.tobytes() == dch.response.tobytes()
+        for name in GEOMETRY:
+            assert getattr(loaded.plan, name) is getattr(analysis[0].plan, name)
+            np.testing.assert_array_equal(getattr(loaded.plan, name), getattr(bank.plan, name))
 
 
 def test_fingerprint_tracks_geometry_not_kind():

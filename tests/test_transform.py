@@ -9,6 +9,7 @@ from warpbank import (CoefficientSet, Domain, Explicit, FingerprintMismatch,
                       Signal, analyze, apply_frame_operator, build_bank, design_tight,
                       load_bank_spec, load_coefficients, make_warping, named_window,
                       painless_dual, save_coefficients, synthesize, with_scaled_factors)
+from warpbank.bank import MIRROR_DIAGONAL_RTOL
 
 HANN = named_window("hann", 3.0)
 
@@ -770,7 +771,29 @@ def test_half_line_plans_pair_only_the_mirror_branches(family, kw):
             assert sizes[plan.paired:] == [2]
 
 
-def test_mirror_pairs_need_a_symmetric_diagonal():
+def kept_pairs_reference(bank, pairs):
+    """The pair filter written out: N r^2 of every channel outside
+    ``pairs`` added at its signed bins one by one, then each pair kept when
+    that weight at every bin of its channel m and at the negated bin
+    differ by at most MIRROR_DIAGONAL_RTOL of the larger."""
+    length = bank.grid.length
+    weight = [0.0] * length
+    paired = set(pairs) | set(pairs.values())
+    for i, ch in enumerate(bank.channels):
+        if i not in paired:
+            for j, r in enumerate(ch.response.tolist()):
+                weight[(ch.start_bin + j) % length] += r ** 2 * ch.n_frames
+    kept = {}
+    for j, k in pairs.items():
+        ch = bank.channels[k]
+        if all(abs(weight[b % length] - weight[-b % length])
+               <= MIRROR_DIAGONAL_RTOL * max(weight[b % length], weight[-b % length])
+               for b in range(ch.start_bin, ch.start_bin + len(ch.response))):
+            kept[j] = k
+    return kept
+
+
+def test_mirror_pairs_need_a_symmetric_diagonal(plan_test_banks):
     # without channel -10 the diagonal is not symmetric on the bins of
     # channels 8..12, so a dual that reflected their quotients would not
     # invert the analysis; those pairs stay unpaired
@@ -788,3 +811,15 @@ def test_mirror_pairs_need_a_symmetric_diagonal():
     for x in (rng.standard_normal(512), random_signal(512, rng)):
         rec = synthesize(analyze(x, bank), dual).samples
         assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
+    # the filter keeps exactly the pairs the written-out reference keeps
+    edge = GridSpec(length=4096, fs=256.0, domain=Domain.FULL_LINE)
+    banks = [bank, build_bank(make_warping("signedpow", l=0.5), named_window("hamming", 3.0),
+                              edge, Painless())]
+    banks += [plan_test_banks(*args)["doubled"] for args in (
+        ("erblike", {}, 44100.0), ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0))]
+    for bank in banks:
+        pairs = reflected_pairs(bank)
+        want = [-1] * len(bank.channels)
+        for j, k in kept_pairs_reference(bank, pairs).items():
+            want[j] = k
+        np.testing.assert_array_equal(bank.plan.partner, want)
