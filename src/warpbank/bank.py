@@ -165,7 +165,9 @@ class BankPlan:
     groups, ``paired_entries`` entries and ``paired_size`` slots, hold the
     rows that have a mirror row, and all direct rows fill ``direct_size``
     slots: a real-input buffer.  A complex-input one adds the mirror rows'
-    block, a row-for-row copy of the paired blocks' layout."""
+    block, a row-for-row copy of the paired blocks' layout.  As an index,
+    -b reads bin L - b (and -0 bin 0), the negation on the DFT grid; every
+    mirror lookup finds a paired entry's negated bin that way."""
 
     groups: list[tuple[int, slice, slice]]
     bins: np.ndarray
@@ -221,11 +223,9 @@ class WarpedBank:
         if self._diag is None:
             plan, length = self.plan, self.grid.length
             weights, stop = plan.weights(), plan.paired_entries
-            # on L + 1 bins, the last one bin -0, so that reversing negates the bins
-            diag = np.bincount(plan.bins, weights, minlength=length + 1)
-            diag[::-1] += np.bincount(plan.bins[:stop], weights[:stop], minlength=length + 1)
-            diag[0] += diag[length]
-            self._diag = diag[:length]
+            self._diag = np.bincount(plan.bins, weights, minlength=length)
+            self._diag += np.bincount(plan.bins[:stop], weights[:stop],
+                                      minlength=length)[-np.arange(length)]
         return self._diag
 
 
@@ -337,11 +337,8 @@ def _mirror_partners(plan: BankPlan, channels: list[Channel], pairs: dict[int, i
     if not pairs:
         return pairs
     stop, half = plan.paired_entries, length // 2
-    # on L + 1 bins, the last one bin -0, so that bins 0..L/2 and their
-    # negations L..L/2 are two half-length views
-    weight = np.bincount(plan.bins[stop:], plan.weights(plan.paired), minlength=length + 1)
-    weight[length] = weight[0]
-    low, high = weight[:half + 1], weight[half:][::-1]
+    weight = np.bincount(plan.bins[stop:], plan.weights(plan.paired), minlength=length)
+    low, high = weight[:half + 1], weight[-np.arange(half + 1)]
     skewed = np.abs(low - high) > MIRROR_DIAGONAL_RTOL * np.maximum(low, high)
     if not skewed.any():
         return pairs
@@ -444,7 +441,9 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
     take every channel whose warped support holds a bin.  Explicit factor
     maps may cover any subset of channel indices (useful for probing
     deliberately broken banks with ``check_coverage=False``); a channel
-    that holds no bin gets N_m zero coefficients.
+    that holds no bin gets N_m zero coefficients.  A bank asked for as
+    ``tight`` whose channels are not all painless is recorded as
+    ``analysis``: its frame operator is no longer its diagonal.
     """
     if warping.domain is not grid.domain:
         raise InvalidParameter(
@@ -522,6 +521,8 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             m=m, center_hz=float(center), a=factors[m], n_frames=n_frames,
             start_bin=lo_bin + int(j0), response=response, painless=span < n_frames,
         ))
+    if kind == "tight" and not all(ch.painless for ch in channels):
+        kind = "analysis"
     residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
     plan = _build_plan(channels, residuals, grid, pairs)
     kept = _mirror_partners(plan, channels, pairs, grid.length)
@@ -594,7 +595,8 @@ def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",
 def with_scaled_factors(bank: WarpedBank, scale: int) -> WarpedBank:
     """Rebuild with every hop multiplied by ``scale`` (snapped down to a
     divisor of L and capped at L).  Scaling past the painless bound drops
-    the painless flags; diagnostics use this to probe degradation.  A
+    the painless flags, and a tight bank's kind with them (see
+    ``build_bank``); diagnostics use this to probe degradation.  A
     dual bank's responses are not sampled from its window, so its hops
     are scaled on the analysis bank, whose dual is then taken again."""
     if bank.kind == "dual":

@@ -10,7 +10,7 @@ Exit codes enumerate the distinct failure conditions so scripts can tell
 them apart: 2 invalid parameters, degenerate inputs or too little memory,
 3 frequency coverage holes at construction, 4 signal length mismatch, 5
 coefficient container mismatch or corruption, 6 painless-dual request on
-a non-painless bank.
+a non-painless bank.  Each error type carries its code (see errors).
 """
 
 from __future__ import annotations
@@ -23,26 +23,9 @@ import numpy as np
 
 from . import bank as bank_mod
 from . import diagnostics, signal_io, specfile, transform
-from .errors import (CoverageError, DegenerateWindow, DomainError, EmptyBank,
-                     FingerprintMismatch, InvalidParameter, LengthMismatch,
-                     NotPainless, WarpBankError)
+from .errors import InvalidParameter, LengthMismatch, WarpBankError
 from .prototypes import named_window
 from .warping import make_warping
-
-_EXIT_CODES = [
-    ((InvalidParameter, DomainError, DegenerateWindow, EmptyBank), 2),
-    ((CoverageError,), 3),
-    ((LengthMismatch,), 4),
-    ((FingerprintMismatch,), 5),
-    ((NotPainless,), 6),
-]
-
-
-def _exit_code(exc: WarpBankError) -> int:
-    for types, code in _EXIT_CODES:
-        if isinstance(exc, types):
-            return code
-    return 1
 
 
 def _parse_warp_params(text: str | None) -> dict:
@@ -245,7 +228,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except WarpBankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except (OSError, MemoryError) as exc:  # MemoryError: e.g. a grid far too long
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -194,8 +194,8 @@ def _fold(plan, fhat: np.ndarray, response: np.ndarray, size: int) -> np.ndarray
     _gather_sum(fhat, plan.bins, response, plan.slots, out)
     stop = plan.paired_entries
     if size > plan.direct_size:
-        _gather_sum(np.concatenate((fhat[:1], fhat[:0:-1])), plan.bins[:stop],
-                    response[:stop], plan.slots[:stop], out[plan.direct_size:])
+        _gather_sum(fhat, -plan.bins[:stop], response[:stop], plan.slots[:stop],
+                    out[plan.direct_size:])
     return out
 
 
@@ -253,17 +253,16 @@ def _spread(plan, spectra: np.ndarray, response: np.ndarray, length: int) -> np.
     through the slots, times ``response``, summed onto the bins, then the
     paired entries' gather from the mirror block, or without one (real
     input) the paired part of the first gather conjugated, summed onto the
-    negated bins.  Bin -j is entry j - 1 of the reversed output, and -0
-    entry -1."""
+    negated bins."""
     stop = plan.paired_entries
     out = np.zeros(length, dtype=complex)
     values = _gather_sum(spectra, plan.slots, response, plan.bins, out)[:stop]
-    negated = plan.bins[:stop] - 1
+    negated = -plan.bins[:stop]
     if len(spectra) > plan.direct_size:
         _gather_sum(spectra[plan.direct_size:], plan.slots[:stop], response[:stop],
-                    negated, out[::-1])
+                    negated, out)
     else:
-        np.add.at(out[::-1], negated, np.conjugate(values, out=values))
+        np.add.at(out, negated, np.conjugate(values, out=values))
     return out
 
 

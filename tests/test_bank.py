@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
-                      InvalidParameter, Natural, NotPainless, Painless,
+                      InvalidParameter, Natural, NotPainless, Painless, analyze,
                       build_bank, channel_response_continuous,
                       design_tight, load_bank_spec, make_cosine_window, make_warping,
                       named_window, natural_factors, painless_dual,
                       painless_factors, round_factors_to_grid,
-                      save_bank_spec, with_scaled_factors)
+                      save_bank_spec, synthesize, with_scaled_factors)
 from warpbank import specfile
 
 HANN = named_window("hann", 3.0)
@@ -295,6 +296,14 @@ def test_design_tight_accepts_raw_coefficients():
     np.testing.assert_allclose(bank.diagonal(), 1.0, atol=1e-12)
 
 
+def test_design_tight_accepts_a_window_instance():
+    w, grid = erb_grid(length=512)
+    named = design_tight(w, grid, "hamming", 3.0)
+    given = design_tight(w, grid, window=named_window("hamming", 3.0), stretch=9.0)
+    assert given.window == named.window and given.fingerprint == named.fingerprint
+    assert given.plan.response.tobytes() == named.plan.response.tobytes()
+
+
 def test_design_tight_rejects_bspline():
     w, grid = erb_grid(length=512)
     with pytest.raises(InvalidParameter):
@@ -326,6 +335,26 @@ def test_with_scaled_factors():
     # a dual's responses do not come from its window: scale the analysis bank
     with pytest.raises(InvalidParameter, match="dual"):
         with_scaled_factors(painless_dual(bank), 1)
+
+
+def test_a_tight_bank_past_the_painless_bound_is_recorded_as_analysis():
+    # N r^2 = theta^2 keeps the diagonal at 1 for any hops, but only a
+    # painless bank's frame operator is that diagonal
+    w = make_warping("erblike", c=1.0, d=1.0)
+    grid = GridSpec(length=128, fs=256.0, domain=w.domain)
+    tight = design_tight(w, grid, "hann", 3.0)
+    doubled = with_scaled_factors(tight, 2)
+    assert doubled.kind == "analysis" and not doubled.painless
+    np.testing.assert_allclose(doubled.diagonal(), 1.0, atol=1e-12)
+    x = np.random.default_rng(4).standard_normal(128)
+    rec = synthesize(analyze(x, doubled), doubled).samples
+    assert np.linalg.norm(rec - x) > 1e-2 * np.linalg.norm(x)
+    # unit hops are painless: the bank stays tight and self-inverting
+    unit = build_bank(w, tight.window, grid, Explicit({ch.m: 1 for ch in tight.channels}),
+                      kind="tight")
+    assert unit.kind == "tight" and unit.painless
+    rec = synthesize(analyze(x, unit), unit).samples
+    assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_channel_responses_view_the_plan_from_construction():
@@ -386,6 +415,26 @@ def test_painless_dual_rows_view_its_plan(tmp_path, monkeypatch):
         for name in GEOMETRY:
             assert getattr(loaded.plan, name) is getattr(analysis[0].plan, name)
             np.testing.assert_array_equal(getattr(loaded.plan, name), getattr(bank.plan, name))
+
+
+def test_bspline_bank_spec_round_trip(tmp_path):
+    w, grid = erb_grid(length=512)
+    bank = build_bank(w, named_window("bspline3", 3.0), grid, Painless())
+    save_bank_spec(bank, tmp_path / "b.json")
+    loaded = load_bank_spec(tmp_path / "b.json")
+    assert loaded.window == bank.window and loaded.fingerprint == bank.fingerprint
+    assert loaded.plan.response.tobytes() == bank.plan.response.tobytes()
+    save_bank_spec(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_spec_length_with_a_zero_fraction_loads_as_an_integer(tmp_path):
+    w, grid = erb_grid(length=512)
+    record = specfile.bank_spec_record(build_bank(w, HANN, grid, Painless()))
+    record["grid"]["L"] = 512.0
+    (tmp_path / "b.json").write_text(json.dumps(record))
+    loaded = load_bank_spec(tmp_path / "b.json")
+    assert type(loaded.grid.length) is int and loaded.grid.length == 512
 
 
 def test_fingerprint_tracks_geometry_not_kind():

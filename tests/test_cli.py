@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (InvalidParameter, Signal, analyze, cli, load_bank_spec,
-                      load_coefficients, painless_dual, save_bank_spec)
+from warpbank import (InvalidParameter, Signal, analyze, cli, errors, load_bank_spec,
+                      load_coefficients, painless_dual, save_bank_spec,
+                      with_scaled_factors)
 from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_raw, read_wav,
                                 render_spectrogram, write_raw, write_wav)
 
@@ -144,6 +145,12 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
                 "--L", 512, "--fs", 2]) == 2
     assert run(["design", "--warp", "log", "--policy", "bogus",
                 "--L", 512, "--fs", 2]) == 2
+    for option, value, message in (("--warp-params", "c", "expected name=value"),
+                                   ("--warp-params", "c=x", "bad value for c"),
+                                   ("--policy", "natural:x", "bad --policy value")):
+        capsys.readouterr()
+        assert run(["design", "--warp", "log", option, value, "--L", 512, "--fs", 2]) == 2
+        assert message in capsys.readouterr().err
 
     # a half-line grid of two bins has no bin for warped channels
     assert run(["design", "--warp", "log", "--L", 2, "--fs", 2]) == 2
@@ -154,6 +161,9 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
     assert "32-bit" in capsys.readouterr().err
 
     spec = design_bank(tmp_path)
+    capsys.readouterr()
+    assert run(["diagnose", "--bank", spec, "--sweep-a", "1,x"]) == 2
+    assert "bad --sweep-a value" in capsys.readouterr().err
     write_wav(tmp_path / "in.wav", Signal(samples=np.zeros(512), fs=44100.0))
     assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.wav",
                 "--out", tmp_path / "c.wfbc"]) == 2
@@ -336,11 +346,36 @@ def test_exit_code_6_on_non_painless_dual(tmp_path):
                 "--out", tmp_path / "out.f64", "--dual"]) == 6
 
 
+@pytest.mark.parametrize("by_hand", [False, True])
+def test_tight_spec_past_the_painless_bound_synthesizes_through_the_dual(tmp_path, by_hand):
+    # a tight design with every hop doubled is no longer painless, so it is
+    # no longer tight: synthesize takes the dual by default, which exits 6
+    spec = design_bank(tmp_path, length=128, fs=256.0)
+    scaled = tmp_path / "scaled.json"
+    if by_hand:  # a hand edit that keeps "kind": "tight"
+        record = json.loads(spec.read_text())
+        for ch in record["channels"]:
+            ch["a_m_samples"] = min(ch["a_m_samples"] * 2, 128)
+        scaled.write_text(json.dumps(record))
+    else:
+        save_bank_spec(with_scaled_factors(load_bank_spec(spec), 2), scaled)
+        assert json.loads(scaled.read_text())["kind"] == "analysis"
+    assert load_bank_spec(scaled).kind == "analysis"
+    write_raw(tmp_path / "in.f64", Signal(samples=np.ones(128), fs=256.0))
+    assert run(["analyze", "--bank", scaled, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    assert run(["synthesize", "--bank", scaled, "--coeffs", tmp_path / "c.wfbc",
+                "--out", tmp_path / "out.f64"]) == 6
+
+
 def test_readme_exit_code_table_matches_the_cli():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
     listed = {int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)}
-    assert listed == {0} | {code for _, code in cli._EXIT_CODES}
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, errors.WarpBankError)]
+    # the base class's code 1 is never raised
+    assert listed == {0} | {t.exit_code for t in types if t is not errors.WarpBankError}
 
 
 def test_design_prints_channel_table(tmp_path, capsys):
@@ -469,8 +504,11 @@ def test_malformed_spec_file_is_exit_2(tmp_path):
     assert run(["diagnose", "--bank", bad]) == 2
     bad.write_text(json.dumps({"format_version": 99}))
     assert run(["diagnose", "--bank", bad]) == 2
+    bad.write_text("[1]")
+    assert run(["diagnose", "--bank", bad]) == 2
     record = json.loads(design_bank(tmp_path).read_text())
     for section, value in (("warping", {"family": 5}), ("prototype", [1]),
+                           ("prototype", {"kind": "kaiser", "stretch": 3.0}),
                            ("prototype", dict(record["prototype"], normalized="no")),
                            ("prototype", dict(record["prototype"], normalized=1)),
                            ("kind", 5), ("kind", "synthesis")):

@@ -229,3 +229,12 @@ def test_pgm_holds_the_image_rows(tmp_path):
     image = np.arange(60, dtype=np.uint8).reshape(6, 10)[:, ::2]  # not contiguous
     write_pgm(tmp_path / "s.pgm", image)
     assert (tmp_path / "s.pgm").read_bytes() == b"P5\n5 6\n255\n" + image.tobytes()
+    with pytest.raises(InvalidParameter, match="2-d"):
+        write_pgm(tmp_path / "line.pgm", np.arange(5, dtype=np.uint8))
+    assert not (tmp_path / "line.pgm").exists()
+
+
+def test_unknown_wav_encoding_is_invalid(tmp_path):
+    with pytest.raises(InvalidParameter, match="unknown WAV encoding 'pcm8'"):
+        write_wav(tmp_path / "x.wav", Signal(samples=np.zeros(8), fs=8000.0), encoding="pcm8")
+    assert not (tmp_path / "x.wav").exists()

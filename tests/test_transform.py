@@ -422,9 +422,17 @@ def test_coefficient_file_rejects_corruption(tmp_path):
     with pytest.raises(FingerprintMismatch):
         load_coefficients(bad_magic, bank)
 
+    version = tmp_path / "version.wfbc"
+    version.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    with pytest.raises(FingerprintMismatch, match="version 2"):
+        load_coefficients(version, bank)
+
     truncated = tmp_path / "trunc.wfbc"
     truncated.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FingerprintMismatch):
+        load_coefficients(truncated, bank)
+    truncated.write_bytes(blob[:16])  # inside the first entry's header
+    with pytest.raises(FingerprintMismatch, match="truncated"):
         load_coefficients(truncated, bank)
 
     trailing = tmp_path / "trail.wfbc"
