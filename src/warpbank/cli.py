@@ -145,14 +145,17 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    built = specfile.load_bank_spec(args.bank)
-    report = diagnostics.frame_report(built)
-    text = diagnostics.format_report(report)
-    if args.sweep_a:
+    if args.sweep_a is not None:
         try:
             scales = [int(s) for s in args.sweep_a.split(",") if s.strip()]
         except ValueError as exc:
             raise InvalidParameter(f"bad --sweep-a value {args.sweep_a!r}") from exc
+        if not scales:
+            raise InvalidParameter(f"--sweep-a {args.sweep_a!r} holds no scale")
+    built = specfile.load_bank_spec(args.bank)
+    report = diagnostics.frame_report(built)
+    text = diagnostics.format_report(report)
+    if args.sweep_a is not None:
         rows = diagnostics.tightness_sweep(built, scales)
         text += "sweep:\n"
         for scale, ratio in rows:

@@ -8,17 +8,19 @@ Three layers, from cheap to expensive:
   read off the bank's plan.  In the DFT domain S is the Walnut form
   S[j, j'] = sum_m N_m g_m[j] g_m[j'] (j = j' mod N_m), so with R_j an
   upper bound on the absolute row sums, A_suff = min_j (2 S[j, j] - R_j)
-  and B_suff = max_j R_j sandwich the true bounds.  R_j comes from the
-  frame operator's own fold and gather with |g_m| on the all-ones
-  spectrum; taking |g_m| per channel can only overestimate the row sums,
-  and painless banks, whose slots hold one nonzero bin each, get the
-  diagonal extremes.  A_suff <= 0 proves nothing and is reported as
-  inconclusive;
+  and B_suff = max_j R_j sandwich the true bounds.  Painless banks, whose
+  slots hold one nonzero bin each, have R_j = S[j, j] and return the
+  diagonal extremes without a Gershgorin pass; for the others R_j comes
+  from the Walnut form's fold and gather with |g_m| on the all-ones
+  spectrum, and taking |g_m| per channel can only overestimate the row
+  sums.  A_suff <= 0 proves nothing and is reported as inconclusive;
 * empirical bounds: for non-painless banks one Lanczos run on the frame
   operator gives both A_emp and B_emp, as the extreme Ritz values, once
   their residual bounds reach 1e-13 B_emp; no solver for S^{-1} and no
-  second pass are needed.  ``FrameReport.bounds_method`` says which of
-  the diagonal (exact) and Lanczos gave them.
+  second pass are needed.  The run stays in the unitary DFT domain, where
+  each step is one fold and one gather of the Walnut form on a complex
+  length-L spectrum.  ``FrameReport.bounds_method`` says which of the
+  diagonal (exact) and Lanczos gave them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .bank import WarpedBank, with_scaled_factors
 from .errors import NoConvergence
-from .transform import _walnut, apply_frame_operator
+from .transform import _walnut
 
 # Lanczos steps after which empirical_bounds stops with a NoConvergence warning
 LANCZOS_MAX_STEPS = 2048
@@ -80,8 +82,10 @@ def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
     inequality per channel only adds, so A_suff = min_j (2 S[j, j] - R_j)
     and B_suff = max_j R_j stay valid.  A painless channel puts each
     nonzero bin alone in its slot, so on a painless bank R_j = S[j, j] and
-    the bounds are the diagonal's extremes.
+    the bounds are the diagonal's extremes, returned without the pass.
     """
+    if bank.painless:
+        return diagonal_bounds(bank)
     plan = bank.plan
     ones = np.ones(bank.grid.length, dtype=complex)
     rows = _walnut(ones, np.abs(plan.response), bank).real
@@ -92,8 +96,12 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
     """(A_emp, B_emp): extreme eigenvalues of the frame operator.
 
     Painless banks short-circuit to the diagonal extremes, the exact
-    spectrum.  Otherwise one Lanczos run on S (fixed random start, plain
-    three-term recurrence, so three length-L vectors) gives both ends.
+    spectrum.  Otherwise one Lanczos run on S gives both ends.  It works
+    on unitary-DFT spectra, where S is the Walnut form (``_walnut``): one
+    fold and one gather per step, no FFT.  The start vector is the
+    normalized DFT of a fixed complex Gaussian draw (``default_rng(0)``),
+    so the Ritz values are those of the time-domain run from that draw;
+    the recurrence is the plain three-term one, so three length-L vectors.
     Every max(8, k // 8) steps the Ritz values theta_i of the tridiagonal
     T_k and the last components s_i of its eigenvectors bound the
     spectrum: S has an eigenvalue within beta_k |s_i| of each theta_i.
@@ -110,14 +118,15 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
         return diagonal_bounds(bank)
     length = bank.grid.length
     rng = np.random.default_rng(0)
-    q = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    q = np.fft.fft(rng.standard_normal(length) + 1j * rng.standard_normal(length))
     q /= np.linalg.norm(q)
+    response = bank.plan.response
     q_prev = np.zeros_like(q)
     alphas, betas = [], []
     beta = 0.0
     check = 8
     while True:
-        w = apply_frame_operator(q, bank).samples - beta * q_prev
+        w = _walnut(q, response, bank) - beta * q_prev
         alpha = float(np.vdot(q, w).real)
         w -= alpha * q
         beta = float(np.linalg.norm(w))

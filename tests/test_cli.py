@@ -164,6 +164,10 @@ def test_exit_code_2_on_bad_parameters(tmp_path, capsys):
     capsys.readouterr()
     assert run(["diagnose", "--bank", spec, "--sweep-a", "1,x"]) == 2
     assert "bad --sweep-a value" in capsys.readouterr().err
+    for value in (",", " , ,", " ", ""):  # no scale to sweep: no empty sweep block
+        assert run(["diagnose", "--bank", spec, "--sweep-a", value]) == 2
+        captured = capsys.readouterr()
+        assert "holds no scale" in captured.err and captured.out == ""
     write_wav(tmp_path / "in.wav", Signal(samples=np.zeros(512), fs=44100.0))
     assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.wav",
                 "--out", tmp_path / "c.wfbc"]) == 2

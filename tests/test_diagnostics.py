@@ -8,7 +8,8 @@ from warpbank import (Explicit, GridSpec, Natural, Painless, build_bank,
                       design_tight, diagnostics, diagonal_bounds,
                       empirical_bounds, format_report, frame_report,
                       load_bank_spec, make_warping, named_window,
-                      sufficient_bounds, tightness_sweep, with_scaled_factors)
+                      painless_dual, sufficient_bounds, tightness_sweep,
+                      transform, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 
@@ -93,6 +94,26 @@ def test_sufficient_bounds_finish_for_channels_far_beyond_the_grid():
     assert sufficient_bounds(bank) == (0.0, 1.0)
 
 
+def test_sufficient_bounds_of_painless_banks_are_the_diagonal_without_a_pass(
+        erb_tight, monkeypatch):
+    w = make_warping("erblike")
+    grid = GridSpec(length=1024, fs=44100.0, domain=w.domain)
+    untight = build_bank(w, HANN, grid, Painless())
+    w = make_warping("log")
+    far = build_bank(w, HANN, GridSpec(length=64, fs=2.0, domain=w.domain),
+                     Explicit({40: 4, 41: 1}), check_coverage=False)
+
+    def broken(*args):
+        raise AssertionError("Walnut pass run on a painless bank")
+
+    monkeypatch.setattr(diagnostics, "_walnut", broken)
+    for bank in (erb_tight, painless_dual(erb_tight), untight, far):
+        assert bank.painless
+        assert sufficient_bounds(bank) == diagonal_bounds(bank)
+    assert diagonal_bounds(untight)[0] > 1.0 + 1e-3  # not tight
+    assert sufficient_bounds(far) == (0.0, 1.0)
+
+
 FAMILIES = [
     ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
     ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
@@ -153,6 +174,27 @@ def test_empirical_bounds_match_dense_spectrum(family, kw, fs, dense_atoms,
         scale = 1e-12 * spectrum[-1]
         assert abs(a_emp - spectrum[0]) <= scale, name
         assert abs(b_emp - spectrum[-1]) <= scale, name
+
+
+def test_lanczos_runs_without_the_time_domain_frame_operator(erb_tight, dense_atoms,
+                                                            monkeypatch):
+    def broken(*args):
+        raise AssertionError("apply_frame_operator called")
+
+    monkeypatch.setattr(transform, "apply_frame_operator", broken)
+    # also where a name imported into diagnostics would be looked up
+    monkeypatch.setattr(diagnostics, "apply_frame_operator", broken, raising=False)
+    for scale in (2, 4):
+        bank = with_scaled_factors(erb_tight, scale)
+        atoms = dense_atoms(bank)
+        lo, hi = np.linalg.eigvalsh(atoms.T @ atoms.conj())[[0, -1]]
+        slack = 1e-12 * hi
+        a_emp, b_emp = empirical_bounds(bank)
+        assert abs(a_emp - lo) <= slack and abs(b_emp - hi) <= slack
+        # the ratio that bounds within the slack of both ends allow
+        [(swept, ratio)] = tightness_sweep(erb_tight, scales=(scale,))
+        assert swept == scale
+        assert abs(ratio - hi / lo) <= slack * (lo + hi) / (lo * (lo - slack))
 
 
 def test_frame_report_tight(erb_tight):

@@ -4,8 +4,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "warpbank"
 
 # (importing module, module imported from, name): the private names one
-# module may take from another.  The diagnostics' Gershgorin row sums run
-# the frame operator's Walnut form with |g_m| in place of g_m.
+# module may take from another.  The diagnostics run the frame operator's
+# Walnut form on DFT spectra: the Gershgorin row sums with |g_m| in place
+# of g_m, and every Lanczos step with the bank's own responses.
 ALLOWED = {("diagnostics", "transform", "_walnut")}
 
 
