@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -70,6 +71,30 @@ from .warping import Domain, WarpingFunction
 MIRROR_DIAGONAL_RTOL = 1e-12
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an int if it is a real number with no fractional part
+    (128, 128.0, np.int64(128)); "128", True, 0.5 or NaN raise.  A plain
+    int, the common case, skips the slower abstract-type checks."""
+    if type(value) is not int and not (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_number(value, what: str) -> float:
+    """``value`` as a float if it is a real number; "44100", True, or an
+    integer past float range raise.  A plain float skips the abstract-type
+    checks."""
+    try:
+        if type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool)):
+            return float(value)
+    except OverflowError:
+        pass
+    raise InvalidParameter(f"{what} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Finite frequency grid: L bins spanning one period of fs Hz."""
@@ -79,6 +104,8 @@ class GridSpec:
     domain: Domain
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "length", as_integer(self.length, "grid length"))
+        object.__setattr__(self, "fs", as_number(self.fs, "sample rate"))
         if self.length <= 0 or self.length % 2 != 0:
             raise InvalidParameter(f"grid length must be a positive even integer, got {self.length}")
         if not np.isfinite(self.fs) or self.fs <= 0:
@@ -291,16 +318,36 @@ def _touching_channels(warped: np.ndarray, window, residual: bool) -> list[int]:
     counts = np.maximum(top - below, 0).astype(np.int64)
     first = (below + 1).astype(np.int64) - (np.cumsum(counts) - counts)
     ms = np.repeat(first, counts) + np.arange(counts.sum())
-    starts, stops = _supports(warped, window, ms)
+    starts, stops = _supports(warped, window, ms, ms)
     return ms[stops > starts].tolist()
 
 
-def _supports(warped: np.ndarray, window, ms) -> tuple[np.ndarray, np.ndarray]:
+def _supports(warped: np.ndarray, window, first, last) -> tuple[np.ndarray, np.ndarray]:
     """Index ranges [starts, stops) of the sorted warped bins inside each
-    channel's support [c+m, d+m), open at c+m too where theta vanishes."""
-    m, (lo_s, hi_s) = np.asarray(ms, dtype=float), window.support
-    side = "right" if window.vanishes_at_edges else "left"
-    return np.searchsorted(warped, lo_s + m, side), np.searchsorted(warped, hi_s + m)
+    span [c+first, d+last) of channel supports [c+m, d+m), open at c+first
+    too where theta vanishes."""
+    (lo_s, hi_s), side = window.support, "right" if window.vanishes_at_edges else "left"
+    return (np.searchsorted(warped, lo_s + np.asarray(first, dtype=float), side),
+            np.searchsorted(warped, hi_s + np.asarray(last, dtype=float)))
+
+
+def _is_tight(warped: np.ndarray, window, ms: np.ndarray, channels: list[Channel]) -> bool:
+    """Whether the frame operator of ``channels``, with the sorted indices
+    ``ms``, is the identity (Daubechies, Grossmann and Meyer's painless
+    construction): every channel is painless, so S is its diagonal; the
+    window's squared translates sum to 1; and no missing m has a bin in
+    its support, so the diagonal at every bin sums all of them.  An
+    integer stretch makes the supports of a run of missing m one
+    interval, so one pair of searches tests every run."""
+    if not (window.constant_overlap and abs(window.sum_of_squares_constant - 1.0) <= 1e-8
+            and all(ch.painless for ch in channels)):
+        return False
+    ms = np.concatenate(([-np.inf], ms, [np.inf]))
+    below, above = ms[:-1], ms[1:]
+    runs = above - below > 1
+    starts, stops = _supports(warped, window, below[runs] + 1, above[runs] - 1)
+    starts[0], stops[-1] = 0, len(warped)  # the outer runs take bins at F = -inf, inf too
+    return bool(np.all(starts >= stops))
 
 
 def _reflections(ms, factors, warped, starts, stops, support) -> dict[int, int]:
@@ -433,7 +480,7 @@ def _geometry_fingerprint(warping, window, grid: GridSpec, factors: dict[int, in
 
 
 def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
-               *, kind: str = "analysis", check_coverage: bool = True) -> WarpedBank:
+               *, check_coverage: bool = True) -> WarpedBank:
     """Assemble a bank: pick channel indices, fix factors per the policy,
     sample responses, and verify frequency coverage.
 
@@ -441,9 +488,9 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
     take every channel whose warped support holds a bin.  Explicit factor
     maps may cover any subset of channel indices (useful for probing
     deliberately broken banks with ``check_coverage=False``); a channel
-    that holds no bin gets N_m zero coefficients.  A bank asked for as
-    ``tight`` whose channels are not all painless is recorded as
-    ``analysis``: its frame operator is no longer its diagonal.
+    that holds no bin gets N_m zero coefficients.  The bank's kind is
+    worked out, not asked for: ``tight`` when its frame operator is the
+    identity (see ``_is_tight``), ``analysis`` otherwise.
     """
     if warping.domain is not grid.domain:
         raise InvalidParameter(
@@ -464,16 +511,15 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
     if isinstance(policy, Explicit):
         if not policy.factors:
             raise EmptyBank("explicit factor map is empty")
-        ms = sorted(int(m) for m in policy.factors)
+        # an integral key equals its int and hashes alike, so the int finds it
+        ms = sorted(as_integer(m, "channel index") for m in policy.factors)
         _check_tags(ms[0], ms[-1], half)
-        factors = {}
-        for m in ms:
-            a = policy.factors[m]
-            if int(a) != a or a < 1 or grid.length % int(a) != 0:
+        factors = {m: as_integer(policy.factors[m], f"factor for channel {m}") for m in ms}
+        for m, a in factors.items():
+            if a < 1 or grid.length % a:
                 raise InvalidParameter(
                     f"factor a={a!r} for channel {m} must be a positive divisor of L={grid.length}"
                 )
-            factors[m] = int(a)
         policy_record = {"policy": "explicit"}
     else:
         ms = _touching_channels(warped, window, half) if len(warped) else []
@@ -485,17 +531,18 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
         elif isinstance(policy, Natural):
             a_tilde = policy.a_tilde
             if a_tilde is None:
-                a_tilde = float(painless_factors(warping, window.support, [0])[0])
-            a_real = natural_factors(warping, float(a_tilde), ms)
+                a_tilde = painless_factors(warping, window.support, [0])[0]
+            a_real = natural_factors(warping, as_number(a_tilde, "a_tilde"), ms)
             policy_record = {"policy": "natural", "a_tilde": float(a_tilde)}
         else:
             raise InvalidParameter(f"unknown factor policy {policy!r}")
         rounded = round_factors_to_grid(a_real, grid)
         factors = dict(zip(ms, (int(a) for a in rounded)))
 
-    starts, stops = _supports(warped, window, ms)
+    indices = np.array(ms, dtype=float)
+    starts, stops = _supports(warped, window, indices, indices)
     with np.errstate(over="ignore"):
-        centers = warping.f_inv(np.array(ms, dtype=float))
+        centers = warping.f_inv(indices)
     if not np.isfinite(centers).all():
         bad = ms[int(np.argmin(np.isfinite(centers)))]
         raise InvalidParameter(f"channel {bad} has no finite center frequency")
@@ -521,8 +568,6 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
             m=m, center_hz=float(center), a=factors[m], n_frames=n_frames,
             start_bin=lo_bin + int(j0), response=response, painless=span < n_frames,
         ))
-    if kind == "tight" and not all(ch.painless for ch in channels):
-        kind = "analysis"
     residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
     plan = _build_plan(channels, residuals, grid, pairs)
     kept = _mirror_partners(plan, channels, pairs, grid.length)
@@ -532,7 +577,7 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
         warping=warping,
         window=window,
         grid=grid,
-        kind=kind,
+        kind="tight" if _is_tight(warped, window, indices, channels) else "analysis",
         channels=_plan_views(channels, plan),
         residuals=residuals,
         policy_record=policy_record,
@@ -571,7 +616,8 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
 def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",
                  stretch: float = 3.0) -> WarpedBank:
     """One-call tight design: normalized cosine-sum window plus maximal
-    painless factors; the frame operator is the identity.
+    painless factors; the frame operator is the identity.  ``build_bank``
+    derives that from the geometry, so no diagonal is computed here.
 
     ``window`` is a catalog name or a coefficient sequence.
     """
@@ -581,33 +627,28 @@ def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",
         proto = window
     else:
         proto = CosineSumWindow(tuple(window), float(stretch))
-    proto = normalize_for_tightness(proto)
-    bank = build_bank(warping, proto, grid, Painless(), kind="tight")
-    flat = bank.diagonal()
-    dev = float(np.max(np.abs(flat - 1.0)))
-    if dev > 1e-8:
-        raise InvalidParameter(
-            f"tight design failed: diagonal deviates from 1 by {dev:.3e}"
-        )
+    bank = build_bank(warping, normalize_for_tightness(proto), grid, Painless(),
+                      check_coverage=False)
+    if bank.kind != "tight":
+        raise InvalidParameter("tight design failed: some channel is not painless")
     return bank
 
 
 def with_scaled_factors(bank: WarpedBank, scale: int) -> WarpedBank:
     """Rebuild with every hop multiplied by ``scale`` (snapped down to a
-    divisor of L and capped at L).  Scaling past the painless bound drops
-    the painless flags, and a tight bank's kind with them (see
-    ``build_bank``); diagnostics use this to probe degradation.  A
-    dual bank's responses are not sampled from its window, so its hops
-    are scaled on the analysis bank, whose dual is then taken again."""
+    divisor of L and capped at L), its kind worked out again (see
+    ``build_bank``): past the painless bound a tight bank is no longer
+    tight.  Diagnostics use this to probe degradation.  A dual bank's
+    responses are not sampled from its window, so its hops are scaled on
+    the analysis bank, whose dual is then taken again."""
     if bank.kind == "dual":
         raise InvalidParameter("cannot rescale the hops of a dual bank; "
                                "scale its analysis bank and take the dual of that")
-    if int(scale) != scale or scale < 1:
+    if as_integer(scale, "scale") < 1:
         raise InvalidParameter(f"scale must be a positive integer, got {scale!r}")
     hops = _snap_to_divisors([ch.a * int(scale) for ch in bank.channels], bank.grid.length)
     factors = {ch.m: int(a) for ch, a in zip(bank.channels, hops)}
-    return build_bank(bank.warping, bank.window, bank.grid, Explicit(factors),
-                      kind=bank.kind, check_coverage=False)
+    return build_bank(bank.warping, bank.window, bank.grid, Explicit(factors), check_coverage=False)
 
 
 def channel_response_continuous(warping: WarpingFunction, window, m: int, xi):

@@ -6,8 +6,12 @@ response from the closed-form evaluators, which is bit-exact because the
 evaluation path is deterministic.  The channel table is authoritative on
 load (the policy record is kept for provenance only), so hand-edited
 files with holes in the channel set load fine and can be handed to
-diagnose, which will flag the holes.  A ``dual`` spec records the
-geometry of its analysis bank and loads as that bank's painless dual.
+diagnose, which will flag the holes.  A spec's ``kind`` is checked
+against ``KINDS`` but read only to recognise ``dual``: such a spec
+records the geometry of its analysis bank and loads as that bank's
+painless dual.  Tightness is worked out from the geometry, never taken
+from the label, so a hand-edited ``tight`` spec that lost a channel or
+was given longer hops loads as ``analysis`` (see ``build_bank``).
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .bank import Explicit, GridSpec, WarpedBank, build_bank, painless_dual
+from .bank import (Explicit, GridSpec, WarpedBank, as_integer, as_number, build_bank,
+                   painless_dual)
 from .errors import InvalidParameter
 from .prototypes import BSplineWindow, CosineSumWindow
 from .warping import Domain, make_warping
@@ -61,31 +66,16 @@ def _window_from_record(record: dict):
     kind = record.get("kind")
     if kind == "cosine_sum":
         return CosineSumWindow(
-            tuple(_number(b, "prototype.coeffs entry") for b in record["coeffs"]),
-            _number(record["stretch"], "prototype.stretch"),
+            tuple(as_number(b, "bank spec prototype.coeffs entry")
+                  for b in record["coeffs"]),
+            as_number(record["stretch"], "bank spec prototype.stretch"),
             normalized=_boolean(record.get("normalized", False), "prototype.normalized"),
         )
     if kind == "bspline":
-        return BSplineWindow(order=_integer(record["order"], "prototype.order"),
-                             stretch=_number(record["stretch"], "prototype.stretch"))
+        return BSplineWindow(
+            order=as_integer(record["order"], "bank spec prototype.order"),
+            stretch=as_number(record["stretch"], "bank spec prototype.stretch"))
     raise InvalidParameter(f"unknown prototype kind {kind!r}")
-
-
-def _integer(value, what: str) -> int:
-    """``value`` if it is an integer (a float with no fractional part
-    counts); anything else, 2.7 or "512" or true, raises."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise InvalidParameter(f"bank spec {what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; "44100" or true raises."""
-    if type(value) not in (int, float):
-        raise InvalidParameter(f"bank spec {what} must be a number, got {value!r}")
-    return float(value)
 
 
 def _boolean(value, what: str) -> bool:
@@ -117,17 +107,17 @@ def load_bank_spec(path) -> WarpedBank:
     try:
         warp_rec = record["warping"]
         warping = make_warping(warp_rec["family"], **{
-            k: _number(warp_rec[k], f"warping.{k}")
+            k: as_number(warp_rec[k], f"bank spec warping.{k}")
             for k in ("c", "d", "l") if warp_rec.get(k) is not None})
         window = _window_from_record(record["prototype"])
         grid_rec = record["grid"]
         grid = GridSpec(
-            length=_integer(grid_rec["L"], "grid.L"),
-            fs=_number(grid_rec["fs"], "grid.fs"),
+            length=as_integer(grid_rec["L"], "bank spec grid.L"),
+            fs=as_number(grid_rec["fs"], "bank spec grid.fs"),
             domain=Domain(grid_rec["domain"]),
         )
-        table = [(_integer(ch["m"], "channel m"),
-                  _integer(ch["a_m_samples"], "channel a_m_samples"))
+        table = [(as_integer(ch["m"], "bank spec channel m"),
+                  as_integer(ch["a_m_samples"], "bank spec channel a_m_samples"))
                  for ch in record["channels"]]
         kind = record.get("kind", "analysis")
         if kind not in KINDS:
@@ -139,8 +129,7 @@ def load_bank_spec(path) -> WarpedBank:
     if len(factors) != len(table):
         twice = sorted(m for m, k in Counter(m for m, _ in table).items() if k > 1)
         raise InvalidParameter(f"bank spec lists channels {twice} more than once")
-    bank = build_bank(warping, window, grid, Explicit(factors), kind=kind,
-                      check_coverage=False)
+    bank = build_bank(warping, window, grid, Explicit(factors), check_coverage=False)
     if kind == "dual":
         bank = painless_dual(bank)
     policy = record.get("factor_policy")

@@ -12,10 +12,10 @@ from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
                       InvalidParameter, Natural, NotPainless, Painless, analyze,
                       build_bank, channel_response_continuous,
                       design_tight, load_bank_spec, make_cosine_window, make_warping,
-                      named_window, natural_factors, painless_dual,
-                      painless_factors, round_factors_to_grid,
+                      named_window, natural_factors, normalize_for_tightness,
+                      painless_dual, painless_factors, round_factors_to_grid,
                       save_bank_spec, synthesize, with_scaled_factors)
-from warpbank import specfile
+from warpbank import WarpedBank, specfile
 
 HANN = named_window("hann", 3.0)
 
@@ -45,6 +45,36 @@ def test_grid_spec_validation():
     assert grid.signed_bin_range() == (-511, 512)
     half = GridSpec(length=1024, fs=2.0, domain=Domain.POSITIVE_HALF_LINE)
     assert half.signed_bin_range() == (1, 511)
+    for length in (1024.0, np.float64(1024), np.int32(1024)):
+        integral = GridSpec(length=length, fs=np.float32(2.0), domain=Domain.FULL_LINE)
+        assert integral == grid and type(integral.length) is int
+
+
+def erb_bank(policy):
+    w, grid = erb_grid(length=256)
+    return build_bank(w, HANN, grid, policy, check_coverage=False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GridSpec(length="128", fs=44100.0, domain=Domain.FULL_LINE),
+    lambda: GridSpec(length=True, fs=44100.0, domain=Domain.FULL_LINE),
+    lambda: GridSpec(length=128.5, fs=44100.0, domain=Domain.FULL_LINE),
+    lambda: GridSpec(length=128, fs="44100", domain=Domain.FULL_LINE),
+    lambda: GridSpec(length=128, fs=10**400, domain=Domain.FULL_LINE),
+    lambda: erb_bank(Explicit({0.5: 1})),
+    lambda: erb_bank(Explicit({"3": 1})),
+    lambda: erb_bank(Explicit({3: float("nan")})),
+    lambda: erb_bank(Explicit({3: float("inf")})),
+    lambda: erb_bank(Explicit({3: "2"})),
+    lambda: erb_bank(Natural(a_tilde="x")),
+    lambda: with_scaled_factors(erb_bank(Painless()), float("nan")),
+    lambda: with_scaled_factors(erb_bank(Painless()), True),
+], ids=["length str", "length bool", "length fraction", "fs str", "fs past float range",
+        "channel fraction", "channel str", "factor nan", "factor inf", "factor str",
+        "a_tilde str", "scale nan", "scale bool"])
+def test_malformed_library_inputs_raise_invalid_parameter(make):
+    with pytest.raises(InvalidParameter):
+        make()
 
 
 @pytest.mark.parametrize("window", ["hann", "hamming", "boxcar"])
@@ -281,13 +311,62 @@ def test_painless_dual_requires_coverage():
 @pytest.mark.parametrize("family,kw", [
     ("log", {}), ("sympow", {"l": 0.5}), ("erblike", {}), ("signedpow", {"l": 0.5}),
 ])
-def test_design_tight_diagonal_is_one(family, kw):
+def test_design_tight_diagonal_is_one(family, kw, monkeypatch):
     w = make_warping(family, **kw)
     grid = GridSpec(length=1024, fs=2.0, domain=w.domain)
-    bank = design_tight(w, grid, "hann", 3.0)
+    with monkeypatch.context() as patch:  # tightness is derived, not checked on S
+        patch.setattr(WarpedBank, "diagonal", lambda self: pytest.fail("diagonal computed"))
+        bank = design_tight(w, grid, "hann", 3.0)
     assert bank.kind == "tight"
     assert bank.painless
     np.testing.assert_allclose(bank.diagonal(), 1.0, atol=1e-10)
+
+
+TIGHTNESS_WINDOWS = {
+    "hann": named_window("hann", 3.0),
+    "blackman": named_window("blackman", 5.0),
+    "boxcar R=1": named_window("boxcar", 1.0),  # unit sum though not normalized
+    "hann R=2.5": named_window("hann", 2.5),
+    "bspline2": named_window("bspline2", 2.0),
+    "bspline3": named_window("bspline3", 3.0),
+    **{f"normalized {name}": normalize_for_tightness(named_window(name, r))
+       for name, r in (("hann", 3.0), ("hamming", 3.0), ("blackman", 5.0), ("boxcar", 2.0))},
+}
+
+
+@pytest.mark.parametrize("window", TIGHTNESS_WINDOWS.values(), ids=TIGHTNESS_WINDOWS.keys())
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 0.5}, 2.0), ("erblike", {}, 44100.0),
+    ("signedpow", {"l": 0.5}, 256.0),
+])
+def test_kind_is_tight_exactly_when_painless_with_unit_diagonal(family, kw, fs, window):
+    w = make_warping(family, **kw)
+    grid = GridSpec(length=360, fs=fs, domain=w.domain)
+    base = build_bank(w, window, grid, Painless())
+    factors = {ch.m: ch.a for ch in base.channels}
+    ms = sorted(factors)
+    tables = [{m: 1 for m in ms}, {**factors, ms[0] - 30: 1, ms[-1] + 30: 1}]
+    tables += [{m: a for m, a in factors.items() if m != drop}
+               for drop in (ms[0], ms[len(ms) // 2], ms[-1])]
+    banks = [base, with_scaled_factors(base, 2)]
+    banks += [build_bank(w, window, grid, Explicit(t), check_coverage=False) for t in tables]
+    for bank in banks:
+        unit = np.max(np.abs(bank.diagonal() - 1.0)) <= 1e-8
+        assert (bank.kind == "tight") == (bank.painless and unit)
+    # both answers occur: a unit-sum window's painless design is tight
+    unit_sum = window.constant_overlap and window.sum_of_squares_constant == pytest.approx(1.0)
+    assert (base.kind == "tight") == unit_sum
+
+
+def test_bins_warped_past_float_range_keep_a_bank_from_tight():
+    # F overflows on every bin but DC: channels -1..1 hold DC, and no
+    # channel's support holds an infinite warped bin
+    w = make_warping("erblike", c=1e307, d=1e-300)
+    grid = GridSpec(length=16, fs=16.0, domain=w.domain)
+    unit = normalize_for_tightness(HANN)
+    bank = build_bank(w, unit, grid, Explicit({-1: 1, 0: 1, 1: 1}), check_coverage=False)
+    assert bank.painless and bank.diagonal().min() == 0.0
+    assert bank.kind == "analysis"
 
 
 def test_design_tight_accepts_raw_coefficients():
@@ -350,8 +429,7 @@ def test_a_tight_bank_past_the_painless_bound_is_recorded_as_analysis():
     rec = synthesize(analyze(x, doubled), doubled).samples
     assert np.linalg.norm(rec - x) > 1e-2 * np.linalg.norm(x)
     # unit hops are painless: the bank stays tight and self-inverting
-    unit = build_bank(w, tight.window, grid, Explicit({ch.m: 1 for ch in tight.channels}),
-                      kind="tight")
+    unit = build_bank(w, tight.window, grid, Explicit({ch.m: 1 for ch in tight.channels}))
     assert unit.kind == "tight" and unit.painless
     rec = synthesize(analyze(x, unit), unit).samples
     assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)

@@ -372,6 +372,32 @@ def test_tight_spec_past_the_painless_bound_synthesizes_through_the_dual(tmp_pat
                 "--out", tmp_path / "out.f64"]) == 6
 
 
+@pytest.mark.parametrize("dropped,code", [("middle", 0), ("top", 0), ("middle three", 3)])
+def test_tight_spec_missing_channels_is_not_trusted(tmp_path, dropped, code):
+    # the spec still says "kind": "tight", but a bin has lost a translate:
+    # the bank loads as analysis and synthesize takes the dual, which is
+    # exact while the diagonal stays positive and exits 3 where it is 0
+    spec = design_bank(tmp_path)
+    record = json.loads(spec.read_text())
+    rows, mid = record["channels"], len(record["channels"]) // 2
+    drop = {"middle": [mid], "top": [len(rows) - 1], "middle three": [mid - 1, mid, mid + 1]}
+    record["channels"] = [ch for i, ch in enumerate(rows) if i not in drop[dropped]]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(record))
+    bank = load_bank_spec(edited)
+    assert record["kind"] == "tight" and bank.kind == "analysis" and bank.painless
+    assert (bank.diagonal().min() > 0) == (code == 0)
+    x = np.random.default_rng(5).standard_normal(512)
+    write_raw(tmp_path / "in.f64", Signal(samples=x, fs=8000.0))
+    assert run(["analyze", "--bank", edited, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    assert run(["synthesize", "--bank", edited, "--coeffs", tmp_path / "c.wfbc",
+                "--out", tmp_path / "out.f64"]) == code
+    if code == 0:
+        rec = read_raw(tmp_path / "out.f64", 8000.0).samples
+        assert np.linalg.norm(rec - x) <= 1e-10 * np.linalg.norm(x)
+
+
 def test_readme_exit_code_table_matches_the_cli():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
@@ -543,6 +569,7 @@ def test_spec_file_with_non_integer_entry_is_exit_2(tmp_path, capsys, where, val
     ("grid", "fs", True), ("grid", "fs", "8000"), ("prototype", "stretch", True),
     ("prototype", "coeffs", [0.5, "0.5"]), ("warping", "c", "1"),
     ("warping", "d", True), ("warping", "l", "0.5"),
+    pytest.param("grid", "fs", 10**400, id="grid-fs-past-float-range"),
 ])
 def test_spec_file_with_non_numeric_entry_is_exit_2(tmp_path, capsys, section, key, value):
     spec = design_bank(tmp_path, warp="signedpow", params="c=1,d=1,l=0.5")
