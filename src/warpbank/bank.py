@@ -54,7 +54,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -62,37 +61,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CoverageError, EmptyBank, InvalidParameter, NotPainless
+from .errors import CoverageError, EmptyBank, InvalidParameter, NotPainless, as_integer, as_number
 from .prototypes import CosineSumWindow, named_window, normalize_for_tightness
 from .warping import Domain, WarpingFunction
 
 # _mirror_partners: how far the rows left unpaired may weigh a bin and its
 # negation apart, relative to the weight there, for channel -m to mirror m
 MIRROR_DIAGONAL_RTOL = 1e-12
-
-
-def as_integer(value, what: str) -> int:
-    """``value`` as an int if it is a real number with no fractional part
-    (128, 128.0, np.int64(128)); "128", True, 0.5 or NaN raise.  A plain
-    int, the common case, skips the slower abstract-type checks."""
-    if type(value) is not int and not (
-            isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
-        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def as_number(value, what: str) -> float:
-    """``value`` as a float if it is a real number; "44100", True, or an
-    integer past float range raise.  A plain float skips the abstract-type
-    checks."""
-    try:
-        if type(value) is float or (isinstance(value, numbers.Real)
-                                    and not isinstance(value, bool)):
-            return float(value)
-    except OverflowError:
-        pass
-    raise InvalidParameter(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -479,18 +454,18 @@ def _geometry_fingerprint(warping, window, grid: GridSpec, factors: dict[int, in
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
-               *, check_coverage: bool = True) -> WarpedBank:
-    """Assemble a bank: pick channel indices, fix factors per the policy,
-    sample responses, and verify frequency coverage.
+def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> WarpedBank:
+    """Assemble a bank: pick channel indices, fix factors per the policy, sample responses.
 
     ``policy`` is one of Natural, Painless, or Explicit.  The first two
     take every channel whose warped support holds a bin.  Explicit factor
-    maps may cover any subset of channel indices (useful for probing
-    deliberately broken banks with ``check_coverage=False``); a channel
-    that holds no bin gets N_m zero coefficients.  The bank's kind is
-    worked out, not asked for: ``tight`` when its frame operator is the
-    identity (see ``_is_tight``), ``analysis`` otherwise.
+    maps may cover any subset of channel indices; a channel that holds no
+    bin gets N_m zero coefficients.  The bank's kind is worked out, not
+    asked for: ``tight`` when its frame operator is the identity (see
+    ``_is_tight``), ``analysis`` otherwise.  A tight bank covers the grid
+    (its diagonal is 1); an Explicit table is taken as given, holes and
+    all (diagnose reports them, ``painless_dual`` refuses them); any other
+    design that leaves a bin uncovered raises CoverageError.
     """
     if warping.domain is not grid.domain:
         raise InvalidParameter(
@@ -584,7 +559,7 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy,
         fingerprint=_geometry_fingerprint(warping, window, grid, factors),
         plan=plan,
     )
-    if check_coverage:
+    if bank.kind != "tight" and not isinstance(policy, Explicit):
         _require_coverage(bank, "the channel set does not cover the grid")
     return bank
 
@@ -626,9 +601,8 @@ def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",
     elif isinstance(window, CosineSumWindow):
         proto = window
     else:
-        proto = CosineSumWindow(tuple(window), float(stretch))
-    bank = build_bank(warping, normalize_for_tightness(proto), grid, Painless(),
-                      check_coverage=False)
+        proto = CosineSumWindow(window, stretch)
+    bank = build_bank(warping, normalize_for_tightness(proto), grid, Painless())
     if bank.kind != "tight":
         raise InvalidParameter("tight design failed: some channel is not painless")
     return bank
@@ -648,7 +622,7 @@ def with_scaled_factors(bank: WarpedBank, scale: int) -> WarpedBank:
         raise InvalidParameter(f"scale must be a positive integer, got {scale!r}")
     hops = _snap_to_divisors([ch.a * int(scale) for ch in bank.channels], bank.grid.length)
     factors = {ch.m: int(a) for ch, a in zip(bank.channels, hops)}
-    return build_bank(bank.warping, bank.window, bank.grid, Explicit(factors), check_coverage=False)
+    return build_bank(bank.warping, bank.window, bank.grid, Explicit(factors))
 
 
 def channel_response_continuous(warping: WarpingFunction, window, m: int, xi):

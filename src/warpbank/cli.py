@@ -8,9 +8,9 @@ hop-scaling sweep).
 
 Exit codes enumerate the distinct failure conditions so scripts can tell
 them apart: 2 invalid parameters, degenerate inputs or too little memory,
-3 frequency coverage holes at construction, 4 signal length mismatch, 5
-coefficient container mismatch or corruption, 6 painless-dual request on
-a non-painless bank.  Each error type carries its code (see errors).
+3 a design that leaves a bin uncovered, or a painless dual where the
+diagonal vanishes, 4 signal length mismatch, 5 coefficient container
+mismatch or corruption, 6 painless-dual request on a non-painless bank.  Each error type carries its code (see errors).
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ Three layers, from cheap to expensive:
 * empirical bounds: for non-painless banks one Lanczos run on the frame
   operator gives both A_emp and B_emp, as the extreme Ritz values, once
   their residual bounds reach 1e-13 B_emp; no solver for S^{-1} and no
-  second pass are needed.  The run stays in the unitary DFT domain, where
+  second pass are needed.  An A_emp within that bound of 0 may be a
+  singular S, so the report gives A_emp 0 and calls the bank not a frame
+  to working precision.  The run stays in the unitary DFT domain, where
   each step is one fold and one gather of the Walnut form on a complex
   length-L spectrum.  ``FrameReport.bounds_method`` says which of the
   diagonal (exact) and Lanczos gave them.
@@ -151,6 +153,16 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
     return (float(theta[0]), float(theta[-1]))
 
 
+def _verdict(bank: WarpedBank, a_emp: float, b_emp: float) -> tuple[float, float]:
+    """(A_emp, B_emp / A_emp) as reported.  A Lanczos A_emp of at most
+    ``_RESIDUAL_TOL`` B_emp lies within the run's residual bound of 0, so
+    S may be singular: it is reported as 0 and the ratio as inf.  Painless
+    banks keep their exact diagonal extremes."""
+    if not bank.painless and a_emp <= _RESIDUAL_TOL * b_emp:
+        a_emp = 0.0
+    return a_emp, (b_emp / a_emp if a_emp > 0.0 else float("inf"))
+
+
 def frame_report(bank: WarpedBank) -> FrameReport:
     """Run the full battery against one bank."""
     notes: list[str] = []
@@ -168,9 +180,11 @@ def frame_report(bank: WarpedBank) -> FrameReport:
         a_emp, b_emp = empirical_bounds(bank)
     for w in caught:
         notes.append(str(w.message))
+    a_emp, ratio = _verdict(bank, a_emp, b_emp)
+    if a_emp <= 0.0:
+        notes.append("not a frame to working precision")
     method = ("diagonal (painless, exact)" if bank.painless
               else f"lanczos (residual bound {_RESIDUAL_TOL:g} of B_emp)")
-    ratio = b_emp / a_emp if a_emp > 0.0 else float("inf")
     flags = [ch.painless for ch in bank.channels]
     if not all(flags):
         bad = [ch.m for ch in bank.channels if not ch.painless]
@@ -193,9 +207,7 @@ def tightness_sweep(bank: WarpedBank, scales=(1, 2, 4)) -> list[tuple[int, float
     rows = []
     for scale in scales:
         scaled = bank if scale == 1 else with_scaled_factors(bank, int(scale))
-        a_emp, b_emp = empirical_bounds(scaled)
-        ratio = b_emp / a_emp if a_emp > 0.0 else float("inf")
-        rows.append((int(scale), ratio))
+        rows.append((int(scale), _verdict(scaled, *empirical_bounds(scaled))[1]))
     return rows
 
 
@@ -208,7 +220,8 @@ def format_report(report: FrameReport) -> str:
         f"diag_sup: {report.diag_sup:.12g}",
         f"A_suff: {report.a_suff:.12g}" + ("" if report.conclusive else "  (inconclusive)"),
         f"B_suff: {report.b_suff:.12g}",
-        f"A_emp: {report.a_emp:.12g}",
+        f"A_emp: {report.a_emp:.12g}"
+        + ("" if report.a_emp > 0.0 else "  (not a frame to working precision)"),
         f"B_emp: {report.b_emp:.12g}",
         f"bounds_method: {report.bounds_method}",
         f"tightness_ratio: {report.tightness_ratio:.12g}",

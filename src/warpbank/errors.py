@@ -1,5 +1,9 @@
 """Exception types shared across the package.  Each carries the exit
-code the CLI returns for it."""
+code the CLI returns for it.  ``as_integer`` and ``as_number`` are the one
+integer and number rule for library and spec-file inputs: they raise
+InvalidParameter, and every module can import them."""
+
+import numbers
 
 
 class WarpBankError(Exception):
@@ -10,6 +14,30 @@ class WarpBankError(Exception):
 class InvalidParameter(WarpBankError):
     """A constructor or operation received an out-of-range argument."""
     exit_code = 2
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int if it is a real number with no fractional part
+    (128, 128.0, np.int64(128)); "128", True, 0.5 or NaN raise.  A plain
+    int, the common case, skips the slower abstract-type checks."""
+    if type(value) is not int and not (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_number(value, what: str) -> float:
+    """``value`` as a float if it is a real number; "44100", True, or an
+    integer past float range raise.  A plain float skips the abstract-type
+    checks."""
+    try:
+        if type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool)):
+            return float(value)
+    except OverflowError:
+        pass
+    raise InvalidParameter(f"{what} must be a number, got {value!r}")
 
 
 class DomainError(WarpBankError):

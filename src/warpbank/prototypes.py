@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWindow, InvalidParameter
+from .errors import DegenerateWindow, InvalidParameter, as_number
 
 WINDOW_COEFFS = {
     "boxcar": (1.0,),
@@ -44,11 +44,15 @@ class CosineSumWindow:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(b) for b in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        try:
+            coeffs = tuple(as_number(b, "window coefficient") for b in self.coeffs)
+        except TypeError:  # not iterable
+            coeffs = ()
         if not coeffs or not all(np.isfinite(coeffs)):
-            raise InvalidParameter("coefficients must be a nonempty finite sequence")
-        r = float(self.stretch)
+            raise InvalidParameter(
+                f"coefficients must be a nonempty finite sequence, got {self.coeffs!r}")
+        object.__setattr__(self, "coeffs", coeffs)
+        r = as_number(self.stretch, "stretch")
         object.__setattr__(self, "stretch", r)
         if not np.isfinite(r) or r <= 2.0 * self.order:
             raise InvalidParameter(
@@ -124,7 +128,7 @@ class BSplineWindow:
     def __post_init__(self) -> None:
         if self.order not in (2, 3):
             raise InvalidParameter(f"b-spline order must be 2 or 3, got {self.order}")
-        r = float(self.stretch)
+        r = as_number(self.stretch, "stretch")
         object.__setattr__(self, "stretch", r)
         if not np.isfinite(r) or r <= 0.0:
             raise InvalidParameter(f"stretch must be positive, got {r}")
@@ -162,16 +166,16 @@ class BSplineWindow:
 
 def make_cosine_window(coeffs, stretch: float) -> CosineSumWindow:
     """Cosine-sum window with coefficients b_0..b_K and support width R."""
-    return CosineSumWindow(tuple(coeffs), float(stretch))
+    return CosineSumWindow(coeffs, stretch)
 
 
 def named_window(name: str, stretch: float):
     """Catalog lookup: hann, hamming, blackman, boxcar, bspline2, bspline3."""
-    key = name.lower()
+    key = name.lower() if isinstance(name, str) else None
     if key in WINDOW_COEFFS:
         return make_cosine_window(WINDOW_COEFFS[key], stretch)
     if key in ("bspline2", "bspline3"):
-        return BSplineWindow(order=int(key[-1]), stretch=float(stretch))
+        return BSplineWindow(order=int(key[-1]), stretch=stretch)
     raise InvalidParameter(
         f"unknown window {name!r}; expected one of "
         f"{sorted(WINDOW_COEFFS) + ['bspline2', 'bspline3']}"

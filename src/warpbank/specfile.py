@@ -19,9 +19,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .bank import (Explicit, GridSpec, WarpedBank, as_integer, as_number, build_bank,
-                   painless_dual)
-from .errors import InvalidParameter
+from .bank import Explicit, GridSpec, WarpedBank, build_bank, painless_dual
+from .errors import InvalidParameter, as_integer, as_number
 from .prototypes import BSplineWindow, CosineSumWindow
 from .warping import Domain, make_warping
 
@@ -129,7 +128,7 @@ def load_bank_spec(path) -> WarpedBank:
     if len(factors) != len(table):
         twice = sorted(m for m, k in Counter(m for m, _ in table).items() if k > 1)
         raise InvalidParameter(f"bank spec lists channels {twice} more than once")
-    bank = build_bank(warping, window, grid, Explicit(factors), check_coverage=False)
+    bank = build_bank(warping, window, grid, Explicit(factors))
     if kind == "dual":
         bank = painless_dual(bank)
     policy = record.get("factor_policy")

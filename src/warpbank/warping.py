@@ -38,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameter
+from .errors import DomainError, InvalidParameter, as_number
 
 # Auditory ERB-scale calibration (frequencies in Hz).
 ERB_SLOPE = 9.265
@@ -59,11 +59,14 @@ def _odd(g, t) -> np.ndarray:
     return np.sign(t) * g(np.abs(t))
 
 
-def _positive(**params: float) -> None:
-    for name, value in params.items():
-        v = float(value)
-        if not np.isfinite(v) or v <= 0.0:
+def _positive(warping, *names: str) -> None:
+    """Store each named parameter of a frozen ``warping`` as a float; it
+    must be a positive, finite number."""
+    for name in names:
+        value = as_number(getattr(warping, name), name)
+        if not np.isfinite(value) or value <= 0.0:
             raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
+        object.__setattr__(warping, name, value)
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class WarpingFunction:
     domain: ClassVar[Domain] = Domain.FULL_LINE
 
     def __post_init__(self) -> None:
-        _positive(c=self.c, d=self.d)
+        _positive(self, "c", "d")
 
     # -- closed forms, to be provided per family ------------------------
     def f(self, t):
@@ -155,6 +158,7 @@ class _PowerLaw(WarpingFunction):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "l", as_number(self.l, "l"))
         if not (0.0 < self.l <= 1.0):
             raise InvalidParameter(f"l must lie in (0, 1], got {self.l!r}")
 
@@ -309,21 +313,15 @@ def make_warping(family: str, c: float | None = None, d: float | None = None,
     for erblike, which defaults to the ERB constants).  ``l`` is required
     for the power families and rejected for the others.
     """
-    try:
-        cls = _FAMILIES[family.lower()]
-    except KeyError:
+    cls = _FAMILIES.get(family.lower()) if isinstance(family, str) else None
+    if cls is None:
         raise InvalidParameter(
-            f"unknown warping family {family!r}; expected one of {sorted(set(_FAMILIES))}"
-        ) from None
-    kwargs = {}
-    if c is not None:
-        kwargs["c"] = float(c)
-    if d is not None:
-        kwargs["d"] = float(d)
+            f"unknown warping family {family!r}; expected one of {sorted(set(_FAMILIES))}")
+    kwargs = {k: v for k, v in (("c", c), ("d", d)) if v is not None}
     if issubclass(cls, _PowerLaw):
         if l is None:
             raise InvalidParameter(f"{cls.family} requires the exponent l")
-        kwargs["l"] = float(l)
+        kwargs["l"] = l
     elif l is not None:
         raise InvalidParameter(f"{cls.family} does not take an exponent l")
     return cls(**kwargs)

@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (CoverageError, Domain, EmptyBank, Explicit, GridSpec,
-                      InvalidParameter, Natural, NotPainless, Painless, analyze,
+from warpbank import (BSplineWindow, CosineSumWindow, CoverageError, Domain, EmptyBank,
+                      Explicit, GridSpec, InvalidParameter, Natural, NotPainless, Painless, analyze,
                       build_bank, channel_response_continuous,
                       design_tight, load_bank_spec, make_cosine_window, make_warping,
                       named_window, natural_factors, normalize_for_tightness,
                       painless_dual, painless_factors, round_factors_to_grid,
                       save_bank_spec, synthesize, with_scaled_factors)
-from warpbank import WarpedBank, specfile
+from warpbank import WarpedBank, cli, specfile
 
 HANN = named_window("hann", 3.0)
 
@@ -52,7 +52,7 @@ def test_grid_spec_validation():
 
 def erb_bank(policy):
     w, grid = erb_grid(length=256)
-    return build_bank(w, HANN, grid, policy, check_coverage=False)
+    return build_bank(w, HANN, grid, policy)
 
 
 @pytest.mark.parametrize("make", [
@@ -77,6 +77,44 @@ def test_malformed_library_inputs_raise_invalid_parameter(make):
         make()
 
 
+def cli_design(*argv):
+    args = cli.build_parser().parse_args(["design", *argv, "--L", "64", "--fs", "8000"])
+    return args.func(args)
+
+
+@pytest.mark.parametrize("make,message", [
+    pytest.param(lambda: make_warping(3), "unknown warping family", id="family int"),
+    pytest.param(lambda: make_warping(None), "unknown warping family", id="family None"),
+    pytest.param(lambda: make_warping("log", c="x"), "c must be a number", id="c str"),
+    pytest.param(lambda: make_warping("log", c=[1]), "c must be a number", id="c list"),
+    pytest.param(lambda: make_warping("sympow", l="a"), "l must be a number", id="l str"),
+    pytest.param(lambda: named_window(3, 3.0), "unknown window", id="window name int"),
+    pytest.param(lambda: named_window("hann", "x"), "stretch must be a number",
+                 id="named stretch str"),
+    pytest.param(lambda: CosineSumWindow(("a",), 3.0), "coefficient must be a number",
+                 id="coefficient str"),
+    pytest.param(lambda: CosineSumWindow((0.5, 0.5), "x"), "stretch must be a number",
+                 id="cosine stretch str"),
+    pytest.param(lambda: CosineSumWindow((0.5, 0.5), "3"), "stretch must be a number",
+                 id="cosine stretch numeric str"),
+    pytest.param(lambda: BSplineWindow(2, "x"), "stretch must be a number",
+                 id="bspline stretch str"),
+    pytest.param(lambda: make_cosine_window(3, 3.0), "nonempty finite sequence",
+                 id="coefficients int"),
+    pytest.param(lambda: design_tight(*erb_grid(256), window=3), "nonempty finite sequence",
+                 id="design window int"),
+    pytest.param(lambda: design_tight(*erb_grid(256), stretch="x"), "stretch must be a number",
+                 id="design stretch str"),
+    pytest.param(lambda: erb_bank("painless"), "unknown factor policy", id="policy str"),
+    # the empty entry is skipped, so the error is the one about the exponent
+    pytest.param(lambda: cli_design("--warp", "erb", "--warp-params", "c=9.265,,d=228.8,l=0.5"),
+                 "does not take an exponent", id="warp-params empty entry"),
+])
+def test_malformed_constructor_inputs_raise_invalid_parameter(make, message):
+    with pytest.raises(InvalidParameter, match=message):
+        make()
+
+
 @pytest.mark.parametrize("window", ["hann", "hamming", "boxcar"])
 @pytest.mark.parametrize("family,kw,length,fs", [
     ("log", {}, 256, 2.0),
@@ -98,7 +136,7 @@ def test_channel_set_is_every_translate_holding_a_bin(family, kw, length, fs, wi
     held = {m: np.nonzero(inside(warped, lo_s + m) & (warped < hi_s + m))[0] for m in wide}
     expected = [m for m in wide if len(held[m])]
     for policy in (Painless(), Natural()):
-        bank = build_bank(w, proto, grid, policy, check_coverage=False)
+        bank = build_bank(w, proto, grid, policy)
         assert [ch.m for ch in bank.channels] == expected
         for ch in bank.channels:
             j = held[ch.m]
@@ -135,19 +173,18 @@ def test_channel_indices_must_fit_the_coefficient_tags():
     # half-line residual tags sit one past the outermost channels
     w = make_warping("sympow", l=1.0)
     with pytest.raises(InvalidParameter, match="32-bit"):
-        build_bank(w, HANN, grid, Explicit({2**31 - 1: 1}), check_coverage=False)
+        build_bank(w, HANN, grid, Explicit({2**31 - 1: 1}))
     with pytest.raises(InvalidParameter, match="32-bit"):
-        build_bank(w, HANN, grid, Explicit({-2**31: 1}), check_coverage=False)
-    build_bank(w, HANN, grid, Explicit({2**31 - 2: 1}), check_coverage=False)
+        build_bank(w, HANN, grid, Explicit({-2**31: 1}))
+    build_bank(w, HANN, grid, Explicit({2**31 - 2: 1}))
     full = GridSpec(length=256, fs=2.0, domain=Domain.FULL_LINE)
-    build_bank(make_warping("signedpow", l=1.0), HANN, full,
-               Explicit({2**31 - 1: 1}), check_coverage=False)
+    build_bank(make_warping("signedpow", l=1.0), HANN, full, Explicit({2**31 - 1: 1}))
 
 
 def test_channel_center_must_be_finite():
     w, grid = erb_grid(length=256)
     with pytest.raises(InvalidParameter, match="finite center"):
-        build_bank(w, HANN, grid, Explicit({0: 1, 1_000_000: 1}), check_coverage=False)
+        build_bank(w, HANN, grid, Explicit({0: 1, 1_000_000: 1}))
 
 
 @pytest.mark.parametrize("policy", ["painless", "tight", "natural"])
@@ -270,7 +307,7 @@ def test_diagonal_half_line_residual_bins():
 
 def test_single_channel_diagonal():
     w, grid = erb_grid(length=256)
-    bank = build_bank(w, HANN, grid, Explicit({0: 1}), check_coverage=False)
+    bank = build_bank(w, HANN, grid, Explicit({0: 1}))
     d = bank.diagonal()
     xi = np.arange(-127, 129) * grid.bin_hz
     expected = channel_response_continuous(w, HANN, 0, xi) ** 2
@@ -302,7 +339,7 @@ def test_painless_dual_requires_coverage():
     w, grid = erb_grid(length=512)
     bank = build_bank(w, HANN, grid, Painless())
     factors = {ch.m: ch.a for ch in bank.channels if abs(ch.m) > 2}
-    gapped = build_bank(w, HANN, grid, Explicit(factors), check_coverage=False)
+    gapped = build_bank(w, HANN, grid, Explicit(factors))
     assert np.min(gapped.diagonal()) == 0.0
     with pytest.raises(CoverageError):
         painless_dual(gapped)
@@ -349,7 +386,7 @@ def test_kind_is_tight_exactly_when_painless_with_unit_diagonal(family, kw, fs, 
     tables += [{m: a for m, a in factors.items() if m != drop}
                for drop in (ms[0], ms[len(ms) // 2], ms[-1])]
     banks = [base, with_scaled_factors(base, 2)]
-    banks += [build_bank(w, window, grid, Explicit(t), check_coverage=False) for t in tables]
+    banks += [build_bank(w, window, grid, Explicit(t)) for t in tables]
     for bank in banks:
         unit = np.max(np.abs(bank.diagonal() - 1.0)) <= 1e-8
         assert (bank.kind == "tight") == (bank.painless and unit)
@@ -358,13 +395,33 @@ def test_kind_is_tight_exactly_when_painless_with_unit_diagonal(family, kw, fs, 
     assert (base.kind == "tight") == unit_sum
 
 
+def test_explicit_tables_are_taken_as_given(tmp_path, monkeypatch):
+    # the erb c=d=1, L=512, fs=8000 tight design without its middle three
+    # channels leaves bins uncovered; an explicit table is built, rescaled
+    # and loaded as it is, with no diagonal computed
+    w = make_warping("erb", c=1.0, d=1.0)
+    grid = GridSpec(length=512, fs=8000.0, domain=w.domain)
+    tight = design_tight(w, grid)
+    mid = len(tight.channels) // 2
+    table = {ch.m: ch.a for i, ch in enumerate(tight.channels) if abs(i - mid) > 1}
+    spec = tmp_path / "gapped.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(WarpedBank, "diagonal", lambda self: pytest.fail("diagonal computed"))
+        gapped = build_bank(w, tight.window, grid, Explicit(table))
+        scaled = with_scaled_factors(gapped, 2)
+        save_bank_spec(gapped, spec)
+        loaded = load_bank_spec(spec)
+    assert gapped.diagonal().min() == 0.0 and scaled.diagonal().min() == 0.0
+    assert loaded.fingerprint == gapped.fingerprint
+
+
 def test_bins_warped_past_float_range_keep_a_bank_from_tight():
     # F overflows on every bin but DC: channels -1..1 hold DC, and no
     # channel's support holds an infinite warped bin
     w = make_warping("erblike", c=1e307, d=1e-300)
     grid = GridSpec(length=16, fs=16.0, domain=w.domain)
     unit = normalize_for_tightness(HANN)
-    bank = build_bank(w, unit, grid, Explicit({-1: 1, 0: 1, 1: 1}), check_coverage=False)
+    bank = build_bank(w, unit, grid, Explicit({-1: 1, 0: 1, 1: 1}))
     assert bank.painless and bank.diagonal().min() == 0.0
     assert bank.kind == "analysis"
 

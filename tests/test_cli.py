@@ -287,6 +287,19 @@ def test_exit_code_3_on_coverage_hole(tmp_path):
                 "--out", tmp_path / "out.f64", "--dual"]) == 3
 
 
+@pytest.mark.parametrize("window,stretch,policy,holes", [
+    ("bspline2", 0.5, "painless", 254), ("bspline3", 0.8, "natural", 102),
+])
+def test_design_that_leaves_a_bin_uncovered_is_exit_3(tmp_path, capsys, window, stretch,
+                                                      policy, holes):
+    out = tmp_path / "bank.json"
+    assert run(["design", "--warp", "erb", "--window", window, "--R", stretch,
+                "--policy", policy, "--L", 512, "--fs", 8000, "--out", out]) == 3
+    assert (f"diagonal vanishes on {holes} of 512 bins; the channel set does not cover"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_exit_code_5_on_foreign_or_corrupt_coefficients(tmp_path):
     spec_a = design_bank(tmp_path, "a.json")
     spec_b = design_bank(tmp_path, "b.json", params="c=1,d=2")

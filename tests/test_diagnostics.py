@@ -4,12 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (Explicit, GridSpec, Natural, Painless, build_bank,
+from warpbank import (Explicit, GridSpec, Natural, Painless, build_bank, cli,
                       design_tight, diagnostics, diagonal_bounds,
                       empirical_bounds, format_report, frame_report,
                       load_bank_spec, make_warping, named_window,
-                      painless_dual, sufficient_bounds, tightness_sweep,
-                      transform, with_scaled_factors)
+                      painless_dual, save_bank_spec, sufficient_bounds,
+                      tightness_sweep, transform, with_scaled_factors)
 
 HANN = named_window("hann", 3.0)
 
@@ -32,7 +32,7 @@ def gapped_bank():
     grid = GridSpec(length=1024, fs=44100.0, domain=w.domain)
     base = build_bank(w, HANN, grid, Painless())
     factors = {ch.m: ch.a for ch in base.channels if abs(ch.m) > 2}
-    return build_bank(w, HANN, grid, Explicit(factors), check_coverage=False)
+    return build_bank(w, HANN, grid, Explicit(factors))
 
 
 def test_diagonal_bounds_tight(erb_tight):
@@ -90,7 +90,7 @@ def test_sufficient_bounds_finish_for_channels_far_beyond_the_grid():
     # warped supports of e^40 Hz and more: neither channel holds a bin
     w = make_warping("log")
     grid = GridSpec(length=64, fs=2.0, domain=w.domain)
-    bank = build_bank(w, HANN, grid, Explicit({40: 4, 41: 1}), check_coverage=False)
+    bank = build_bank(w, HANN, grid, Explicit({40: 4, 41: 1}))
     assert sufficient_bounds(bank) == (0.0, 1.0)
 
 
@@ -101,7 +101,7 @@ def test_sufficient_bounds_of_painless_banks_are_the_diagonal_without_a_pass(
     untight = build_bank(w, HANN, grid, Painless())
     w = make_warping("log")
     far = build_bank(w, HANN, GridSpec(length=64, fs=2.0, domain=w.domain),
-                     Explicit({40: 4, 41: 1}), check_coverage=False)
+                     Explicit({40: 4, 41: 1}))
 
     def broken(*args):
         raise AssertionError("Walnut pass run on a painless bank")
@@ -126,7 +126,7 @@ def test_sufficient_bounds_enclose_dense_spectrum(dense_atoms, plan_test_banks):
         banks += plan_test_banks(family, kw, fs).values()
         w = make_warping(family, **kw)
         grid = GridSpec(length=128, fs=fs, domain=w.domain)
-        banks.append(build_bank(w, HANN, grid, Natural(), check_coverage=False))
+        banks.append(build_bank(w, HANN, grid, Natural()))
     w = make_warping("erblike", c=1.0, d=1.0)
     tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain),
                          "hann", 3.0)
@@ -226,6 +226,31 @@ def test_frame_report_collects_convergence_and_painless_notes(erb_doubled,
     assert f"bounds_method: {rep.bounds_method}\n" in format_report(rep)
     assert any("did not converge within 8 steps" in w for w in rep.warnings)
     assert any("non-painless" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("erblike", {}, 44100.0), ("sympow", {"l": 0.5}, 64.0),
+])
+def test_singular_bank_is_not_called_a_frame(family, kw, fs, dense_atoms, tmp_path, capsys):
+    # every hop x8: Lanczos gives A_emp within its residual bound of 0,
+    # -1.7e-16, 1.8e-16 and -3.6e-16 here
+    w = make_warping(family, **kw)
+    tight = design_tight(w, GridSpec(length=128, fs=fs, domain=w.domain), "hann", 3.0)
+    bank = with_scaled_factors(tight, 8)
+    atoms = dense_atoms(bank)
+    spectrum = np.linalg.eigvalsh(atoms.T @ atoms.conj())
+    assert spectrum[0] <= 1e-13 * spectrum[-1]
+    a_raw, b_raw = empirical_bounds(bank)
+    assert a_raw != 0.0 and abs(a_raw) <= 1e-13 * b_raw
+    rep = frame_report(bank)
+    assert (rep.a_emp, rep.b_emp, rep.tightness_ratio) == (0.0, b_raw, math.inf)
+    assert "not a frame to working precision" in rep.warnings
+    assert "\nA_emp: 0  (not a frame to working precision)\n" in format_report(rep)
+    assert tightness_sweep(tight, scales=(1, 8))[1] == (8, math.inf)
+    spec = tmp_path / "tight.json"
+    save_bank_spec(tight, spec)
+    assert cli.main(["diagnose", "--bank", str(spec), "--sweep-a", "1,8"]) == 0
+    assert "  a_m x8: tightness_ratio inf\n" in capsys.readouterr().out
 
 
 def test_tightness_sweep_degrades_monotonically(erb_tight):
