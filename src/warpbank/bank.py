@@ -35,8 +35,10 @@ m's (see ``_reflections``): the window is evaluated on m alone, and -m's
 response is a reversed view of m's.  That leaves direct the rows at the
 Nyquist bin, which has no negative twin, and rows with a probe on the
 closed edge of a half-open support.  A reflected pair becomes a mirror
-row and its partner where the diagonal is symmetric on its bins
-(``_mirror_partners``).
+row and its partner.  In a painless bank that is not tight, whose dual
+divides by the diagonal, only pairs on whose bins the diagonal is
+symmetric do; ``_mirror_partners`` weighs them before the plan is laid
+out.
 
 ``build_bank`` builds the bank's plan once: one flat table of the
 sampled entries of its direct rows (channels and residuals; a mirror row
@@ -62,11 +64,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CoverageError, EmptyBank, InvalidParameter, NotPainless, as_integer, as_number
-from .prototypes import CosineSumWindow, named_window, normalize_for_tightness
+from .prototypes import BSplineWindow, CosineSumWindow, named_window, normalize_for_tightness
 from .warping import Domain, WarpingFunction
 
-# _mirror_partners: how far the rows left unpaired may weigh a bin and its
-# negation apart, relative to the weight there, for channel -m to mirror m
+# _mirror_partners: how far the channels outside every pair may weigh a bin
+# and its negation apart, relative to the weight there, for channel -m to
+# mirror m
 MIRROR_DIAGONAL_RTOL = 1e-12
 
 
@@ -121,6 +124,11 @@ class Explicit:
     """Caller-provided integer hops (samples) per channel index."""
 
     factors: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.factors, Mapping):
+            raise InvalidParameter(
+                f"explicit factors must map channel indices to hops, got {self.factors!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +198,6 @@ class BankPlan:
         frames = self.frames[np.argsort(self.coefs)]
         return np.repeat(frames, frames)
 
-    def weights(self, first: int = 0) -> np.ndarray:
-        """N r^2 of the entries of group ``first`` and the groups after it."""
-        groups = self.groups[first:]
-        frames = np.repeat([n for n, _, _ in groups], [s.stop - s.start for _, _, s in groups])
-        return self.response[len(self.response) - len(frames):] ** 2 * frames
-
 
 @dataclass
 class WarpedBank:
@@ -223,8 +225,10 @@ class WarpedBank:
         row m adds N_m response_m[j]^2 at its bin, and a paired entry
         adds it again at the negated bin for its mirror row."""
         if self._diag is None:
-            plan, length = self.plan, self.grid.length
-            weights, stop = plan.weights(), plan.paired_entries
+            plan, length, stop = self.plan, self.grid.length, self.plan.paired_entries
+            frames = np.repeat([n for n, _, _ in plan.groups],
+                               [span.stop - span.start for _, _, span in plan.groups])
+            weights = plan.response ** 2 * frames
             self._diag = np.bincount(plan.bins, weights, minlength=length)
             self._diag += np.bincount(plan.bins[:stop], weights[:stop],
                                       minlength=length)[-np.arange(length)]
@@ -347,29 +351,28 @@ def _reflections(ms, factors, warped, starts, stops, support) -> dict[int, int]:
     return pairs
 
 
-def _mirror_partners(plan: BankPlan, channels: list[Channel], pairs: dict[int, int],
+def _mirror_partners(channels: list[Channel], pairs: dict[int, int],
                      length: int) -> dict[int, int]:
-    """The full-line ``pairs`` {j: k} (channel j built as channel k
-    reflected, all paired in ``plan``) on whose bins the diagonal is
-    symmetric, so that the painless dual keeps them.  Paired rows add the
-    same weight N r^2 at a bin and its negation, so that holds when the
-    plan's unpaired entries weigh k's bins and their negations alike, to
-    ``MIRROR_DIAGONAL_RTOL`` of the larger.  A channel set missing some -m
-    does not."""
-    if not pairs:
-        return pairs
-    stop, half = plan.paired_entries, length // 2
-    weight = np.bincount(plan.bins[stop:], plan.weights(plan.paired), minlength=length)
+    """The full-line ``pairs`` {j: k} (channel j is channel k reflected)
+    on whose bins the diagonal is symmetric, so that the painless dual
+    keeps them.  A pair adds the same weight N r^2 at a bin and its
+    negation, so that holds when the channels outside every pair weigh k's
+    bins and their negations alike, to ``MIRROR_DIAGONAL_RTOL`` of the
+    larger.  A channel set missing some -m does not."""
+    paired, half = set(pairs) | set(pairs.values()), length // 2
+    weight = np.zeros(length)
+    for i, ch in enumerate(channels):
+        if i not in paired:  # a channel's bins are distinct mod L
+            weight[np.arange(*ch.support_bins) % length] += ch.n_frames * ch.response ** 2
     low, high = weight[:half + 1], weight[-np.arange(half + 1)]
     skewed = np.abs(low - high) > MIRROR_DIAGONAL_RTOL * np.maximum(low, high)
     if not skewed.any():
         return pairs
-    # the paired entries on skewed bins, and the direct rows holding none
-    skewed = np.concatenate((skewed, skewed[-2:0:-1]))  # over bins 0..L-1
-    hits = np.flatnonzero(skewed[plan.bins[:stop]])
-    first = plan.offsets[list(pairs.values())]
-    last = first + [len(channels[k].response) for k in pairs.values()]
-    clear = np.searchsorted(hits, first) == np.searchsorted(hits, last)
+    # skewed signed bins up to each b in -L/2..L/2 (b and -b read |b|);
+    # channel k is clear of them when the count does not rise over its bins
+    count = np.cumsum(skewed[np.abs(np.arange(-half, half + 1))])
+    first, last = np.array([channels[k].support_bins for k in pairs.values()]).T + half - 1
+    clear = count[first] == count[last]
     return {j: k for (j, k), ok in zip(pairs.items(), clear.tolist()) if ok}
 
 
@@ -467,6 +470,12 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> Warp
     all (diagnose reports them, ``painless_dual`` refuses them); any other
     design that leaves a bin uncovered raises CoverageError.
     """
+    if not isinstance(warping, WarpingFunction):
+        raise InvalidParameter(f"warping must be a WarpingFunction, got {warping!r}")
+    if not isinstance(window, (CosineSumWindow, BSplineWindow)):
+        raise InvalidParameter(f"window must be a CosineSumWindow or BSplineWindow, got {window!r}")
+    if not isinstance(grid, GridSpec):
+        raise InvalidParameter(f"grid must be a GridSpec, got {grid!r}")
     if warping.domain is not grid.domain:
         raise InvalidParameter(
             f"grid domain {grid.domain.value} does not match the warping domain "
@@ -544,15 +553,15 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> Warp
             start_bin=lo_bin + int(j0), response=response, painless=span < n_frames,
         ))
     residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
+    tight = _is_tight(warped, window, indices, channels)
+    if pairs and not tight and all(ch.painless for ch in channels):
+        pairs = _mirror_partners(channels, pairs, grid.length)
     plan = _build_plan(channels, residuals, grid, pairs)
-    kept = _mirror_partners(plan, channels, pairs, grid.length)
-    if len(kept) < len(pairs):
-        plan = _build_plan(channels, residuals, grid, kept)
     bank = WarpedBank(
         warping=warping,
         window=window,
         grid=grid,
-        kind="tight" if _is_tight(warped, window, indices, channels) else "analysis",
+        kind="tight" if tight else "analysis",
         channels=_plan_views(channels, plan),
         residuals=residuals,
         policy_record=policy_record,
@@ -571,8 +580,10 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
     analysis by ``bank`` followed by synthesis with the dual is the
     identity.  The diagonal is 1 at the residual bins, so dividing the
     direct rows' entries divides every direct row.  It is symmetric to
-    rounding on the bins of mirror pairs (see ``_mirror_partners``), so
-    each mirror row, its partner's quotient reflected, is its own quotient
+    rounding on the bins of mirror pairs: ``build_bank`` pairs the
+    channels of a bank that is not tight only there (see
+    ``_mirror_partners``), and a tight bank's diagonal is 1.  So each
+    mirror row, its partner's quotient reflected, is its own quotient
     too.  The dual's plan is therefore ``bank``'s with the quotients as
     its responses: bins, slots, layout and pairs are shared.
     """
@@ -613,8 +624,8 @@ def with_scaled_factors(bank: WarpedBank, scale: int) -> WarpedBank:
     divisor of L and capped at L), its kind worked out again (see
     ``build_bank``): past the painless bound a tight bank is no longer
     tight.  Diagnostics use this to probe degradation.  A dual bank's
-    responses are not sampled from its window, so its hops are scaled on
-    the analysis bank, whose dual is then taken again."""
+    responses are not sampled from its window, so rescaling one raises
+    InvalidParameter: scale its analysis bank and take the dual of that."""
     if bank.kind == "dual":
         raise InvalidParameter("cannot rescale the hops of a dual bank; "
                                "scale its analysis bank and take the dual of that")

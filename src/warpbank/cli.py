@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import bank as bank_mod
 from . import diagnostics, signal_io, specfile, transform
-from .errors import InvalidParameter, LengthMismatch, WarpBankError
+from .errors import InvalidParameter, LengthMismatch, NoConvergence, WarpBankError
 from .prototypes import named_window
 from .warping import make_warping
 
@@ -156,10 +157,14 @@ def cmd_diagnose(args) -> int:
     report = diagnostics.frame_report(built)
     text = diagnostics.format_report(report)
     if args.sweep_a is not None:
-        rows = diagnostics.tightness_sweep(built, scales)
         text += "sweep:\n"
-        for scale, ratio in rows:
-            text += f"  a_m x{scale}: tightness_ratio {ratio:.12g}\n"
+        for scale in scales:
+            # a Lanczos run that hit its step cap is noted on its row
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", NoConvergence)
+                [(_, ratio)] = diagnostics.tightness_sweep(built, [scale])
+            notes = "".join(f"  ({w.message})" for w in caught)
+            text += f"  a_m x{scale}: tightness_ratio {ratio:.12g}{notes}\n"
     sys.stdout.write(text)
     if args.report:
         with open(args.report, "w") as fh:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bank import WarpedBank, with_scaled_factors
-from .errors import NoConvergence
+from .errors import InvalidParameter, NoConvergence, as_integer
 from .transform import _walnut
 
 # Lanczos steps after which empirical_bounds stops with a NoConvergence warning
@@ -183,8 +183,12 @@ def frame_report(bank: WarpedBank) -> FrameReport:
     a_emp, ratio = _verdict(bank, a_emp, b_emp)
     if a_emp <= 0.0:
         notes.append("not a frame to working precision")
-    method = ("diagonal (painless, exact)" if bank.painless
-              else f"lanczos (residual bound {_RESIDUAL_TOL:g} of B_emp)")
+    if bank.painless:
+        method = "diagonal (painless, exact)"
+    elif any(issubclass(w.category, NoConvergence) for w in caught):
+        method = f"lanczos (stopped at its cap of {LANCZOS_MAX_STEPS} steps)"
+    else:
+        method = f"lanczos (residual bound {_RESIDUAL_TOL:g} of B_emp)"
     flags = [ch.painless for ch in bank.channels]
     if not all(flags):
         bad = [ch.m for ch in bank.channels if not ch.painless]
@@ -203,11 +207,14 @@ def frame_report(bank: WarpedBank) -> FrameReport:
 
 def tightness_sweep(bank: WarpedBank, scales=(1, 2, 4)) -> list[tuple[int, float]]:
     """Tightness ratio as every hop is scaled up by each factor; leaving
-    the painless regime degrades it monotonically."""
+    the painless regime degrades it monotonically.  Each scale must be a
+    positive integer (InvalidParameter otherwise)."""
+    if not np.iterable(scales):
+        raise InvalidParameter(f"scales must be a sequence of integers, got {scales!r}")
     rows = []
-    for scale in scales:
-        scaled = bank if scale == 1 else with_scaled_factors(bank, int(scale))
-        rows.append((int(scale), _verdict(scaled, *empirical_bounds(scaled))[1]))
+    for scale in [as_integer(s, "scale") for s in scales]:
+        scaled = bank if scale == 1 else with_scaled_factors(bank, scale)
+        rows.append((scale, _verdict(scaled, *empirical_bounds(scaled))[1]))
     return rows
 
 

@@ -14,7 +14,7 @@ from warpbank import (BSplineWindow, CosineSumWindow, CoverageError, Domain, Emp
                       design_tight, load_bank_spec, make_cosine_window, make_warping,
                       named_window, natural_factors, normalize_for_tightness,
                       painless_dual, painless_factors, round_factors_to_grid,
-                      save_bank_spec, synthesize, with_scaled_factors)
+                      save_bank_spec, synthesize, tightness_sweep, with_scaled_factors)
 from warpbank import WarpedBank, cli, specfile
 
 HANN = named_window("hann", 3.0)
@@ -106,6 +106,22 @@ def cli_design(*argv):
     pytest.param(lambda: design_tight(*erb_grid(256), stretch="x"), "stretch must be a number",
                  id="design stretch str"),
     pytest.param(lambda: erb_bank("painless"), "unknown factor policy", id="policy str"),
+    pytest.param(lambda: erb_bank(Explicit([1, 2])), "must map channel indices",
+                 id="explicit list"),
+    pytest.param(lambda: erb_bank(Explicit(5)), "must map channel indices", id="explicit int"),
+    pytest.param(lambda: erb_bank(Explicit({1, 2})), "must map channel indices",
+                 id="explicit set"),
+    *[pytest.param(lambda window=window: build_bank(*erb_grid(256), window, Painless()),
+                   "window must be", id=f"window {name}")
+      for name, window in [("None", None), ("name", "hann"), ("object", object()),
+                           ("function", lambda t: np.cos(t) ** 2)]],
+    pytest.param(lambda: build_bank(None, HANN, erb_grid(256)[1], Painless()),
+                 "warping must be", id="warping None"),
+    pytest.param(lambda: build_bank(erb_grid(256)[0], HANN, None, Painless()),
+                 "grid must be", id="grid None"),
+    *[pytest.param(lambda scales=scales: tightness_sweep(erb_bank(Painless()), scales),
+                   "scale", id=f"sweep {name}")
+      for name, scales in [("fraction", [2.5]), ("str", ["a"]), ("None", [None]), ("bare", 2)]],
     # the empty entry is skipped, so the error is the one about the exponent
     pytest.param(lambda: cli_design("--warp", "erb", "--warp-params", "c=9.265,,d=228.8,l=0.5"),
                  "does not take an exponent", id="warp-params empty entry"),

@@ -1,10 +1,11 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from warpbank import (Explicit, GridSpec, Natural, Painless, build_bank, cli,
+from warpbank import (Explicit, GridSpec, Natural, NoConvergence, Painless, build_bank, cli,
                       design_tight, diagnostics, diagonal_bounds,
                       empirical_bounds, format_report, frame_report,
                       load_bank_spec, make_warping, named_window,
@@ -217,15 +218,35 @@ def test_frame_report_flags_coverage_hole(gapped_bank):
     assert any("inconclusive" in w for w in rep.warnings)
 
 
-def test_frame_report_collects_convergence_and_painless_notes(erb_doubled,
-                                                             monkeypatch):
+def test_frame_report_collects_convergence_and_painless_notes(tmp_path, capsys, monkeypatch):
+    # the hop-doubled bank takes 24 Lanczos steps; a cap of 8 stops it
+    w = make_warping("erblike", c=1.0, d=1.0)
+    tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain), "hann", 3.0)
+    doubled = with_scaled_factors(tight, 2)
     monkeypatch.setattr(diagnostics, "LANCZOS_MAX_STEPS", 8)
-    rep = frame_report(erb_doubled)
+    with pytest.warns(NoConvergence, match=r"within 8 steps; residual bound \d\.\d{3}e-\d\d$"):
+        empirical_bounds(doubled)
+    rep = frame_report(doubled)
     assert not rep.painless
-    assert rep.bounds_method == "lanczos (residual bound 1e-13 of B_emp)"
+    assert rep.bounds_method == "lanczos (stopped at its cap of 8 steps)"
     assert f"bounds_method: {rep.bounds_method}\n" in format_report(rep)
-    assert any("did not converge within 8 steps" in w for w in rep.warnings)
+    [note] = [w for w in rep.warnings if "did not converge within 8 steps" in w]
     assert any("non-painless" in w for w in rep.warnings)
+    # a swept row whose run hit the cap carries the note; nothing reaches stderr
+    spec = tmp_path / "tight.json"
+    save_bank_spec(tight, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NoConvergence)  # an escaping warning fails the run
+        assert cli.main(["diagnose", "--bank", str(spec), "--sweep-a", "1,2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = out.split("sweep:\n")[1].splitlines()
+    assert rows[0] == "  a_m x1: tightness_ratio 1"
+    assert rows[1].startswith("  a_m x2: tightness_ratio ") and rows[1].endswith(f"  ({note})")
+    monkeypatch.undo()
+    rep = frame_report(doubled)
+    assert rep.bounds_method == "lanczos (residual bound 1e-13 of B_emp)"
+    assert not any("converge" in w for w in rep.warnings)
 
 
 @pytest.mark.parametrize("family,kw,fs", [

@@ -9,6 +9,7 @@ from warpbank import (CoefficientSet, Domain, Explicit, FingerprintMismatch,
                       Signal, analyze, apply_frame_operator, build_bank, design_tight,
                       load_bank_spec, load_coefficients, make_warping, named_window,
                       painless_dual, save_coefficients, synthesize, with_scaled_factors)
+from warpbank import bank as bank_mod
 from warpbank.bank import MIRROR_DIAGONAL_RTOL
 
 HANN = named_window("hann", 3.0)
@@ -542,13 +543,29 @@ def flat_coefficients(coeffs):
     return np.concatenate(parts + list(coeffs.residuals))
 
 
+def gapped_doubled_erb():
+    """The ERB Painless design at L=128, fs=8000 with a Hann window of
+    stretch 4, its hops doubled and its middle channel removed: not
+    painless, with a diagonal that is not symmetric on the bins of three
+    of its 24 reflected pairs."""
+    w = make_warping("erblike")
+    grid = GridSpec(length=128, fs=8000.0, domain=w.domain)
+    doubled = with_scaled_factors(build_bank(w, named_window("hann", 4.0), grid, Painless()), 2)
+    middle = doubled.channels[len(doubled.channels) // 2].m
+    factors = {ch.m: ch.a for ch in doubled.channels if ch.m != middle}
+    return build_bank(w, doubled.window, grid, Explicit(factors))
+
+
 @pytest.mark.parametrize("family,kw,fs", [
     ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
     ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
 ])
 def test_plan_matches_dense_atoms(family, kw, fs, dense_atoms, plan_test_banks):
     rng = np.random.default_rng(18)
-    for name, bank in plan_test_banks(family, kw, fs).items():
+    banks = plan_test_banks(family, kw, fs)
+    if family == "erblike":
+        banks["gapped"] = gapped_doubled_erb()
+    for name, bank in banks.items():
         length = bank.grid.length
         atoms = dense_atoms(bank)
         empty = [i for i, ch in enumerate(bank.channels) if not ch.response.any()]
@@ -801,14 +818,23 @@ def kept_pairs_reference(bank, pairs):
     return kept
 
 
-def test_mirror_pairs_need_a_symmetric_diagonal(plan_test_banks):
+def test_mirror_pairs_need_a_symmetric_diagonal(plan_test_banks, monkeypatch):
     # without channel -10 the diagonal is not symmetric on the bins of
     # channels 8..12, so a dual that reflected their quotients would not
-    # invert the analysis; those pairs stay unpaired
+    # invert the analysis; those pairs stay unpaired, and the plan is laid
+    # out once, with the pairs that stay
     w = make_warping("erblike")
     grid = GridSpec(length=512, fs=44100.0, domain=w.domain)
     factors = {ch.m: ch.a for ch in design_tight(w, grid).channels if ch.m != -10}
+    plans, build_plan = [], bank_mod._build_plan
+
+    def counted(*args):
+        plans.append(build_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(bank_mod, "_build_plan", counted)
     bank = build_bank(w, HANN, grid, Explicit(factors))
+    assert len(plans) == 1 and plans[0] is bank.plan
     tags = [ch.m for ch in bank.channels]
     pairs = reflected_pairs(bank)
     kept = {tags[j] for j in pairs if bank.plan.partner[j] >= 0}
@@ -819,15 +845,39 @@ def test_mirror_pairs_need_a_symmetric_diagonal(plan_test_banks):
     for x in (rng.standard_normal(512), random_signal(512, rng)):
         rec = synthesize(analyze(x, bank), dual).samples
         assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
-    # the filter keeps exactly the pairs the written-out reference keeps
+    # painless banks that are not tight keep exactly the pairs the
+    # written-out reference keeps; the others, which no painless dual
+    # divides by a diagonal other than 1, keep every reflected pair
     edge = GridSpec(length=4096, fs=256.0, domain=Domain.FULL_LINE)
     banks = [bank, build_bank(make_warping("signedpow", l=0.5), named_window("hamming", 3.0),
-                              edge, Painless())]
+                              edge, Painless()), gapped_doubled_erb()]
     banks += [plan_test_banks(*args)["doubled"] for args in (
         ("erblike", {}, 44100.0), ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0))]
+    assert len(reflected_pairs(banks[2])) == 24
     for bank in banks:
         pairs = reflected_pairs(bank)
+        if bank.painless and bank.kind != "tight":
+            pairs = kept_pairs_reference(bank, pairs)
         want = [-1] * len(bank.channels)
-        for j, k in kept_pairs_reference(bank, pairs).items():
+        for j, k in pairs.items():
             want[j] = k
         np.testing.assert_array_equal(bank.plan.partner, want)
+
+
+def test_only_painless_banks_that_are_not_tight_weigh_their_pairs(monkeypatch):
+    # a tight bank's diagonal is 1, and a non-painless bank has no painless
+    # dual, so neither weighs its pairs: each keeps every reflected pair
+    def broken(*args):
+        raise AssertionError("mirror pairs weighed")
+
+    monkeypatch.setattr(bank_mod, "_mirror_partners", broken)
+    w = make_warping("erblike")
+    tight = design_tight(w, GridSpec(length=4096, fs=44100.0, domain=w.domain))
+    banks = [tight, with_scaled_factors(tight, 2)]
+    banks += [load_bank_spec(Path(__file__).parent.parent / "banks" / name)
+              for name in ("erblet_r3.json", "sqrtpow_r3.json")]
+    for bank in banks:
+        pairs = reflected_pairs(bank)
+        assert pairs
+        np.testing.assert_array_equal(bank.plan.partner,
+                                      [pairs.get(i, -1) for i in range(len(bank.channels))])
