@@ -37,8 +37,7 @@ Nyquist bin, which has no negative twin, and rows with a probe on the
 closed edge of a half-open support.  A reflected pair becomes a mirror
 row and its partner.  In a painless bank that is not tight, whose dual
 divides by the diagonal, only pairs on whose bins the diagonal is
-symmetric do; ``_mirror_partners`` weighs them before the plan is laid
-out.
+symmetric do; ``_mirror_partners`` weighs them on the sampled responses.
 
 ``build_bank`` builds the bank's plan once: one flat table of the
 sampled entries of its direct rows (channels and residuals; a mirror row
@@ -47,8 +46,13 @@ L, so a bank has few distinct N), paired rows first, with the N of every
 row in ``plan.frames`` and, for every entry, its slot in one flat
 coefficient buffer.  The mirror rows' coefficients follow the direct
 prefix in a copy of the paired rows' layout, so real input needs only
-that prefix.  Each channel's response is a view of the plan, which every
-consumer reads; the painless dual shares it, with new responses.
+that prefix.  The layout comes first, from each row's N, first bin,
+entry count and reflected partner (``_lay_out``); the window then writes
+each direct row straight into its slice of the plan's one response
+array.  Each channel's response is a view of it, which every consumer
+reads; where the pair filter drops a pair, ``_build_plan`` lays the
+sampled rows out once more in the final order.  The painless dual shares
+the plan, with new responses.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -161,7 +165,9 @@ class ResidualChannel:
 class BankPlan:
     """Flat sampled geometry, one row per generator: row i is channel i,
     then the residuals (N = 1, response 1 at their bin), then on half-line
-    grids a mirror branch per channel.
+    grids a mirror branch per channel.  Its layout is fixed before any
+    row is sampled (see ``_lay_out``), and the window writes each direct
+    row into ``response`` in place.
     ``frames[i]`` is row i's coefficient count N and ``partner[i]`` the
     row that row i mirrors, or -1 for a direct row.  ``bins`` (0..L-1),
     ``response`` and ``slots`` run group after group, one entry per sampled
@@ -287,16 +293,18 @@ def _check_tags(first, last, residual: bool) -> None:
 
 def _touching_channels(warped: np.ndarray, window, residual: bool) -> list[int]:
     """Every m whose warped support (see ``_supports``) holds one of the
-    sorted warped bins.  Bin j admits floor(F_j - d) < m <= floor(F_j - c),
-    and adds only the m above those the bins below it admitted; the bounds
-    are widened by one against rounding, and the supports decide."""
+    sorted warped bins.  Bin j admits every m in (F_j - d, F_j - c], so a
+    run of bins whose neighbours lie at most d - c apart admits one
+    interval, (F_first - d, F_last - c]; each run's integer ends are
+    widened by one against rounding, and the supports decide."""
     lo_s, hi_s = window.support
-    top = np.floor(warped - lo_s) + 1
-    below = np.maximum(np.floor(warped - hi_s) - 1, np.concatenate(([-np.inf], top[:-1])))
-    _check_tags(below[0] + 1, top[-1], residual)
-    counts = np.maximum(top - below, 0).astype(np.int64)
-    first = (below + 1).astype(np.int64) - (np.cumsum(counts) - counts)
-    ms = np.repeat(first, counts) + np.arange(counts.sum())
+    cut = np.flatnonzero(np.diff(warped) > hi_s - lo_s) + 1
+    lows = np.floor(warped[np.concatenate(([0], cut))] - hi_s)
+    highs = np.floor(warped[np.concatenate((cut - 1, [-1]))] - lo_s) + 1
+    _check_tags(lows[0], highs[-1], residual)
+    counts = (highs - lows + 1).astype(np.int64)
+    ms = np.repeat(lows.astype(np.int64) - (np.cumsum(counts) - counts), counts)
+    ms = np.unique(ms + np.arange(counts.sum()))  # neighbouring runs may share an end
     starts, stops = _supports(warped, window, ms, ms)
     return ms[stops > starts].tolist()
 
@@ -376,56 +384,98 @@ def _mirror_partners(channels: list[Channel], pairs: dict[int, int],
     return {j: k for (j, k), ok in zip(pairs.items(), clear.tolist()) if ok}
 
 
-def _build_plan(channels: list[Channel], residuals: list[ResidualChannel], grid: GridSpec,
-                pairs: dict[int, int]) -> BankPlan:
-    """Concatenate the direct rows' sampled responses grouped by (paired?,
-    N), lay their coefficient blocks out in the same order, then the
-    mirror rows' as a copy of the paired rows' layout.  The mirror rows
-    are the half-line mirror branches, each of its channel, and the
-    full-line ``pairs`` {j: k}, channel j of channel k."""
-    # (N, first bin, response) per channel and residual
-    table = [(ch.n_frames, ch.start_bin, ch.response) for ch in channels]
-    table += [(1, res.bin_index, np.ones(1)) for res in residuals]
-    branches = channels if grid.domain is Domain.POSITIVE_HALF_LINE else []
-    frames = np.array([row[0] for row in table] + [ch.n_frames for ch in branches], dtype=np.int64)
-    partner = np.full(len(frames), -1, dtype=np.int64)
-    partner[len(table):] = np.arange(len(branches))
+class _Layout(NamedTuple):
+    """Where a plan's rows go, fixed from their N and entry counts before
+    any row is sampled (see ``_lay_out``)."""
+
+    pairs: dict[int, int]
+    frames: np.ndarray  # N of every row
+    partner: np.ndarray  # the row each row mirrors, or -1
+    key: list[tuple[bool, int]]  # (unpaired?, N) of each channel and residual
+    order: list[int]  # the direct rows in plan order
+    sizes: np.ndarray  # their entry counts, in that order
+    starts: np.ndarray  # and their first entries
+    offsets: np.ndarray  # first entry of every row, a mirror row's its partner's
+    coefs: np.ndarray  # first slot of every row
+
+
+def _lay_out(frames: list[int], sizes: list[int], branches: int,
+             pairs: dict[int, int]) -> _Layout:
+    """The layout of a plan whose channels, then residuals, have N
+    ``frames`` and ``sizes`` entries, followed by ``branches`` half-line
+    mirror branches, one of each of the first channels.  The full-line
+    ``pairs`` {j: k} make channel j the mirror row of channel k.  The
+    direct rows' entries and coefficient blocks run grouped by (paired?,
+    N), paired groups first and rows in order within a group; the mirror
+    rows' blocks follow as a copy of the paired rows' layout."""
+    table = len(frames)
+    partner = np.full(table + branches, -1, dtype=np.int64)
+    partner[table:] = np.arange(branches)
     partner[list(pairs)] = list(pairs.values())
     mates = partner.tolist()
     partners = set(mates)
-    key = [(i not in partners, row[0]) for i, row in enumerate(table)]
-    order = sorted((i for i in range(len(table)) if mates[i] < 0), key=key.__getitem__)
-    sizes = np.array([len(table[i][2]) for i in order], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    response = np.concatenate([table[i][2] for i in order])
+    key = [(i not in partners, n) for i, n in enumerate(frames)]
+    frames = np.array(frames + frames[:branches], dtype=np.int64)
+    order = sorted((i for i in range(table) if mates[i] < 0), key=key.__getitem__)
+    counts = np.array([sizes[i] for i in order], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
     n_sorted = frames[order]
     blocks = np.cumsum(n_sorted) - n_sorted
     offsets, coefs = np.zeros(len(frames), dtype=np.intp), np.zeros_like(frames)
     offsets[order], coefs[order] = starts, blocks
     source = np.where(partner >= 0, partner, np.arange(len(frames)))
-    offsets, coefs = offsets[source], coefs[source] + (partner >= 0) * n_sorted.sum()
-    # bin of each entry: its row's first bin plus its position, then mod L
-    # (signed bins lie in -L/2..L/2, so only the negative ones move; a
-    # division would cost more)
-    first = np.array([table[i][1] for i in order], dtype=np.intp)
-    bins = np.repeat(first - starts, sizes)
-    bins += np.arange(len(bins))
-    np.add(bins, grid.length, out=bins, where=bins < 0)
-    # an entry's slot in its row's block is bin % N
-    slots = np.repeat(blocks, sizes)
+    return _Layout(pairs, frames, partner, key, order, counts, starts, offsets[source],
+                   coefs[source] + (partner >= 0) * n_sorted.sum())
+
+
+def _build_plan(channels: list[Channel], residuals: list[ResidualChannel], grid: GridSpec,
+                pairs: dict[int, int], layout: _Layout, response: np.ndarray) -> BankPlan:
+    """The plan of ``channels`` and ``residuals`` with the mirror ``pairs``
+    (see ``_lay_out``).  ``build_bank`` sampled the direct rows into
+    ``response`` in ``layout``, laid out for the reflected pairs.  With
+    those pairs the plan adopts it; when the pair filter dropped some, the
+    rows are laid out for ``pairs`` and each copied once from its
+    channel's response, a view of ``response``.  Then every entry gets its
+    bin and its slot, written row by row."""
+    if pairs != layout.pairs:  # only full-line pairs are filtered: no residuals
+        layout = _lay_out([ch.n_frames for ch in channels],
+                          [len(ch.response) for ch in channels], 0, pairs)
+        response = np.empty(int(layout.sizes.sum()))
+        for i, start, size in zip(layout.order, layout.starts.tolist(), layout.sizes.tolist()):
+            response[start:start + size] = channels[i].response
+    order, key, sizes, starts = layout.order, layout.key, layout.sizes, layout.starts
+    # row by row into the two entry arrays, with no entry-long temporary:
+    # each entry's bin, its row's first bin plus its position, mod L
+    # (signed bins lie in -L/2..L/2, so only a row's leading negative ones
+    # move), and its slot, its row's first slot plus bin % N
+    table = [ch.start_bin for ch in channels] + [res.bin_index for res in residuals]
+    frames, coefs = layout.frames.tolist(), layout.coefs.tolist()
+    bins = np.empty(len(response), dtype=np.intp)
+    slots = np.empty(len(response), dtype=np.int64)
+    ramp = np.arange(int(sizes.max(initial=0)))
+    for i, start, size in zip(order, starts.tolist(), sizes.tolist()):
+        row, slot, first = bins[start:start + size], slots[start:start + size], table[i]
+        np.add(ramp[:size], first, out=row)
+        if first < 0:
+            row[:-first] += grid.length
+        n = frames[i]
+        if n & (n - 1):
+            np.remainder(row, n, out=slot)
+        else:  # N a power of two, as every divisor of a power-of-two L is
+            np.bitwise_and(row, n - 1, out=slot)
+        slot += coefs[i]
     groups, paired, lo = [], 0, 0
     for (unpaired, n), rows in groupby(order, key=key.__getitem__):
         hi = lo + len(list(rows))
-        block = slice(int(blocks[lo]), int(blocks[lo]) + (hi - lo) * n)
+        block = slice(coefs[order[lo]], coefs[order[lo]] + (hi - lo) * n)
         span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
-        slots[span] += bins[span] % n
         groups.append((n, block, span))
         paired += not unpaired
         lo = hi
     ends = [(0, 0)] + [(span.stop, block.stop) for _, block, span in groups]
     (paired_entries, paired_size), direct_size = ends[paired], ends[-1][1]
-    return BankPlan(groups, bins, response, slots, offsets, coefs, frames, partner, paired,
-                    paired_entries, paired_size, direct_size)
+    return BankPlan(groups, bins, response, slots, layout.offsets, layout.coefs, layout.frames,
+                    layout.partner, paired, paired_entries, paired_size, direct_size)
 
 
 def _plan_views(channels: list[Channel], plan: BankPlan) -> list[Channel]:
@@ -531,32 +581,40 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> Warp
         bad = ms[int(np.argmin(np.isfinite(centers)))]
         raise InvalidParameter(f"channel {bad} has no finite center frequency")
     pairs = {} if half else _reflections(ms, factors, warped, starts, stops, window.support)
-    responses = [None] * len(ms)
-    for k, (m, j0, j1) in enumerate(zip(ms, starts, stops)):
+    frames = [grid.length // factors[m] for m in ms]
+    residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
+    layout = _lay_out(frames + [1] * len(residuals), (stops - starts).tolist()
+                      + [1] * len(residuals), len(ms) if half else 0, pairs)
+    # each direct row is sampled straight into its slice of the plan's
+    # entries: the probe F - m first, then the window over it in place
+    response = np.empty(int(layout.sizes.sum()))
+    response[layout.offsets[len(ms):len(ms) + len(residuals)]] = 1.0
+    rows = [None] * len(ms)
+    for k, (m, j0, j1, start) in enumerate(zip(ms, starts.tolist(), stops.tolist(),
+                                               layout.offsets.tolist())):
         if k not in pairs:
-            responses[k] = np.asarray(window(warped[j0:j1] - m), dtype=float)
-            responses[k] *= np.sqrt(factors[m] / grid.length)
+            row = rows[k] = response[start:start + j1 - j0]
+            window(np.subtract(warped[j0:j1], m, out=row), out=row)
+            row *= np.sqrt(factors[m] / grid.length)
     for j, k in pairs.items():
-        responses[j] = responses[k][::-1]
+        rows[j] = rows[k][::-1]
     channels = []
-    for m, center, j0, response in zip(ms, centers, starts, responses):
-        n_frames = grid.length // factors[m]
+    for m, center, j0, n_frames, row in zip(ms, centers, starts, frames, rows):
         # painless iff no two nonzero response bins alias to the same
         # coefficient slot, i.e. the nonzero span stays below N_m; the
         # span is the whole response unless an end entry is 0
-        span = len(response) - 1
-        if span > 0 and not (response[0] and response[-1]):
-            nz = np.flatnonzero(response)
+        span = len(row) - 1
+        if span > 0 and not (row[0] and row[-1]):
+            nz = np.flatnonzero(row)
             span = int(nz[-1] - nz[0]) if len(nz) else 0
         channels.append(Channel(
             m=m, center_hz=float(center), a=factors[m], n_frames=n_frames,
-            start_bin=lo_bin + int(j0), response=response, painless=span < n_frames,
+            start_bin=lo_bin + int(j0), response=row, painless=span < n_frames,
         ))
-    residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
     tight = _is_tight(warped, window, indices, channels)
     if pairs and not tight and all(ch.painless for ch in channels):
         pairs = _mirror_partners(channels, pairs, grid.length)
-    plan = _build_plan(channels, residuals, grid, pairs)
+    plan = _build_plan(channels, residuals, grid, pairs, layout, response)
     bank = WarpedBank(
         warping=warping,
         window=window,

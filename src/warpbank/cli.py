@@ -159,12 +159,15 @@ def cmd_diagnose(args) -> int:
     if args.sweep_a is not None:
         text += "sweep:\n"
         for scale in scales:
-            # a Lanczos run that hit its step cap is noted on its row
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", NoConvergence)
-                [(_, ratio)] = diagnostics.tightness_sweep(built, [scale])
-            notes = "".join(f"  ({w.message})" for w in caught)
-            text += f"  a_m x{scale}: tightness_ratio {ratio:.12g}{notes}\n"
+            if scale == 1:  # the report's own Lanczos run
+                ratio, notes = report.tightness_ratio, report.bounds_warnings
+            else:  # a Lanczos run that hit its step cap is noted on its row
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", NoConvergence)
+                    [(_, ratio)] = diagnostics.tightness_sweep(built, [scale])
+                notes = [str(w.message) for w in caught]
+            text += (f"  a_m x{scale}: tightness_ratio {ratio:.12g}"
+                     + "".join(f"  ({note})" for note in notes) + "\n")
     sys.stdout.write(text)
     if args.report:
         with open(args.report, "w") as fh:

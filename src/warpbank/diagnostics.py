@@ -46,7 +46,8 @@ _RESIDUAL_TOL = 1e-13
 class FrameReport:
     """Everything diagnose prints: diagonal extremes, sufficient and
     empirical bounds with the method behind the latter, tightness,
-    painless flags and collected warnings."""
+    painless flags and collected warnings.  ``bounds_warnings`` are those
+    of the empirical-bounds run (its step cap), also among ``warnings``."""
 
     diag_inf: float
     diag_sup: float
@@ -59,6 +60,7 @@ class FrameReport:
     painless: bool
     channel_painless: list[bool]
     warnings: list[str] = field(default_factory=list)
+    bounds_warnings: list[str] = field(default_factory=list)
 
     @property
     def conclusive(self) -> bool:
@@ -178,8 +180,8 @@ def frame_report(bank: WarpedBank) -> FrameReport:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NoConvergence)
         a_emp, b_emp = empirical_bounds(bank)
-    for w in caught:
-        notes.append(str(w.message))
+    run_notes = [str(w.message) for w in caught]
+    notes += run_notes
     a_emp, ratio = _verdict(bank, a_emp, b_emp)
     if a_emp <= 0.0:
         notes.append("not a frame to working precision")
@@ -202,6 +204,7 @@ def frame_report(bank: WarpedBank) -> FrameReport:
         painless=bank.painless,
         channel_painless=flags,
         warnings=notes,
+        bounds_warnings=run_notes,
     )
 
 

@@ -85,26 +85,45 @@ class CosineSumWindow:
         edge = sum((-1) ** k * b for k, b in enumerate(self.coeffs))
         return abs(edge) <= len(self.coeffs) * np.finfo(float).eps * sum(map(abs, self.coeffs))
 
-    def __call__(self, t):
-        # The sum runs over the whole probe, in place.  A bank's probes are
-        # sorted and lie inside the support but for rounding, so the mask
-        # is built only when the probe's extremes say a point lies outside;
-        # those points are summed at 0 and zeroed afterwards.
+    def __call__(self, t, out=None):
+        # The sum b_0 + term_1 + ... + term_K runs left to right over the
+        # whole probe.  A bank's probes are sorted and lie inside the
+        # support but for rounding, so the mask is built only when the
+        # probe's extremes say a point lies outside; those points are
+        # summed at 0 and zeroed afterwards.  ``out`` may be the probe
+        # itself: the last term is taken into it, after every other term
+        # has read the probe, and the sum before it waits in a temporary,
+        # from K = 3 with a second one for the middle terms (addition
+        # commutes bit for bit, so the order is kept).
         t = np.asarray(t, dtype=float)
         half = self.stretch / 2.0
         outside = None
         if t.size and not (t.min() >= -half and t.max() < half):
             outside = ~((t >= -half) & (t < half))
             t = np.where(outside, 0.0, t)
-        out = np.full(t.shape, self.coeffs[0])
-        term = np.empty_like(out)
-        for k, b in enumerate(self.coeffs[1:], start=1):
-            np.multiply(t, 2.0 * np.pi * k / self.stretch, out=term)
-            np.cos(term, out=term)
-            term *= b
-            out += term
+        if out is None:
+            out = np.empty(t.shape)
+        partial = self.coeffs[0]  # b_0 + ... + term_{K-1}
+        if self.order >= 2:
+            partial = self._term(t, 1, np.empty(t.shape))
+            partial += self.coeffs[0]
+            term = np.empty(t.shape) if self.order > 2 else None
+            for k in range(2, self.order):
+                partial += self._term(t, k, term)
+        if self.order:
+            self._term(t, self.order, out)
+            out += partial
+        else:
+            out[...] = partial
         if outside is not None:
             out[outside] = 0.0
+        return out
+
+    def _term(self, t, k: int, out: np.ndarray) -> np.ndarray:
+        """b_k cos(2 pi k t / R), into ``out``."""
+        np.multiply(t, 2.0 * np.pi * k / self.stretch, out=out)
+        np.cos(out, out=out)
+        out *= self.coeffs[k]
         return out
 
     @property
@@ -141,18 +160,22 @@ class BSplineWindow:
     constant_overlap = False
     vanishes_at_edges = True
 
-    def __call__(self, t):
+    def __call__(self, t, out=None):
         # rescale so the unit B-spline's support [-order/2, order/2]
-        # lands on [-R/2, R/2]
-        u = np.abs(np.asarray(t, dtype=float)) * (self.order / self.stretch)
+        # lands on [-R/2, R/2]; ``out`` may be the probe itself
+        t = np.asarray(t, dtype=float)
+        u = np.abs(t, out=np.empty(t.shape) if out is None else out)
+        u *= self.order / self.stretch
         if self.order == 2:
-            return np.maximum(1.0 - u, 0.0)
-        out = np.zeros_like(u)
+            np.subtract(1.0, u, out=u)
+            return np.maximum(u, 0.0, out=u)
         mid = u <= 0.5
-        out[mid] = 0.75 - u[mid] ** 2
         tail = (u > 0.5) & (u <= 1.5)
-        out[tail] = 0.5 * (1.5 - u[tail]) ** 2
-        return out
+        outside = ~(mid | tail)
+        u[mid] = 0.75 - u[mid] ** 2
+        u[tail] = 0.5 * (1.5 - u[tail]) ** 2
+        u[outside] = 0.0
+        return u
 
     @property
     def record(self) -> dict:

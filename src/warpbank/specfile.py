@@ -61,19 +61,43 @@ def save_bank_spec(bank: WarpedBank, path) -> None:
         fh.write("\n")
 
 
-def _window_from_record(record: dict):
-    kind = record.get("kind")
+def _field(record, name: str):
+    """The field at the end of the dotted ``name`` from its parent object
+    ``record``; a missing field, or a parent that is not a JSON object,
+    raises InvalidParameter naming it."""
+    parent, _, key = name.rpartition(".")
+    if not isinstance(record, dict):
+        raise InvalidParameter(f"bank spec {parent} must be a JSON object, got {record!r}")
+    if key not in record:
+        raise InvalidParameter(f"bank spec has no {name}")
+    return record[key]
+
+
+def _channel_entry(ch, i: int) -> tuple[int, int]:
+    """(m, a_m_samples) of channel entry ``i``; a missing field is named
+    (the names are built only then: a spec holds many channels)."""
+    if not (isinstance(ch, dict) and "m" in ch and "a_m_samples" in ch):
+        for key in ("m", "a_m_samples"):
+            _field(ch, f"channels[{i}].{key}")
+    return (as_integer(ch["m"], "bank spec channel m"),
+            as_integer(ch["a_m_samples"], "bank spec channel a_m_samples"))
+
+
+def _window_from_record(record):
+    kind = _field(record, "prototype.kind")
     if kind == "cosine_sum":
+        coeffs = _field(record, "prototype.coeffs")
+        if not isinstance(coeffs, list):
+            raise InvalidParameter(f"bank spec prototype.coeffs must be a list, got {coeffs!r}")
         return CosineSumWindow(
-            tuple(as_number(b, "bank spec prototype.coeffs entry")
-                  for b in record["coeffs"]),
-            as_number(record["stretch"], "bank spec prototype.stretch"),
+            tuple(as_number(b, "bank spec prototype.coeffs entry") for b in coeffs),
+            as_number(_field(record, "prototype.stretch"), "bank spec prototype.stretch"),
             normalized=_boolean(record.get("normalized", False), "prototype.normalized"),
         )
     if kind == "bspline":
         return BSplineWindow(
-            order=as_integer(record["order"], "bank spec prototype.order"),
-            stretch=as_number(record["stretch"], "bank spec prototype.stretch"))
+            order=as_integer(_field(record, "prototype.order"), "bank spec prototype.order"),
+            stretch=as_number(_field(record, "prototype.stretch"), "bank spec prototype.stretch"))
     raise InvalidParameter(f"unknown prototype kind {kind!r}")
 
 
@@ -104,20 +128,26 @@ def load_bank_spec(path) -> WarpedBank:
             f"unsupported bank-spec format_version {version!r}"
         )
     try:
-        warp_rec = record["warping"]
-        warping = make_warping(warp_rec["family"], **{
+        warp_rec = _field(record, "warping")
+        family = _field(warp_rec, "warping.family")
+        warping = make_warping(family, **{
             k: as_number(warp_rec[k], f"bank spec warping.{k}")
             for k in ("c", "d", "l") if warp_rec.get(k) is not None})
-        window = _window_from_record(record["prototype"])
-        grid_rec = record["grid"]
+        window = _window_from_record(_field(record, "prototype"))
+        grid_rec = _field(record, "grid")
+        domain = _field(grid_rec, "grid.domain")
+        if domain not in [d.value for d in Domain]:
+            raise InvalidParameter(f"bank spec grid.domain must be one of "
+                                   f"{', '.join(d.value for d in Domain)}, got {domain!r}")
         grid = GridSpec(
-            length=as_integer(grid_rec["L"], "bank spec grid.L"),
-            fs=as_number(grid_rec["fs"], "bank spec grid.fs"),
-            domain=Domain(grid_rec["domain"]),
+            length=as_integer(_field(grid_rec, "grid.L"), "bank spec grid.L"),
+            fs=as_number(_field(grid_rec, "grid.fs"), "bank spec grid.fs"),
+            domain=Domain(domain),
         )
-        table = [(as_integer(ch["m"], "bank spec channel m"),
-                  as_integer(ch["a_m_samples"], "bank spec channel a_m_samples"))
-                 for ch in record["channels"]]
+        channels = _field(record, "channels")
+        if not isinstance(channels, list):
+            raise InvalidParameter(f"bank spec channels must be a list, got {channels!r}")
+        table = [_channel_entry(ch, i) for i, ch in enumerate(channels)]
         kind = record.get("kind", "analysis")
         if kind not in KINDS:
             raise InvalidParameter(f"bank spec kind must be one of {', '.join(KINDS)}, "

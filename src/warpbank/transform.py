@@ -10,11 +10,11 @@ FFT of length N.  The bank's plan (see bank) gives every sampled entry of
 a direct row its slot in one flat coefficient buffer and groups the rows
 by N, so an analysis costs one length-L FFT, one complex scatter-add
 (``np.add.at``) of the entries onto the buffer, then per group one
-batched in-place inverse FFT of its rows x N block; a CoefficientSet
-holds that buffer.  Synthesis is the exact adjoint: on a copy of the
-buffer, per group one batched in-place FFT, then one gather through the
-slots and one complex scatter-add of fft(c_m)[j mod N] * response_m[j]
-onto the bins.  The n = 0 coefficient sits at time 0; there is no
+batched in-place inverse FFT of its rows x N block (none where N = 1); a
+CoefficientSet holds that buffer.  Synthesis is the exact adjoint: per
+group one batched FFT, out of place from the caller's buffer into a
+fresh one, then one gather through the slots and one complex scatter-add
+of fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0 coefficient sits at time 0; there is no
 per-channel phase ramp.  A residual is a row with N = 1 and response 1,
 so its coefficient is the spectrum at its bin.
 
@@ -199,17 +199,23 @@ def _fold(plan, fhat: np.ndarray, response: np.ndarray, size: int) -> np.ndarray
     return out
 
 
-def _row_ffts(flat: np.ndarray, plan, inverse: bool) -> None:
-    """In place, per group one batched FFT of its rows x N block of
-    ``flat``, the unscaled inverse one if ``inverse``, and the other one on
-    the copies of the paired groups' blocks in a mirror block."""
+def _row_ffts(flat: np.ndarray, plan, inverse: bool, out: np.ndarray | None = None) -> None:
+    """Per group one batched FFT of its rows x N block of ``flat``, the
+    unscaled inverse one if ``inverse``, and the other one on the copies
+    of the paired groups' blocks in a mirror block, into the same blocks
+    of ``out`` (by default ``flat`` itself).  A length-1 FFT of either
+    kind returns its input bit for bit, so N = 1 groups are only copied,
+    where ``out`` is another buffer."""
+    target = flat if out is None else out
     ffts = (np.fft.fft, partial(np.fft.ifft, norm="forward"))
-    for part, groups, fft in ((flat, plan.groups, ffts[inverse]),
-                              (flat[plan.direct_size:], plan.groups[:plan.paired],
-                               ffts[not inverse])):
+    for start, groups, fft in ((0, plan.groups, ffts[inverse]),
+                               (plan.direct_size, plan.groups[:plan.paired], ffts[not inverse])):
+        part, dest = flat[start:], target[start:]
         for n, block, _ in groups if len(part) else ():
-            rows = part[block].reshape(-1, n)
-            fft(rows, out=rows)
+            if n > 1:
+                fft(part[block].reshape(-1, n), out=dest[block].reshape(-1, n))
+            elif out is not None:
+                dest[block] = part[block]
 
 
 @_in_float_range
@@ -223,10 +229,14 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     length, plan = bank.grid.length, bank.plan
     if np.iscomplexobj(samples):
         fhat, size = np.fft.fft(samples) / np.sqrt(length), plan.direct_size + plan.paired_size
+    elif bank.grid.domain is Domain.FULL_LINE:
+        # the direct rows reach the negative bins: rfft / sqrt(L) and its
+        # conjugate extension share one length-L spectrum
+        fhat, size, half = np.empty(length, dtype=complex), plan.direct_size, length // 2
+        np.divide(np.fft.rfft(samples), np.sqrt(length), out=fhat[:half + 1])
+        np.conjugate(fhat[half - 1:0:-1], out=fhat[half + 1:])
     else:
         fhat, size = np.fft.rfft(samples) / np.sqrt(length), plan.direct_size
-        if bank.grid.domain is Domain.FULL_LINE:  # direct rows reach the negative bins
-            fhat = np.concatenate((fhat, fhat[-2:0:-1].conj()))
     flat = _fold(plan, fhat, plan.response, size)
     _row_ffts(flat, plan, inverse=True)
     return CoefficientSet(flat, bank)
@@ -276,8 +286,9 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     length, plan = bank.grid.length, bank.plan
     # a real-input set on a half-line grid sits on bins 0..L/2; irfft adds the rest
     half = coeffs.half_line and len(coeffs.buffer) == plan.direct_size
-    spectra = np.array(coeffs.buffer, dtype=complex)  # the caller's stay untouched
-    _row_ffts(spectra, plan, inverse=False)
+    # the row FFTs run out of place, so the caller's buffer stays untouched
+    spectra = np.empty(len(coeffs.buffer), dtype=complex)
+    _row_ffts(np.asarray(coeffs.buffer, dtype=complex), plan, inverse=False, out=spectra)
     if half:
         spec = np.zeros(length // 2 + 1, dtype=complex)
         _gather_sum(spectra, plan.slots, plan.response, plan.bins, spec)

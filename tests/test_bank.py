@@ -16,6 +16,7 @@ from warpbank import (BSplineWindow, CosineSumWindow, CoverageError, Domain, Emp
                       painless_dual, painless_factors, round_factors_to_grid,
                       save_bank_spec, synthesize, tightness_sweep, with_scaled_factors)
 from warpbank import WarpedBank, cli, specfile
+from warpbank import bank as bank_mod
 
 HANN = named_window("hann", 3.0)
 
@@ -440,6 +441,73 @@ def test_bins_warped_past_float_range_keep_a_bank_from_tight():
     bank = build_bank(w, unit, grid, Explicit({-1: 1, 0: 1, 1: 1}))
     assert bank.painless and bank.diagonal().min() == 0.0
     assert bank.kind == "analysis"
+
+
+def warped_bins(warping, grid):
+    """F on the grid's active bins, evaluated as build_bank does: on the
+    full line at the non-negative bins only, negated for the negative ones."""
+    lo, hi = grid.signed_bin_range()
+    if grid.domain is Domain.POSITIVE_HALF_LINE:
+        return warping.f(np.arange(lo, hi + 1) * grid.bin_hz)
+    warped = warping.f(np.arange(hi + 1) * grid.bin_hz)
+    return np.concatenate((np.negative(warped[-2:0:-1]), warped))
+
+
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 0.5}, 64.0), ("erblike", {}, 44100.0),
+    ("erblike", {"c": 1.0, "d": 1.0}, 8000.0), ("signedpow", {"l": 0.5}, 256.0),
+])
+def test_channel_set_matches_a_brute_force_search(family, kw, fs):
+    # every m whose support [c+m, d+m), open at c+m where theta vanishes
+    # there, holds a warped bin, searched one m at a time
+    w = make_warping(family, **kw)
+    for length in (128, 360, 512):
+        grid = GridSpec(length=length, fs=fs, domain=w.domain)
+        warped = warped_bins(w, grid)
+        for name, stretch in (("hann", 3.0), ("hann", 2.5), ("hamming", 3.0), ("boxcar", 2.0),
+                              ("blackman", 5.0), ("bspline2", 1.5), ("bspline3", 3.0)):
+            window = named_window(name, stretch)
+            lo_s, hi_s = window.support
+            above = np.greater if window.vanishes_at_edges else np.greater_equal
+            candidates = range(int(np.floor(warped[0] - hi_s)) - 2,
+                               int(np.floor(warped[-1] - lo_s)) + 3)
+            want = [m for m in candidates
+                    if np.any(above(warped, lo_s + m) & (warped < hi_s + m))]
+            half = grid.domain is Domain.POSITIVE_HALF_LINE
+            assert bank_mod._touching_channels(warped, window, half) == want, (length, name)
+
+
+def test_each_channel_views_its_sampled_response_in_the_plan(plan_test_banks):
+    # each response is a view of plan.response holding
+    # theta(F(bins) - m) sqrt(a_m / L) bit for bit: on tight, scaled and
+    # explicit banks, on a painless bank that is not tight, and on the
+    # gapped bank whose pair filter drops pairs after sampling
+    banks = []
+    for args in (("log", {}, 2.0), ("sympow", {"l": 0.5}, 64.0), ("erblike", {}, 44100.0),
+                 ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0)):
+        banks += plan_test_banks(*args).values()
+    w = make_warping("erblike")
+    grid = GridSpec(length=512, fs=44100.0, domain=w.domain)
+    factors = {ch.m: ch.a for ch in design_tight(w, grid).channels if ch.m != -10}
+    gapped = build_bank(w, HANN, grid, Explicit(factors))
+    tags = [ch.m for ch in gapped.channels]
+    assert gapped.plan.partner[tags.index(-8)] < 0 <= gapped.plan.partner[tags.index(-1)]
+    edge = GridSpec(length=4096, fs=256.0, domain=Domain.FULL_LINE)
+    banks += [gapped, build_bank(make_warping("signedpow", l=0.5), named_window("hamming", 3.0),
+                                 edge, Painless())]
+    for bank in banks:
+        plan, length = bank.plan, bank.grid.length
+        warped, (lo, _) = warped_bins(bank.warping, bank.grid), bank.grid.signed_bin_range()
+        for ch, start, mate in zip(bank.channels, plan.offsets.tolist(), plan.partner.tolist()):
+            size = len(ch.response)
+            want = bank.window(warped[ch.start_bin - lo:ch.start_bin - lo + size] - ch.m)
+            want *= np.sqrt(ch.a / length)
+            view = plan.response[start:start + size]
+            assert (view[::-1] if mate >= 0 else view).tobytes() == want.tobytes()
+            assert ch.response.tobytes() == want.tobytes()
+            assert size == 0 or np.shares_memory(ch.response, plan.response)
+        n = len(bank.channels)
+        assert np.all(plan.response[plan.offsets[n:n + len(bank.residuals)]] == 1.0)
 
 
 def test_design_tight_accepts_raw_coefficients():

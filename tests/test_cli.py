@@ -560,6 +560,21 @@ def test_malformed_spec_file_is_exit_2(tmp_path):
     assert run(["diagnose", "--bank", tmp_path / "missing.json"]) == 2
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda r: r.pop("warping"), "bank spec has no warping"),
+    (lambda r: r["grid"].pop("L"), "bank spec has no grid.L"),
+    (lambda r: r.update(channels=5), "bank spec channels must be a list, got 5"),
+    (lambda r: r["channels"][3].pop("m"), "bank spec has no channels[3].m"),
+], ids=["no-warping", "no-grid-L", "channels-not-a-list", "channel-without-m"])
+def test_spec_file_errors_name_the_field(tmp_path, capsys, edit, message):
+    spec = design_bank(tmp_path)
+    record = json.loads(spec.read_text())
+    edit(record)
+    spec.write_text(json.dumps(record))
+    assert run(["diagnose", "--bank", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("where,value", [
     ("L", 512.9), ("L", "512"), ("m", 1.5), ("a_m_samples", 2.7),
     ("a_m_samples", True), ("order", 2.7), ("order", "3"),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -247,6 +248,39 @@ def test_frame_report_collects_convergence_and_painless_notes(tmp_path, capsys, 
     rep = frame_report(doubled)
     assert rep.bounds_method == "lanczos (residual bound 1e-13 of B_emp)"
     assert not any("converge" in w for w in rep.warnings)
+
+
+def test_sweep_reads_its_unit_row_off_the_report(tmp_path, capsys, monkeypatch):
+    # the x1 row is the report's own Lanczos run, step-cap note included:
+    # the bank's Lanczos runs once for the report and once per other scale
+    w = make_warping("erblike", c=1.0, d=1.0)
+    tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain), "hann", 3.0)
+    spec = tmp_path / "doubled.json"
+    save_bank_spec(with_scaled_factors(tight, 2), spec)
+    calls, bounds = [], diagnostics.empirical_bounds
+
+    def counted(bank):
+        calls.append(bank.fingerprint)
+        return bounds(bank)
+
+    monkeypatch.setattr(diagnostics, "empirical_bounds", counted)
+    assert cli.main(["diagnose", "--bank", str(spec), "--sweep-a", "1"]) == 0
+    out = capsys.readouterr().out
+    ratio = re.search(r"\ntightness_ratio: (\S+)\n", out).group(1)
+    assert out.endswith(f"sweep:\n  a_m x1: tightness_ratio {ratio}\n") and len(calls) == 1
+    monkeypatch.setattr(diagnostics, "LANCZOS_MAX_STEPS", 8)
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NoConvergence)  # an escaping warning fails the run
+        assert cli.main(["diagnose", "--bank", str(spec), "--sweep-a", "1,2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(calls) == len(set(calls)) == 2  # the bank, then its x2
+    [note] = [line[4:] for line in out.splitlines()
+              if line.startswith("  - ") and "did not converge within 8 steps" in line]
+    rows = out.split("sweep:\n")[1].splitlines()
+    ratio = re.search(r"\ntightness_ratio: (\S+)\n", out).group(1)
+    assert rows[0] == f"  a_m x1: tightness_ratio {ratio}  ({note})"
+    assert rows[1].startswith("  a_m x2: tightness_ratio ") and "did not converge" in rows[1]
 
 
 @pytest.mark.parametrize("family,kw,fs", [

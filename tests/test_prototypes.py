@@ -124,6 +124,34 @@ def test_cosine_window_matches_the_masked_sum_bit_for_bit(name, normalized):
             assert got.shape == np.shape(t) and got.tobytes() == want.tobytes(), label
 
 
+def bspline_reference(win, t):
+    """The centered B-spline written out piece by piece, 0 off its support."""
+    u = np.abs(np.asarray(t, dtype=float)) * (win.order / win.stretch)
+    if win.order == 2:
+        return np.maximum(1.0 - u, 0.0)
+    return np.where(u <= 0.5, 0.75 - u ** 2, np.where(u <= 1.5, 0.5 * (1.5 - u) ** 2, 0.0))
+
+
+@pytest.mark.parametrize("window", [
+    CosineSumWindow((1.0,), 2.0), CosineSumWindow((0.5, 0.5), 3.0),
+    CosineSumWindow((0.42, 0.5, 0.08), 5.0), CosineSumWindow((0.3, 0.3, 0.2, 0.2), 7.5),
+    BSplineWindow(2, 3.0), BSplineWindow(3, 2.5),
+], ids=["K0", "K1", "K2", "K3", "bspline2", "bspline3"])
+def test_window_writes_into_out_bit_for_bit(window):
+    # out= gives the allocating call's values, into another array or into
+    # the probe itself, inside and outside the support and on empty probes
+    rng = np.random.default_rng(47)
+    for label, t in window_probes(window.stretch / 2.0, rng).items():
+        want = window(t)
+        reference = (masked_reference if isinstance(window, CosineSumWindow)
+                     else bspline_reference)
+        assert want.tobytes() == reference(window, t).tobytes(), label
+        spare = np.full(np.shape(t), np.nan)
+        assert window(t, out=spare) is spare and spare.tobytes() == want.tobytes(), label
+        probe = np.array(t, dtype=float)
+        assert window(probe, out=probe) is probe and probe.tobytes() == want.tobytes(), label
+
+
 @pytest.mark.parametrize("family,kw,length,fs,window,policy", [
     ("erblike", {}, 4096, 44100.0, "hann", None),
     ("sympow", {"l": 0.5}, 1024, 64.0, "hann", None),
@@ -137,9 +165,9 @@ def test_bank_samples_each_response_point_once(monkeypatch, family, kw, length, 
     # points through the window is a count of the direct rows' entries
     calls, sample = [], CosineSumWindow.__call__
 
-    def counting(self, t):
+    def counting(self, t, out=None):
         calls.append(np.size(t))
-        return sample(self, t)
+        return sample(self, t, out=out)
 
     monkeypatch.setattr(CosineSumWindow, "__call__", counting)
     w = make_warping(family, **kw)

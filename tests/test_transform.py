@@ -282,6 +282,27 @@ def test_rows_are_views_and_synthesis_leaves_the_buffer(family, real):
     assert coeffs.buffer.tobytes() == before.tobytes()
 
 
+def test_synthesis_never_writes_the_callers_buffer(plan_test_banks):
+    # the row FFTs run out of place, from the caller's buffer into a fresh
+    # one, so a read-only buffer synthesizes, to a writable copy's samples
+    rng = np.random.default_rng(29)
+    for args in (("log", {}, 2.0), ("erblike", {}, 44100.0)):
+        for bank in plan_test_banks(*args).values():
+            for real in (True, False):
+                coeffs = analyze(random_signal(bank.grid.length, rng, real=real), bank)
+                want = synthesize(CoefficientSet(coeffs.buffer.copy(), bank), bank).samples
+                coeffs.buffer.flags.writeable = False
+                assert synthesize(coeffs, bank).samples.tobytes() == want.tobytes()
+
+
+def test_length_one_ffts_return_their_input():
+    # why _row_ffts skips the groups of one-coefficient rows
+    x = np.array([1.5 - 2j, -0.0 + 0j, complex(0.0, -0.0), 1e-310 + 3e300j, -7.25 - 1e-300j])
+    rows = x.reshape(-1, 1)
+    for got in (np.fft.fft(rows), np.fft.ifft(rows, norm="forward")):
+        assert got.tobytes() == rows.tobytes()
+
+
 @pytest.mark.parametrize("family,real", BUFFER_SETS)
 def test_energy_is_the_sum_over_rows(family, real):
     rng = np.random.default_rng(22)
