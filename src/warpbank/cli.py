@@ -7,10 +7,12 @@ bank is tight or already a dual) and diagnose (frame report, optional
 hop-scaling sweep).
 
 Exit codes enumerate the distinct failure conditions so scripts can tell
-them apart: 2 invalid parameters, degenerate inputs or too little memory,
-3 a design that leaves a bin uncovered, or a painless dual where the
-diagonal vanishes, 4 signal length mismatch, 5 coefficient container
-mismatch or corruption, 6 painless-dual request on a non-painless bank.  Each error type carries its code (see errors).
+them apart: 2 invalid parameters (colliding output paths included),
+degenerate inputs or too little memory, 3 a design that leaves a bin
+uncovered, or a painless dual where the diagonal vanishes, 4 signal
+length mismatch, 5 coefficient container mismatch or corruption, 6
+painless-dual request on a non-painless bank.  Each error type carries
+its code (see errors).
 """
 
 from __future__ import annotations
@@ -116,6 +118,15 @@ def _read_input(path, built, pad: bool) -> transform.Signal:
 
 
 def cmd_analyze(args) -> int:
+    outputs = {"--out": args.out}
+    if args.spectrogram:
+        csv_path = os.path.splitext(args.spectrogram)[0] + ".csv"
+        outputs.update({"--spectrogram": args.spectrogram, "the row-center CSV": csv_path})
+    claimed = {}
+    for name, path in outputs.items():  # one output must not overwrite another
+        other = claimed.setdefault(os.path.realpath(path), name)
+        if other != name:
+            raise InvalidParameter(f"output paths collide: {name} {path} is also {other}")
     built = specfile.load_bank_spec(args.bank)
     sig = _read_input(args.input, built, args.pad)
     coeffs = transform.analyze(sig, built)
@@ -124,7 +135,6 @@ def cmd_analyze(args) -> int:
     if args.spectrogram:
         image, centers = signal_io.render_spectrogram(coeffs, built)
         signal_io.write_pgm(args.spectrogram, image)
-        csv_path = os.path.splitext(args.spectrogram)[0] + ".csv"
         signal_io.write_csv(csv_path, centers, header="row_center_hz")
         print(f"# wrote {args.spectrogram} ({image.shape[1]}x{image.shape[0]}) "
               f"and {csv_path}")

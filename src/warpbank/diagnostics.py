@@ -5,24 +5,15 @@ Three layers, from cheap to expensive:
 * diagonal extremes, exact for painless banks where the frame operator is
   the diagonal itself;
 * sufficient bounds: a Gershgorin test on the sampled frame operator,
-  read off the bank's plan.  In the DFT domain S is the Walnut form
-  S[j, j'] = sum_m N_m g_m[j] g_m[j'] (j = j' mod N_m), so with R_j an
-  upper bound on the absolute row sums, A_suff = min_j (2 S[j, j] - R_j)
-  and B_suff = max_j R_j sandwich the true bounds.  Painless banks, whose
-  slots hold one nonzero bin each, have R_j = S[j, j] and return the
-  diagonal extremes without a Gershgorin pass; for the others R_j comes
-  from the Walnut form's fold and gather with |g_m| on the all-ones
-  spectrum, and taking |g_m| per channel can only overestimate the row
-  sums.  A_suff <= 0 proves nothing and is reported as inconclusive;
-* empirical bounds: for non-painless banks one Lanczos run on the frame
-  operator gives both A_emp and B_emp, as the extreme Ritz values, once
-  their residual bounds reach 1e-13 B_emp; no solver for S^{-1} and no
-  second pass are needed.  An A_emp within that bound of 0 may be a
-  singular S, so the report gives A_emp 0 and calls the bank not a frame
-  to working precision.  The run stays in the unitary DFT domain, where
-  each step is one fold and one gather of the Walnut form on a complex
-  length-L spectrum.  ``FrameReport.bounds_method`` says which of the
-  diagonal (exact) and Lanczos gave them.
+  read off the bank's plan (see ``sufficient_bounds``).  A_suff <= 0
+  proves nothing and is reported as inconclusive;
+* empirical bounds: for non-painless banks one Lanczos run (``_lanczos``)
+  on the Walnut form of the frame operator gives both A_emp and B_emp, as
+  the extreme Ritz values, once their residual bounds reach 1e-13 B_emp.
+  An A_emp within that bound of 0 may be a singular S, so the report
+  gives A_emp 0 and calls the bank not a frame to working precision.
+  ``FrameReport.bounds_method`` says which of the diagonal (exact) and
+  Lanczos gave them.
 """
 
 from __future__ import annotations
@@ -96,16 +87,32 @@ def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
     return (float(np.min(2.0 * bank.diagonal() - rows)), float(rows.max()))
 
 
+def _lanczos(apply, q):
+    """Plain three-term Lanczos on the Hermitian ``apply`` from the unit
+    vector ``q``, without reorthogonalization: step k yields (alpha_k,
+    beta_k, q_k), where beta_k q_{k+1} = S q_k - alpha_k q_k - beta_{k-1} q_{k-1}.
+    It stops after a step whose beta_k is 0 (an invariant Krylov space)."""
+    q_prev, beta = np.zeros_like(q), 0.0
+    while True:
+        w = apply(q) - beta * q_prev
+        alpha = float(np.vdot(q, w).real)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        yield alpha, beta, q
+        if beta == 0.0:
+            return
+        q_prev, q = q, w / beta
+
+
 def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
     """(A_emp, B_emp): extreme eigenvalues of the frame operator.
 
     Painless banks short-circuit to the diagonal extremes, the exact
-    spectrum.  Otherwise one Lanczos run on S gives both ends.  It works
+    spectrum.  Otherwise one ``_lanczos`` run on S gives both ends.  It works
     on unitary-DFT spectra, where S is the Walnut form (``_walnut``): one
     fold and one gather per step, no FFT.  The start vector is the
     normalized DFT of a fixed complex Gaussian draw (``default_rng(0)``),
-    so the Ritz values are those of the time-domain run from that draw;
-    the recurrence is the plain three-term one, so three length-L vectors.
+    so the Ritz values are those of the time-domain run from that draw.
     Every max(8, k // 8) steps the Ritz values theta_i of the tridiagonal
     T_k and the last components s_i of its eigenvectors bound the
     spectrum: S has an eigenvalue within beta_k |s_i| of each theta_i.
@@ -125,15 +132,9 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
     q = np.fft.fft(rng.standard_normal(length) + 1j * rng.standard_normal(length))
     q /= np.linalg.norm(q)
     response = bank.plan.response
-    q_prev = np.zeros_like(q)
     alphas, betas = [], []
-    beta = 0.0
     check = 8
-    while True:
-        w = _walnut(q, response, bank) - beta * q_prev
-        alpha = float(np.vdot(q, w).real)
-        w -= alpha * q
-        beta = float(np.linalg.norm(w))
+    for alpha, beta, _ in _lanczos(lambda v: _walnut(v, response, bank), q):
         alphas.append(alpha)
         betas.append(beta)
         k = len(alphas)
@@ -151,7 +152,6 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
                               f"residual bound {residual:.3e}", NoConvergence)
                 break
             check = k + max(8, k // 8)
-        q_prev, q = q, w / beta
     return (float(theta[0]), float(theta[-1]))
 
 

@@ -512,6 +512,23 @@ def test_spectrogram_of_silence_is_black(tmp_path):
     assert not read_pgm(tmp_path / "sgram.pgm").any()
 
 
+@pytest.mark.parametrize("out,spectrogram,clash", [
+    ("c.wfbc", "img.csv", r"the row-center CSV \S+img\.csv is also --spectrogram"),
+    ("x.pgm", "sub/../x.pgm", r"--spectrogram \S+x\.pgm is also --out"),
+    ("k.csv", "k.pgm", r"the row-center CSV \S+k\.csv is also --out"),
+], ids=["csv-is-spectrogram", "spectrogram-is-out", "csv-is-out"])
+def test_analyze_refuses_colliding_output_paths(tmp_path, capsys, out, spectrogram, clash):
+    spec = design_bank(tmp_path, length=256, fs=8000.0)
+    write_raw(tmp_path / "in.f64", Signal(samples=np.zeros(256), fs=8000.0))
+    (tmp_path / "sub").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run(["analyze", "--bank", spec, "--in", tmp_path / "in.f64",
+                "--out", tmp_path / out, "--spectrogram", tmp_path / spectrogram]) == 2
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: output paths collide: {clash}\n", err)
+
+
 def reference_spectrogram(coeffs, bank):
     """Resample every row onto the longest raster first, then take dB and
     levels of the whole image."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -197,6 +198,47 @@ def test_lanczos_runs_without_the_time_domain_frame_operator(erb_tight, dense_at
         [(swept, ratio)] = tightness_sweep(erb_tight, scales=(scale,))
         assert swept == scale
         assert abs(ratio - hi / lo) <= slack * (lo + hi) / (lo * (lo - slack))
+
+
+def walnut_operator(bank):
+    return lambda v: transform._walnut(v, bank.plan.response, bank)
+
+
+def test_lanczos_kernel_tridiagonalizes_the_frame_operator(dense_atoms):
+    # 12 of the 24 steps this hop-doubled bank takes to converge, against
+    # the dense frame operator in the unitary-DFT domain
+    w = make_warping("erblike", c=1.0, d=1.0)
+    tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain), "hann", 3.0)
+    bank = with_scaled_factors(tight, 2)
+    atoms, length = dense_atoms(bank), bank.grid.length
+    dft = np.fft.fft(np.eye(length)) / np.sqrt(length)
+    frame_op = dft @ (atoms.T @ atoms.conj()) @ dft.conj().T
+    rng = np.random.default_rng(24)
+    start = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    steps = itertools.islice(
+        diagnostics._lanczos(walnut_operator(bank), start / np.linalg.norm(start)), 12)
+    alphas, betas, vectors = (np.array(column) for column in zip(*steps))
+    basis = vectors.T
+    assert basis.shape == (length, 12) and np.all(betas > 0.0)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(12), rtol=0, atol=1e-12)
+    tridiagonal = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    upper = np.linalg.eigvalsh(frame_op)[-1]
+    np.testing.assert_allclose(basis.conj().T @ frame_op @ basis, tridiagonal,
+                               rtol=0, atol=1e-12 * upper)
+
+
+def test_lanczos_kernel_stops_on_an_eigenvector():
+    # a painless S is diagonal on the DFT bins, so one bin's unit vector
+    # spans an invariant Krylov space: one step, beta_1 = 0, then the end
+    w = make_warping("erblike")
+    bank = build_bank(w, HANN, GridSpec(length=1024, fs=44100.0, domain=w.domain), Painless())
+    assert bank.painless
+    for bin_index in (0, 5, 512, 1000):
+        unit = np.zeros(1024, dtype=complex)
+        unit[bin_index] = 1.0
+        [(alpha, beta, q)] = diagnostics._lanczos(walnut_operator(bank), unit)
+        assert beta == 0.0 and q is unit
+        assert abs(alpha - bank.diagonal()[bin_index]) <= 1e-14
 
 
 def test_frame_report_tight(erb_tight):
