@@ -34,10 +34,9 @@ is channel m reflected when its bins are exactly m's negated and its hop
 m's (see ``_reflections``): the window is evaluated on m alone, and -m's
 response is a reversed view of m's.  That leaves direct the rows at the
 Nyquist bin, which has no negative twin, and rows with a probe on the
-closed edge of a half-open support.  A reflected pair becomes a mirror
-row and its partner.  In a painless bank that is not tight, whose dual
-divides by the diagonal, only pairs on whose bins the diagonal is
-symmetric do; ``_mirror_partners`` weighs them on the sampled responses.
+closed edge of a half-open support.  Every reflected pair becomes a
+mirror row and its partner, so which channels pair depends on the
+geometry alone.
 
 ``build_bank`` builds the bank's plan once: one flat table of the
 sampled entries of its direct rows (channels and residuals; a mirror row
@@ -50,9 +49,9 @@ that prefix.  The layout comes first, from each row's N, first bin,
 entry count and reflected partner (``_lay_out``); the window then writes
 each direct row straight into its slice of the plan's one response
 array.  Each channel's response is a view of it, which every consumer
-reads; where the pair filter drops a pair, ``_build_plan`` lays the
-sampled rows out once more in the final order.  The painless dual shares
-the plan, with new responses.
+reads.  The painless dual shares the plan and the channels: it is the
+analysis bank with a ``weight`` on the DFT bins, S^{-1} as a division of
+spectra (see ``painless_dual``).
 """
 
 from __future__ import annotations
@@ -70,11 +69,6 @@ import numpy as np
 from .errors import CoverageError, EmptyBank, InvalidParameter, NotPainless, as_integer, as_number
 from .prototypes import BSplineWindow, CosineSumWindow, named_window, normalize_for_tightness
 from .warping import Domain, WarpingFunction
-
-# _mirror_partners: how far the channels outside every pair may weigh a bin
-# and its negation apart, relative to the weight there, for channel -m to
-# mirror m
-MIRROR_DIAGONAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,9 +159,11 @@ class ResidualChannel:
 class BankPlan:
     """Flat sampled geometry, one row per generator: row i is channel i,
     then the residuals (N = 1, response 1 at their bin), then on half-line
-    grids a mirror branch per channel.  Its layout is fixed before any
-    row is sampled (see ``_lay_out``), and the window writes each direct
-    row into ``response`` in place.
+    grids a mirror branch per channel; on the full line the mirror rows
+    are the channels -m that reflect a channel m (see ``_reflections``),
+    all of them.  Its layout is fixed before any row is sampled (see
+    ``_lay_out``), and the window writes each direct row into ``response``
+    in place; a painless dual shares the plan, sampled responses and all.
     ``frames[i]`` is row i's coefficient count N and ``partner[i]`` the
     row that row i mirrors, or -1 for a direct row.  ``bins`` (0..L-1),
     ``response`` and ``slots`` run group after group, one entry per sampled
@@ -180,8 +176,9 @@ class BankPlan:
     contiguous buffer slice ``block``, rows x N.  The first ``paired``
     groups, ``paired_entries`` entries and ``paired_size`` slots, hold the
     rows that have a mirror row, and all direct rows fill ``direct_size``
-    slots: a real-input buffer.  A complex-input one adds the mirror rows'
-    block, a row-for-row copy of the paired blocks' layout.  As an index,
+    slots: a real-input buffer.  A complex-input one, and on the full line
+    a weighted bank's real-input one, adds the mirror rows' block, a
+    row-for-row copy of the paired blocks' layout.  As an index,
     -b reads bin L - b (and -0 bin 0), the negation on the DFT grid; every
     mirror lookup finds a paired entry's negated bin that way."""
 
@@ -209,7 +206,10 @@ class BankPlan:
 class WarpedBank:
     """A warped filter bank: its channels and residuals, and the ``plan``
     that ``build_bank`` built from them.  Every channel's response is a
-    view of ``plan.response`` (see ``_plan_views``)."""
+    view of ``plan.response`` (see ``_plan_views``).  ``weight`` is None
+    for a sampled bank; a dual's atoms are the sampled ones with their
+    spectra multiplied by ``weight``, one factor per DFT bin (see
+    ``painless_dual``)."""
 
     warping: WarpingFunction
     window: object
@@ -220,6 +220,7 @@ class WarpedBank:
     policy_record: dict
     fingerprint: str
     plan: BankPlan = field(repr=False)
+    weight: np.ndarray | None = field(default=None, repr=False)
     _diag: np.ndarray | None = field(init=False, default=None, repr=False)
 
     @property
@@ -229,15 +230,19 @@ class WarpedBank:
     def diagonal(self) -> np.ndarray:
         """Frame-operator diagonal over all L bins (cached): entry j of
         row m adds N_m response_m[j]^2 at its bin, and a paired entry
-        adds it again at the negated bin for its mirror row."""
+        adds it again at the negated bin for its mirror row; a weighted
+        bank's is that times ``weight`` squared."""
         if self._diag is None:
             plan, length, stop = self.plan, self.grid.length, self.plan.paired_entries
             frames = np.repeat([n for n, _, _ in plan.groups],
                                [span.stop - span.start for _, _, span in plan.groups])
             weights = plan.response ** 2 * frames
-            self._diag = np.bincount(plan.bins, weights, minlength=length)
-            self._diag += np.bincount(plan.bins[:stop], weights[:stop],
-                                      minlength=length)[-np.arange(length)]
+            diag = np.bincount(plan.bins, weights, minlength=length)
+            diag += np.bincount(plan.bins[:stop], weights[:stop],
+                                minlength=length)[-np.arange(length)]
+            if self.weight is not None:
+                diag *= self.weight ** 2
+            self._diag = diag
         return self._diag
 
 
@@ -359,36 +364,10 @@ def _reflections(ms, factors, warped, starts, stops, support) -> dict[int, int]:
     return pairs
 
 
-def _mirror_partners(channels: list[Channel], pairs: dict[int, int],
-                     length: int) -> dict[int, int]:
-    """The full-line ``pairs`` {j: k} (channel j is channel k reflected)
-    on whose bins the diagonal is symmetric, so that the painless dual
-    keeps them.  A pair adds the same weight N r^2 at a bin and its
-    negation, so that holds when the channels outside every pair weigh k's
-    bins and their negations alike, to ``MIRROR_DIAGONAL_RTOL`` of the
-    larger.  A channel set missing some -m does not."""
-    paired, half = set(pairs) | set(pairs.values()), length // 2
-    weight = np.zeros(length)
-    for i, ch in enumerate(channels):
-        if i not in paired:  # a channel's bins are distinct mod L
-            weight[np.arange(*ch.support_bins) % length] += ch.n_frames * ch.response ** 2
-    low, high = weight[:half + 1], weight[-np.arange(half + 1)]
-    skewed = np.abs(low - high) > MIRROR_DIAGONAL_RTOL * np.maximum(low, high)
-    if not skewed.any():
-        return pairs
-    # skewed signed bins up to each b in -L/2..L/2 (b and -b read |b|);
-    # channel k is clear of them when the count does not rise over its bins
-    count = np.cumsum(skewed[np.abs(np.arange(-half, half + 1))])
-    first, last = np.array([channels[k].support_bins for k in pairs.values()]).T + half - 1
-    clear = count[first] == count[last]
-    return {j: k for (j, k), ok in zip(pairs.items(), clear.tolist()) if ok}
-
-
 class _Layout(NamedTuple):
     """Where a plan's rows go, fixed from their N and entry counts before
     any row is sampled (see ``_lay_out``)."""
 
-    pairs: dict[int, int]
     frames: np.ndarray  # N of every row
     partner: np.ndarray  # the row each row mirrors, or -1
     key: list[tuple[bool, int]]  # (unpaired?, N) of each channel and residual
@@ -424,25 +403,16 @@ def _lay_out(frames: list[int], sizes: list[int], branches: int,
     offsets, coefs = np.zeros(len(frames), dtype=np.intp), np.zeros_like(frames)
     offsets[order], coefs[order] = starts, blocks
     source = np.where(partner >= 0, partner, np.arange(len(frames)))
-    return _Layout(pairs, frames, partner, key, order, counts, starts, offsets[source],
+    return _Layout(frames, partner, key, order, counts, starts, offsets[source],
                    coefs[source] + (partner >= 0) * n_sorted.sum())
 
 
 def _build_plan(channels: list[Channel], residuals: list[ResidualChannel], grid: GridSpec,
-                pairs: dict[int, int], layout: _Layout, response: np.ndarray) -> BankPlan:
-    """The plan of ``channels`` and ``residuals`` with the mirror ``pairs``
-    (see ``_lay_out``).  ``build_bank`` sampled the direct rows into
-    ``response`` in ``layout``, laid out for the reflected pairs.  With
-    those pairs the plan adopts it; when the pair filter dropped some, the
-    rows are laid out for ``pairs`` and each copied once from its
-    channel's response, a view of ``response``.  Then every entry gets its
-    bin and its slot, written row by row."""
-    if pairs != layout.pairs:  # only full-line pairs are filtered: no residuals
-        layout = _lay_out([ch.n_frames for ch in channels],
-                          [len(ch.response) for ch in channels], 0, pairs)
-        response = np.empty(int(layout.sizes.sum()))
-        for i, start, size in zip(layout.order, layout.starts.tolist(), layout.sizes.tolist()):
-            response[start:start + size] = channels[i].response
+                layout: _Layout, response: np.ndarray) -> BankPlan:
+    """The plan of ``channels`` and ``residuals`` in ``layout`` (see
+    ``_lay_out``), whose direct rows ``build_bank`` sampled into
+    ``response``: the plan adopts both, and every entry gets its bin and
+    its slot, written row by row."""
     order, key, sizes, starts = layout.order, layout.key, layout.sizes, layout.starts
     # row by row into the two entry arrays, with no entry-long temporary:
     # each entry's bin, its row's first bin plus its position, mod L
@@ -612,9 +582,7 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> Warp
             start_bin=lo_bin + int(j0), response=row, painless=span < n_frames,
         ))
     tight = _is_tight(warped, window, indices, channels)
-    if pairs and not tight and all(ch.painless for ch in channels):
-        pairs = _mirror_partners(channels, pairs, grid.length)
-    plan = _build_plan(channels, residuals, grid, pairs, layout, response)
+    plan = _build_plan(channels, residuals, grid, layout, response)
     bank = WarpedBank(
         warping=warping,
         window=window,
@@ -632,18 +600,15 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> Warp
 
 
 def painless_dual(bank: WarpedBank) -> WarpedBank:
-    """Dual bank with responses divided pointwise by the diagonal.
+    """The canonical dual S^{-1} g of every atom g of a painless ``bank``.
 
-    Requires every channel painless and full coverage; with that,
-    analysis by ``bank`` followed by synthesis with the dual is the
-    identity.  The diagonal is 1 at the residual bins, so dividing the
-    direct rows' entries divides every direct row.  It is symmetric to
-    rounding on the bins of mirror pairs: ``build_bank`` pairs the
-    channels of a bank that is not tight only there (see
-    ``_mirror_partners``), and a tight bank's diagonal is 1.  So each
-    mirror row, its partner's quotient reflected, is its own quotient
-    too.  The dual's plan is therefore ``bank``'s with the quotients as
-    its responses: bins, slots, layout and pairs are shared.
+    Requires every channel painless and full coverage.  S is then the
+    diagonal d on the DFT bins, so S^{-1} divides spectra by it (Balazs
+    et al. 2011): the dual is ``bank`` with its ``weight`` divided by d,
+    and analysis by ``bank`` followed by synthesis with the dual is the
+    identity.  It shares the plan and the channels of ``bank``; the
+    transforms apply the weight to the spectra they take and give.  Its
+    diagonal is 1 / d, so the dual of a dual has weight 1.
     """
     offenders = [ch.m for ch in bank.channels if not ch.painless]
     if offenders:
@@ -652,9 +617,8 @@ def painless_dual(bank: WarpedBank) -> WarpedBank:
             "the pointwise dual formula does not apply"
         )
     _require_coverage(bank, "the pointwise dual is undefined there")
-    plan = replace(bank.plan, response=bank.plan.response / bank.diagonal()[bank.plan.bins])
-    channels = _plan_views([replace(ch) for ch in bank.channels], plan)
-    return replace(bank, kind="dual", plan=plan, channels=channels)
+    weight = 1.0 if bank.weight is None else bank.weight
+    return replace(bank, kind="dual", weight=weight / bank.diagonal())
 
 
 def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",
@@ -682,8 +646,9 @@ def with_scaled_factors(bank: WarpedBank, scale: int) -> WarpedBank:
     divisor of L and capped at L), its kind worked out again (see
     ``build_bank``): past the painless bound a tight bank is no longer
     tight.  Diagnostics use this to probe degradation.  A dual bank's
-    responses are not sampled from its window, so rescaling one raises
-    InvalidParameter: scale its analysis bank and take the dual of that."""
+    atoms are weighted by its analysis bank's diagonal, which new hops
+    change, so rescaling one raises InvalidParameter: scale its analysis
+    bank and take the dual of that."""
     if bank.kind == "dual":
         raise InvalidParameter("cannot rescale the hops of a dual bank; "
                                "scale its analysis bank and take the dual of that")

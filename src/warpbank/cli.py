@@ -7,12 +7,12 @@ bank is tight or already a dual) and diagnose (frame report, optional
 hop-scaling sweep).
 
 Exit codes enumerate the distinct failure conditions so scripts can tell
-them apart: 2 invalid parameters (colliding output paths included),
-degenerate inputs or too little memory, 3 a design that leaves a bin
-uncovered, or a painless dual where the diagonal vanishes, 4 signal
-length mismatch, 5 coefficient container mismatch or corruption, 6
-painless-dual request on a non-painless bank.  Each error type carries
-its code (see errors).
+them apart: 2 invalid parameters (an output path naming an input or
+another output included), degenerate inputs or too little memory, 3 a
+design that leaves a bin uncovered, or a painless dual where the
+diagonal vanishes, 4 signal length mismatch, 5 coefficient container
+mismatch or corruption, 6 painless-dual request on a non-painless bank.
+Each error type carries its code (see errors).
 """
 
 from __future__ import annotations
@@ -117,16 +117,24 @@ def _read_input(path, built, pad: bool) -> transform.Signal:
     return sig
 
 
+def _check_outputs(inputs: dict, outputs: dict) -> None:
+    """Raise InvalidParameter when one of the named ``outputs`` is the same
+    file as one of the named ``inputs`` or as another output: writing it
+    would destroy what the command reads or writes.  Commands call this
+    before they read anything."""
+    claimed = {os.path.realpath(path): name for name, path in inputs.items()}
+    for name, path in outputs.items():
+        other = claimed.setdefault(os.path.realpath(path), name)
+        if other != name:
+            raise InvalidParameter(f"output paths collide: {name} {path} is also {other}")
+
+
 def cmd_analyze(args) -> int:
     outputs = {"--out": args.out}
     if args.spectrogram:
         csv_path = os.path.splitext(args.spectrogram)[0] + ".csv"
         outputs.update({"--spectrogram": args.spectrogram, "the row-center CSV": csv_path})
-    claimed = {}
-    for name, path in outputs.items():  # one output must not overwrite another
-        other = claimed.setdefault(os.path.realpath(path), name)
-        if other != name:
-            raise InvalidParameter(f"output paths collide: {name} {path} is also {other}")
+    _check_outputs({"--bank": args.bank, "--in": args.input}, outputs)
     built = specfile.load_bank_spec(args.bank)
     sig = _read_input(args.input, built, args.pad)
     coeffs = transform.analyze(sig, built)
@@ -142,6 +150,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    _check_outputs({"--bank": args.bank, "--coeffs": args.coeffs}, {"--out": args.out})
     built = specfile.load_bank_spec(args.bank)
     coeffs = transform.load_coefficients(args.coeffs, built)
     use_dual = built.kind not in ("tight", "dual") if args.dual is None else args.dual
@@ -156,6 +165,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    _check_outputs({"--bank": args.bank}, {"--report": args.report} if args.report else {})
     if args.sweep_a is not None:
         try:
             scales = [int(s) for s in args.sweep_a.split(",") if s.strip()]

@@ -33,6 +33,13 @@ the residuals on the self-conjugate DC and Nyquist bins, so that is one
 irfft and the result is real.  On the full line the rows at the Nyquist
 bin have no mirror, so the result stays complex.
 
+A painless dual (see bank) is its analysis bank with a ``weight`` on the
+DFT bins: analysis multiplies the input spectrum by it, synthesis the
+spread spectrum, the frame operator both.  An uneven weight breaks the
+conjugate symmetry of real input, so on the full line real input through
+a dual fills the full buffer.  A half-line weight is even bit for bit
+(bin and negation sum the same entries): there the rfft path stays.
+
 Coefficients serialize to the WFBC container: magic ``WFBC``, version and
 entry count as little-endian u32, then per entry a channel tag (i32), a
 coefficient count (u32) and the coefficients as little-endian f64
@@ -78,10 +85,12 @@ class Signal:
 class CoefficientSet:
     """Coefficients of one analysis by ``bank`` in the plan's flat buffer,
     row i's N at ``plan.coefs[i]``; a real-input analysis holds the direct
-    prefix only, and its mirror rows are implicit.  ``channels`` are views
-    of the buffer, and for implicit rows conjugate copies of their
-    partners.  ``residuals`` (DC / Nyquist on half-line grids) and the
-    half-line ``mirrors`` are views, the latter None when implicit."""
+    prefix only, and its mirror rows are implicit, except through a
+    full-line dual, whose real-input analysis holds the full buffer (see
+    ``analyze``).  ``channels`` are views of the buffer, and for implicit
+    rows conjugate copies of their partners.  ``residuals`` (DC / Nyquist
+    on half-line grids) and the half-line ``mirrors`` are views, the
+    latter None when implicit."""
 
     buffer: np.ndarray
     bank: WarpedBank = field(repr=False)
@@ -223,20 +232,25 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     """Coefficients of ``signal`` against every atom of ``bank``.
 
     Real input skips the mirror rows; their coefficients are conjugates of
-    their partners' by symmetry.
+    their partners' by symmetry.  Through a full-line dual, whose weight
+    breaks that symmetry, real input computes them too: the full buffer.
     """
     samples = _checked_samples(signal, bank)
-    length, plan = bank.grid.length, bank.plan
+    length, plan, weight = bank.grid.length, bank.plan, bank.weight
+    full = plan.direct_size + plan.paired_size
     if np.iscomplexobj(samples):
-        fhat, size = np.fft.fft(samples) / np.sqrt(length), plan.direct_size + plan.paired_size
+        fhat, size = np.fft.fft(samples) / np.sqrt(length), full
     elif bank.grid.domain is Domain.FULL_LINE:
         # the direct rows reach the negative bins: rfft / sqrt(L) and its
         # conjugate extension share one length-L spectrum
-        fhat, size, half = np.empty(length, dtype=complex), plan.direct_size, length // 2
+        fhat, half = np.empty(length, dtype=complex), length // 2
+        size = plan.direct_size if weight is None else full
         np.divide(np.fft.rfft(samples), np.sqrt(length), out=fhat[:half + 1])
         np.conjugate(fhat[half - 1:0:-1], out=fhat[half + 1:])
     else:
         fhat, size = np.fft.rfft(samples) / np.sqrt(length), plan.direct_size
+    if weight is not None:
+        fhat *= weight[:len(fhat)]
     flat = _fold(plan, fhat, plan.response, size)
     _row_ffts(flat, plan, inverse=True)
     return CoefficientSet(flat, bank)
@@ -295,6 +309,8 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     else:
         spec = _spread(plan, spectra, plan.response, length)
     del spectra  # free before the inverse FFT allocates
+    if bank.weight is not None:
+        spec *= bank.weight[:len(spec)]
     out = np.fft.irfft(spec, n=length) if half else np.fft.ifft(spec)
     out *= np.sqrt(length)
     # NaN and inf pass the FFTs and sums without a floating-point error
@@ -309,11 +325,17 @@ def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndar
     ``response`` (one entry per plan entry) in place of the sampled
     responses: ``_fold`` into a complex analysis's buffer, each slot scaled
     by its row's N, and ``_spread`` back.  Every row, residual and mirror
-    ones included, runs through the same scatter-adds, aliasing or not."""
-    plan = bank.plan
+    ones included, runs through the same scatter-adds, aliasing or not.
+    A weighted bank's weight multiplies ``fhat`` and the result."""
+    plan, weight = bank.plan, bank.weight
+    if weight is not None:
+        fhat = fhat * weight
     folded = _fold(plan, fhat, response, plan.direct_size + plan.paired_size)
     folded *= plan.slot_frames
-    return _spread(plan, folded, response, bank.grid.length)
+    out = _spread(plan, folded, response, bank.grid.length)
+    if weight is not None:
+        out *= weight
+    return out
 
 
 @_in_float_range

@@ -337,12 +337,17 @@ def test_painless_dual_identity():
     dual = painless_dual(bank)
     assert dual.kind == "dual"
     assert dual.fingerprint == bank.fingerprint
+    # sum_m N_m g_m conj(dual g_m) = 1 per bin, the dual's spectra being
+    # the sampled ones times its weight
     length = grid.length
     acc = np.zeros(length)
-    for ch, dch in zip(bank.channels, dual.channels):
+    for ch in bank.channels:
         idx = np.arange(ch.start_bin, ch.start_bin + len(ch.response)) % length
-        acc[idx] += (length / ch.a) * ch.response * dch.response
+        acc[idx] += (length / ch.a) * ch.response * ch.response * dual.weight[idx]
     np.testing.assert_allclose(acc, 1.0, atol=1e-12)
+    np.testing.assert_allclose(dual.diagonal() * bank.diagonal(), 1.0, rtol=0, atol=1e-15)
+    assert bank.weight is None
+    np.testing.assert_allclose(painless_dual(dual).weight, 1.0, rtol=0, atol=1e-15)
 
 
 def test_painless_dual_requires_painless():
@@ -481,7 +486,7 @@ def test_each_channel_views_its_sampled_response_in_the_plan(plan_test_banks):
     # each response is a view of plan.response holding
     # theta(F(bins) - m) sqrt(a_m / L) bit for bit: on tight, scaled and
     # explicit banks, on a painless bank that is not tight, and on the
-    # gapped bank whose pair filter drops pairs after sampling
+    # gapped bank, whose diagonal is not symmetric on its pairs' bins
     banks = []
     for args in (("log", {}, 2.0), ("sympow", {"l": 0.5}, 64.0), ("erblike", {}, 44100.0),
                  ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0)):
@@ -490,8 +495,6 @@ def test_each_channel_views_its_sampled_response_in_the_plan(plan_test_banks):
     grid = GridSpec(length=512, fs=44100.0, domain=w.domain)
     factors = {ch.m: ch.a for ch in design_tight(w, grid).channels if ch.m != -10}
     gapped = build_bank(w, HANN, grid, Explicit(factors))
-    tags = [ch.m for ch in gapped.channels]
-    assert gapped.plan.partner[tags.index(-8)] < 0 <= gapped.plan.partner[tags.index(-1)]
     edge = GridSpec(length=4096, fs=256.0, domain=Domain.FULL_LINE)
     banks += [gapped, build_bank(make_warping("signedpow", l=0.5), named_window("hamming", 3.0),
                                  edge, Painless())]
@@ -552,7 +555,7 @@ def test_with_scaled_factors():
         with_scaled_factors(bank, 0)
     with pytest.raises(InvalidParameter):
         with_scaled_factors(bank, 1.5)
-    # a dual's responses do not come from its window: scale the analysis bank
+    # a dual's weight comes from its analysis bank's hops: scale that bank
     with pytest.raises(InvalidParameter, match="dual"):
         with_scaled_factors(painless_dual(bank), 1)
 
@@ -596,29 +599,13 @@ def test_painless_dual_rows_view_its_plan(tmp_path, monkeypatch):
         bank = build_bank(w, hamming, grid, Painless())
         before = [ch.response.tobytes() for ch in bank.channels]
         dual = painless_dual(bank)
-        for ch in dual.channels:
-            assert np.shares_memory(ch.response, dual.plan.response)
-        # the dual shares its analysis bank's geometry and leaves its
-        # responses alone
-        for name in GEOMETRY:
-            assert getattr(dual.plan, name) is getattr(bank.plan, name)
+        # the dual shares its analysis bank's plan and channels, and leaves
+        # their responses alone; its weight is 1 / diagonal
+        assert dual.plan is bank.plan and dual.channels is bank.channels
         assert [ch.response.tobytes() for ch in bank.channels] == before
         assert all(np.shares_memory(ch.response, bank.plan.response) for ch in bank.channels)
-        # the dual divides the direct rows' entries, and its mirror rows
-        # reflect their partners' quotients; that is their own quotient to
-        # rounding, since the diagonal is symmetric on their bins
-        plan, diag = bank.plan, bank.diagonal()
-        want = plan.response / diag[plan.bins]
-        np.testing.assert_array_equal(dual.plan.partner, plan.partner)
-        assert dual.plan.response.tobytes() == want.tobytes()
-        for ch, dch, p in zip(bank.channels, dual.channels, plan.partner):
-            if p >= 0:
-                mate = dual.channels[p].response
-                assert dch.response.tobytes() == mate[::-1].tobytes()
-            bins = ch.start_bin + np.arange(len(ch.response))
-            np.testing.assert_allclose(dch.response, ch.response / diag[bins],
-                                       rtol=1e-15, atol=0)
-        assert (plan.partner >= 0).any()
+        assert dual.weight.tobytes() == (1.0 / bank.diagonal()).tobytes()
+        assert (bank.plan.partner >= 0).any()
         # a dual survives its spec file bit for bit, and one loaded from it
         # shares the geometry of the analysis bank the loader built
         save_bank_spec(dual, tmp_path / "dual.json")
@@ -628,11 +615,11 @@ def test_painless_dual_rows_view_its_plan(tmp_path, monkeypatch):
         loaded = load_bank_spec(tmp_path / "dual.json")
         monkeypatch.undo()
         assert loaded.kind == "dual" and loaded.fingerprint == dual.fingerprint
-        assert loaded.plan.response.tobytes() == want.tobytes()
+        assert loaded.weight.tobytes() == dual.weight.tobytes()
         for ch, dch in zip(loaded.channels, dual.channels):
             assert ch.response.tobytes() == dch.response.tobytes()
-        for name in GEOMETRY:
-            assert getattr(loaded.plan, name) is getattr(analysis[0].plan, name)
+        assert loaded.plan is analysis[0].plan
+        for name in GEOMETRY + ("response",):
             np.testing.assert_array_equal(getattr(loaded.plan, name), getattr(bank.plan, name))
 
 

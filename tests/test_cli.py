@@ -529,6 +529,35 @@ def test_analyze_refuses_colliding_output_paths(tmp_path, capsys, out, spectrogr
     assert re.fullmatch(f"error: output paths collide: {clash}\n", err)
 
 
+@pytest.mark.parametrize("argv,clash", [
+    (["analyze", "--bank", "bank.json", "--in", "in.csv", "--out", "sub/../bank.json"],
+     r"--out \S+bank\.json is also --bank"),
+    (["analyze", "--bank", "bank.json", "--in", "in.csv", "--out", "c.wfbc",
+      "--spectrogram", "in.pgm"], r"the row-center CSV \S+in\.csv is also --in"),
+    (["synthesize", "--bank", "bank.json", "--coeffs", "c.wfbc", "--out", "c.wfbc"],
+     r"--out \S+c\.wfbc is also --coeffs"),
+    (["synthesize", "--bank", "bank.json", "--coeffs", "c.wfbc", "--out", "bank.json"],
+     r"--out \S+bank\.json is also --bank"),
+    (["diagnose", "--bank", "bank.json", "--report", "bank.json"],
+     r"--report \S+bank\.json is also --bank"),
+], ids=["analyze-out-is-bank", "analyze-csv-is-in", "synthesize-out-is-coeffs",
+        "synthesize-out-is-bank", "diagnose-report-is-bank"])
+def test_outputs_never_overwrite_inputs(tmp_path, capsys, argv, clash):
+    # each command exits 2 before it reads anything, every file untouched
+    design_bank(tmp_path, length=256, fs=8000.0)
+    write_raw(tmp_path / "in.csv", Signal(samples=np.ones(256), fs=8000.0))
+    assert run(["analyze", "--bank", tmp_path / "bank.json", "--in", tmp_path / "in.csv",
+                "--out", tmp_path / "c.wfbc"]) == 0
+    (tmp_path / "sub").mkdir()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert run([arg if arg.startswith("-") or arg == argv[0] else tmp_path / arg
+                for arg in argv]) == 2
+    after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert after == before
+    assert re.fullmatch(f"error: output paths collide: {clash}\n", capsys.readouterr().err)
+
+
 def reference_spectrogram(coeffs, bank):
     """Resample every row onto the longest raster first, then take dB and
     levels of the whole image."""

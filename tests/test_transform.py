@@ -10,7 +10,6 @@ from warpbank import (CoefficientSet, Domain, Explicit, FingerprintMismatch,
                       load_bank_spec, load_coefficients, make_warping, named_window,
                       painless_dual, save_coefficients, synthesize, with_scaled_factors)
 from warpbank import bank as bank_mod
-from warpbank.bank import MIRROR_DIAGONAL_RTOL
 
 HANN = named_window("hann", 3.0)
 
@@ -676,8 +675,36 @@ def reflected_pairs(bank):
     return pairs
 
 
-def layout(plan):
-    return [(n, block) for n, block, _ in plan.groups], plan.paired
+def count_plans(monkeypatch):
+    """The plans ``_build_plan`` returns from here on, in call order."""
+    plans, build_plan = [], bank_mod._build_plan
+
+    def counted(*args):
+        plans.append(build_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(bank_mod, "_build_plan", counted)
+    return plans
+
+
+def assert_pairs_and_dual(bank, rng):
+    """``bank`` pairs every reflected channel pair, and a painless one's
+    dual, its weight 1 / diagonal on the shared plan, inverts ``analyze``
+    on real and complex input."""
+    pairs = reflected_pairs(bank)
+    np.testing.assert_array_equal(bank.plan.partner,
+                                  [pairs.get(i, -1) for i in range(len(bank.channels))])
+    if not bank.painless:
+        return
+    dual = painless_dual(bank)
+    assert dual.plan is bank.plan and dual.channels is bank.channels
+    np.testing.assert_allclose(dual.weight * bank.diagonal(), 1.0, rtol=0, atol=2e-16)
+    length = bank.grid.length
+    for x in (rng.standard_normal(length), random_signal(length, rng)):
+        rec = synthesize(analyze(x, bank), dual).samples
+        assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
+        rec = synthesize(analyze(x, dual), bank).samples
+        assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
 
 
 PAIR_WINDOWS = [("hann", 3.0), ("hamming", 3.0), ("blackman", 5.0), ("boxcar", 3.0)]
@@ -685,9 +712,10 @@ PAIR_WINDOWS = [("hann", 3.0), ("hamming", 3.0), ("blackman", 5.0), ("boxcar", 3
 
 @pytest.mark.parametrize("window,stretch", PAIR_WINDOWS)
 @pytest.mark.parametrize("family,kw", [("erblike", {}), ("signedpow", {"l": 0.5})])
-def test_full_line_mirror_pairs(family, kw, window, stretch):
+def test_full_line_mirror_pairs(family, kw, window, stretch, monkeypatch):
     rng = np.random.default_rng(23)
     w = make_warping(family, **kw)
+    plans = count_plans(monkeypatch)
     for length in (360, 500, 512, 4096):
         grid = GridSpec(length=length, fs=44100.0, domain=w.domain)
         tight = design_tight(w, grid, window, stretch)
@@ -695,20 +723,15 @@ def test_full_line_mirror_pairs(family, kw, window, stretch):
         banks = [tight, painless, with_scaled_factors(tight, 2)]
         if window == "hann":
             banks.append(build_bank(w, named_window("bspline3", 3.0), grid, Natural()))
+        assert [id(plan) for plan in plans[-len(banks):]] == [id(b.plan) for b in banks]
         for bank in banks:
-            plan, n = bank.plan, len(bank.channels)
-            pairs = reflected_pairs(bank)
-            assert pairs
-            want = [pairs.get(i, -1) for i in range(n)]
-            np.testing.assert_array_equal(plan.partner, want)
+            plan = bank.plan
+            assert_pairs_and_dual(bank, rng)
+            assert (plan.partner >= 0).any()
             # the rows at the Nyquist bin have no mirror and stay direct
             for i, ch in enumerate(bank.channels):
                 if ch.start_bin + len(ch.response) > length // 2:
-                    assert plan.partner[i] < 0 and i not in pairs.values()
-            if bank.painless:
-                dual = painless_dual(bank)
-                np.testing.assert_array_equal(dual.plan.partner, plan.partner)
-                assert layout(dual.plan) == layout(plan)
+                    assert plan.partner[i] < 0 and i not in plan.partner
             # real input: the direct rows only, equal to the complex analysis
             x = rng.standard_normal(length)
             real, cplx = analyze(x, bank), analyze(x.astype(complex), bank)
@@ -786,14 +809,8 @@ def test_edge_aligned_grids_pair_where_theta_vanishes_there(window, stretch):
         assert any(on_edge) and not (plan.partner >= 0).any()
         return
     assert not any(on_edge)
-    pairs = reflected_pairs(bank)
-    assert len(pairs) >= 7
-    np.testing.assert_array_equal(plan.partner, [pairs.get(i, -1) for i in range(n)])
-    dual = painless_dual(bank)
-    rng = np.random.default_rng(25)
-    for x in (rng.standard_normal(4096), random_signal(4096, rng)):
-        rec = synthesize(analyze(x, bank), dual).samples
-        assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
+    assert len(reflected_pairs(bank)) >= 7
+    assert_pairs_and_dual(bank, np.random.default_rng(25))
 
 
 def test_edge_aligned_spec_bank_pairs():
@@ -811,94 +828,93 @@ def test_half_line_plans_pair_only_the_mirror_branches(family, kw):
         for bank in (tight, with_scaled_factors(tight, 2), painless_dual(tight)):
             plan, n = bank.plan, len(bank.channels)
             np.testing.assert_array_equal(plan.partner, [-1] * (n + 2) + list(range(n)))
+            assert bank.kind != "dual" or plan is tight.plan
             # channels, then the residuals, then the mirror branches
             sizes = [block.stop - block.start for _, block, _ in plan.groups]
             assert sum(sizes[:plan.paired]) == plan.frames[:n].sum()
             assert sizes[plan.paired:] == [2]
 
 
-def kept_pairs_reference(bank, pairs):
-    """The pair filter written out: N r^2 of every channel outside
-    ``pairs`` added at its signed bins one by one, then each pair kept when
-    that weight at every bin of its channel m and at the negated bin
-    differ by at most MIRROR_DIAGONAL_RTOL of the larger."""
-    length = bank.grid.length
-    weight = [0.0] * length
-    paired = set(pairs) | set(pairs.values())
-    for i, ch in enumerate(bank.channels):
-        if i not in paired:
-            for j, r in enumerate(ch.response.tolist()):
-                weight[(ch.start_bin + j) % length] += r ** 2 * ch.n_frames
-    kept = {}
-    for j, k in pairs.items():
-        ch = bank.channels[k]
-        if all(abs(weight[b % length] - weight[-b % length])
-               <= MIRROR_DIAGONAL_RTOL * max(weight[b % length], weight[-b % length])
-               for b in range(ch.start_bin, ch.start_bin + len(ch.response))):
-            kept[j] = k
-    return kept
-
-
-def test_mirror_pairs_need_a_symmetric_diagonal(plan_test_banks, monkeypatch):
-    # without channel -10 the diagonal is not symmetric on the bins of
-    # channels 8..12, so a dual that reflected their quotients would not
-    # invert the analysis; those pairs stay unpaired, and the plan is laid
-    # out once, with the pairs that stay
+def gapped_erb(length=512):
+    """The ERB tight design at fs = 44.1 kHz without channel -10: painless
+    and not tight, its diagonal not symmetric on the bins of the pairs
+    around channel 10."""
     w = make_warping("erblike")
-    grid = GridSpec(length=512, fs=44100.0, domain=w.domain)
+    grid = GridSpec(length=length, fs=44100.0, domain=w.domain)
     factors = {ch.m: ch.a for ch in design_tight(w, grid).channels if ch.m != -10}
-    plans, build_plan = [], bank_mod._build_plan
+    return build_bank(w, HANN, grid, Explicit(factors))
 
-    def counted(*args):
-        plans.append(build_plan(*args))
-        return plans[-1]
 
-    monkeypatch.setattr(bank_mod, "_build_plan", counted)
-    bank = build_bank(w, HANN, grid, Explicit(factors))
-    assert len(plans) == 1 and plans[0] is bank.plan
-    tags = [ch.m for ch in bank.channels]
-    pairs = reflected_pairs(bank)
-    kept = {tags[j] for j in pairs if bank.plan.partner[j] >= 0}
-    assert {-8, -9, -11, -12} & {tags[j] for j in pairs} and not {-8, -9, -11, -12} & kept
-    assert {-1, -2, -40} <= kept
-    dual = painless_dual(bank)
-    rng = np.random.default_rng(24)
-    for x in (rng.standard_normal(512), random_signal(512, rng)):
-        rec = synthesize(analyze(x, bank), dual).samples
-        assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
-    # painless banks that are not tight keep exactly the pairs the
-    # written-out reference keeps; the others, which no painless dual
-    # divides by a diagonal other than 1, keep every reflected pair
+def test_every_reflected_pair_is_a_mirror_pair(monkeypatch):
+    # the dual divides spectra, not entries, so a diagonal that is not
+    # symmetric on a pair's bins leaves the pair standing: the gapped ERB
+    # bank pairs channels 8..12 too, from one plan; as does the Hamming
+    # bank whose probes on the closed support edge leave it no pairs, and
+    # the hop-doubled gapped bank, which is not painless
+    plans = count_plans(monkeypatch)
+    gapped = gapped_erb()  # plans[0] is the tight design it takes its hops from
     edge = GridSpec(length=4096, fs=256.0, domain=Domain.FULL_LINE)
-    banks = [bank, build_bank(make_warping("signedpow", l=0.5), named_window("hamming", 3.0),
-                              edge, Painless()), gapped_doubled_erb()]
-    banks += [plan_test_banks(*args)["doubled"] for args in (
-        ("erblike", {}, 44100.0), ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0))]
-    assert len(reflected_pairs(banks[2])) == 24
-    for bank in banks:
-        pairs = reflected_pairs(bank)
-        if bank.painless and bank.kind != "tight":
-            pairs = kept_pairs_reference(bank, pairs)
-        want = [-1] * len(bank.channels)
-        for j, k in pairs.items():
-            want[j] = k
-        np.testing.assert_array_equal(bank.plan.partner, want)
+    hamming = build_bank(make_warping("signedpow", l=0.5), named_window("hamming", 3.0),
+                         edge, Painless())
+    assert [id(plan) for plan in plans[1:]] == [id(gapped.plan), id(hamming.plan)]
+    diag = gapped.diagonal()
+    assert not np.array_equal(diag[1:], diag[:0:-1])
+    tags = [ch.m for ch in gapped.channels]
+    paired = {tags[j] for j in np.flatnonzero(gapped.plan.partner >= 0)}
+    assert {-1, -2, -8, -9, -11, -12, -40} <= paired
+    assert not (hamming.plan.partner >= 0).any()
+    rng = np.random.default_rng(24)
+    for bank in (gapped, hamming):
+        assert bank.painless and bank.kind == "analysis"
+        assert_pairs_and_dual(bank, rng)
+    doubled = gapped_doubled_erb()
+    assert not doubled.painless and len(reflected_pairs(doubled)) == 24
+    assert_pairs_and_dual(doubled, rng)
 
 
-def test_only_painless_banks_that_are_not_tight_weigh_their_pairs(monkeypatch):
-    # a tight bank's diagonal is 1, and a non-painless bank has no painless
-    # dual, so neither weighs its pairs: each keeps every reflected pair
-    def broken(*args):
-        raise AssertionError("mirror pairs weighed")
+def log_bank_128():
+    w = make_warping("log")
+    return build_bank(w, HANN, GridSpec(length=128, fs=2.0, domain=w.domain), Painless())
 
-    monkeypatch.setattr(bank_mod, "_mirror_partners", broken)
-    w = make_warping("erblike")
-    tight = design_tight(w, GridSpec(length=4096, fs=44100.0, domain=w.domain))
-    banks = [tight, with_scaled_factors(tight, 2)]
-    banks += [load_bank_spec(Path(__file__).parent.parent / "banks" / name)
-              for name in ("erblet_r3.json", "sqrtpow_r3.json")]
-    for bank in banks:
-        pairs = reflected_pairs(bank)
-        assert pairs
-        np.testing.assert_array_equal(bank.plan.partner,
-                                      [pairs.get(i, -1) for i in range(len(bank.channels))])
+
+@pytest.mark.parametrize("make", [lambda: gapped_erb(128), log_bank_128])
+def test_dual_matches_the_inverse_frame_operator(make, dense_atoms):
+    # the dual's atoms are S^{-1} g for the dense frame operator S of the
+    # analysis atoms g: its analysis, synthesis and frame operator agree
+    # with those built from them, on real and complex input
+    bank = make()
+    dual = painless_dual(bank)
+    length = bank.grid.length
+    diag = bank.diagonal()
+    assert bank.painless and bank.kind == "analysis"
+    assert (bank.grid.domain is Domain.POSITIVE_HALF_LINE
+            or not np.array_equal(diag[1:], diag[:0:-1]))
+    atoms = dense_atoms(bank)
+    gram = atoms.T @ atoms.conj()
+    duals = np.linalg.solve(gram, atoms.T).T
+    rng = np.random.default_rng(26)
+    for x in (rng.standard_normal(length), random_signal(length, rng)):
+        tol = 1e-12 * np.linalg.norm(x)
+        want = duals.conj() @ x
+        coeffs = analyze(x, dual)
+        if coeffs.half_line and len(coeffs.buffer) == dual.plan.direct_size:
+            n_direct = sum(len(c) for c in coeffs.channels)
+            got = np.concatenate(list(coeffs.channels) + list(coeffs.residuals))
+            want = np.concatenate([want[:n_direct], want[len(want) - 2:]])
+        else:
+            got = flat_coefficients(coeffs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        np.testing.assert_allclose(apply_frame_operator(x, dual).samples,
+                                   np.linalg.solve(gram, x), rtol=0, atol=tol)
+        # synthesis from coefficients written in atom order through the rows
+        coeffs = analyze(x.astype(complex), dual)
+        c = random_signal(len(coeffs.buffer), rng)
+        start = 0
+        for row in list(coeffs.channels) + list(coeffs.mirrors or ()) + list(coeffs.residuals):
+            row[:] = c[start:start + len(row)]
+            start += len(row)
+        np.testing.assert_allclose(synthesize(coeffs, dual).samples, duals.T @ c,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(c))
+        # the dual of the dual is the analysis bank again
+        rec = synthesize(analyze(x, dual), painless_dual(dual)).samples
+        assert np.linalg.norm(rec - x) <= 1e-12 * np.linalg.norm(x)
