@@ -45,13 +45,13 @@ L, so a bank has few distinct N), paired rows first, with the N of every
 row in ``plan.frames`` and, for every entry, its slot in one flat
 coefficient buffer.  The mirror rows' coefficients follow the direct
 prefix in a copy of the paired rows' layout, so real input needs only
-that prefix.  The layout comes first, from each row's N, first bin,
-entry count and reflected partner (``_lay_out``); the window then writes
-each direct row straight into its slice of the plan's one response
-array.  Each channel's response is a view of it, which every consumer
-reads.  The painless dual shares the plan and the channels: it is the
-analysis bank with a ``weight`` on the DFT bins, S^{-1} as a division of
-spectra (see ``painless_dual``).
+that prefix.  The plan is built whole before any row is sampled, from
+each row's N, first bin, entry count and reflected partner
+(``_build_plan``); the window then writes each direct row straight into
+its slice of the plan's one response array.  Each channel's response is
+a view of it, which every consumer reads.  The painless dual shares the
+plan and the channels: it is the analysis bank with a ``weight`` on the
+DFT bins, S^{-1} as a division of spectra (see ``painless_dual``).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -161,13 +161,13 @@ class BankPlan:
     then the residuals (N = 1, response 1 at their bin), then on half-line
     grids a mirror branch per channel; on the full line the mirror rows
     are the channels -m that reflect a channel m (see ``_reflections``),
-    all of them.  Its layout is fixed before any row is sampled (see
-    ``_lay_out``), and the window writes each direct row into ``response``
-    in place; a painless dual shares the plan, sampled responses and all.
-    ``frames[i]`` is row i's coefficient count N and ``partner[i]`` the
-    row that row i mirrors, or -1 for a direct row.  ``bins`` (0..L-1),
-    ``response`` and ``slots`` run group after group, one entry per sampled
-    bin of a direct row; row i's response starts at
+    all of them.  It is built before any row is sampled (see
+    ``_build_plan``), and the window writes each direct row into
+    ``response`` in place; a painless dual shares the plan, sampled
+    responses and all.  ``frames[i]`` is row i's coefficient count N and
+    ``partner[i]`` the row that row i mirrors, or -1 for a direct row.
+    ``bins`` (0..L-1), ``response`` and ``slots`` run group after group,
+    one entry per sampled bin of a direct row; row i's response starts at
     ``response[offsets[i]]``, a mirror row's at its partner's.  All
     coefficients live in one flat buffer, row i's N of them at
     ``coefs[i]``, and an entry folds onto the slot ``slots`` = its row's
@@ -205,11 +205,11 @@ class BankPlan:
 @dataclass
 class WarpedBank:
     """A warped filter bank: its channels and residuals, and the ``plan``
-    that ``build_bank`` built from them.  Every channel's response is a
-    view of ``plan.response`` (see ``_plan_views``).  ``weight`` is None
-    for a sampled bank; a dual's atoms are the sampled ones with their
-    spectra multiplied by ``weight``, one factor per DFT bin (see
-    ``painless_dual``)."""
+    that ``build_bank`` built for them.  Every channel's response is a
+    view of ``plan.response``: its row's slice, a mirror channel's its
+    partner's reversed.  ``weight`` is None for a sampled bank; a dual's
+    atoms are the sampled ones with their spectra multiplied by
+    ``weight``, one factor per DFT bin (see ``painless_dual``)."""
 
     warping: WarpingFunction
     window: object
@@ -364,29 +364,17 @@ def _reflections(ms, factors, warped, starts, stops, support) -> dict[int, int]:
     return pairs
 
 
-class _Layout(NamedTuple):
-    """Where a plan's rows go, fixed from their N and entry counts before
-    any row is sampled (see ``_lay_out``)."""
-
-    frames: np.ndarray  # N of every row
-    partner: np.ndarray  # the row each row mirrors, or -1
-    key: list[tuple[bool, int]]  # (unpaired?, N) of each channel and residual
-    order: list[int]  # the direct rows in plan order
-    sizes: np.ndarray  # their entry counts, in that order
-    starts: np.ndarray  # and their first entries
-    offsets: np.ndarray  # first entry of every row, a mirror row's its partner's
-    coefs: np.ndarray  # first slot of every row
-
-
-def _lay_out(frames: list[int], sizes: list[int], branches: int,
-             pairs: dict[int, int]) -> _Layout:
-    """The layout of a plan whose channels, then residuals, have N
-    ``frames`` and ``sizes`` entries, followed by ``branches`` half-line
-    mirror branches, one of each of the first channels.  The full-line
-    ``pairs`` {j: k} make channel j the mirror row of channel k.  The
-    direct rows' entries and coefficient blocks run grouped by (paired?,
-    N), paired groups first and rows in order within a group; the mirror
-    rows' blocks follow as a copy of the paired rows' layout."""
+def _build_plan(first_bins: list[int], frames: list[int], sizes: list[int], branches: int,
+                pairs: dict[int, int], length: int) -> BankPlan:
+    """The plan of a bank whose channels, then residuals, have signed
+    ``first_bins``, N ``frames`` and ``sizes`` entries, followed by
+    ``branches`` half-line mirror branches, one of each of the first
+    channels; the full-line ``pairs`` {j: k} make channel j the mirror row
+    of channel k.  The direct rows' entries and coefficient blocks run
+    grouped by (paired?, N), paired groups first and rows in order within
+    a group; the mirror rows' blocks follow as a copy of the paired rows'
+    layout.  Every entry gets its bin and its slot, written row by row;
+    ``response`` is left empty for ``build_bank`` to sample into."""
     table = len(frames)
     partner = np.full(table + branches, -1, dtype=np.int64)
     partner[table:] = np.arange(branches)
@@ -396,65 +384,46 @@ def _lay_out(frames: list[int], sizes: list[int], branches: int,
     key = [(i not in partners, n) for i, n in enumerate(frames)]
     frames = np.array(frames + frames[:branches], dtype=np.int64)
     order = sorted((i for i in range(table) if mates[i] < 0), key=key.__getitem__)
-    counts = np.array([sizes[i] for i in order], dtype=np.intp)
-    starts = np.cumsum(counts) - counts
+    sizes = np.array([sizes[i] for i in order], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
     n_sorted = frames[order]
     blocks = np.cumsum(n_sorted) - n_sorted
     offsets, coefs = np.zeros(len(frames), dtype=np.intp), np.zeros_like(frames)
     offsets[order], coefs[order] = starts, blocks
     source = np.where(partner >= 0, partner, np.arange(len(frames)))
-    return _Layout(frames, partner, key, order, counts, starts, offsets[source],
-                   coefs[source] + (partner >= 0) * n_sorted.sum())
-
-
-def _build_plan(channels: list[Channel], residuals: list[ResidualChannel], grid: GridSpec,
-                layout: _Layout, response: np.ndarray) -> BankPlan:
-    """The plan of ``channels`` and ``residuals`` in ``layout`` (see
-    ``_lay_out``), whose direct rows ``build_bank`` sampled into
-    ``response``: the plan adopts both, and every entry gets its bin and
-    its slot, written row by row."""
-    order, key, sizes, starts = layout.order, layout.key, layout.sizes, layout.starts
+    offsets, coefs = offsets[source], coefs[source] + (partner >= 0) * n_sorted.sum()
     # row by row into the two entry arrays, with no entry-long temporary:
     # each entry's bin, its row's first bin plus its position, mod L
     # (signed bins lie in -L/2..L/2, so only a row's leading negative ones
     # move), and its slot, its row's first slot plus bin % N
-    table = [ch.start_bin for ch in channels] + [res.bin_index for res in residuals]
-    frames, coefs = layout.frames.tolist(), layout.coefs.tolist()
-    bins = np.empty(len(response), dtype=np.intp)
-    slots = np.empty(len(response), dtype=np.int64)
+    total = int(sizes.sum())
+    bins = np.empty(total, dtype=np.intp)
+    slots = np.empty(total, dtype=np.int64)
     ramp = np.arange(int(sizes.max(initial=0)))
+    row_frames, row_coefs = frames.tolist(), coefs.tolist()
     for i, start, size in zip(order, starts.tolist(), sizes.tolist()):
-        row, slot, first = bins[start:start + size], slots[start:start + size], table[i]
+        row, slot, first = bins[start:start + size], slots[start:start + size], first_bins[i]
         np.add(ramp[:size], first, out=row)
         if first < 0:
-            row[:-first] += grid.length
-        n = frames[i]
+            row[:-first] += length
+        n = row_frames[i]
         if n & (n - 1):
             np.remainder(row, n, out=slot)
         else:  # N a power of two, as every divisor of a power-of-two L is
             np.bitwise_and(row, n - 1, out=slot)
-        slot += coefs[i]
+        slot += row_coefs[i]
     groups, paired, lo = [], 0, 0
     for (unpaired, n), rows in groupby(order, key=key.__getitem__):
         hi = lo + len(list(rows))
-        block = slice(coefs[order[lo]], coefs[order[lo]] + (hi - lo) * n)
+        block = slice(row_coefs[order[lo]], row_coefs[order[lo]] + (hi - lo) * n)
         span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
         groups.append((n, block, span))
         paired += not unpaired
         lo = hi
     ends = [(0, 0)] + [(span.stop, block.stop) for _, block, span in groups]
     (paired_entries, paired_size), direct_size = ends[paired], ends[-1][1]
-    return BankPlan(groups, bins, response, slots, layout.offsets, layout.coefs, layout.frames,
-                    layout.partner, paired, paired_entries, paired_size, direct_size)
-
-
-def _plan_views(channels: list[Channel], plan: BankPlan) -> list[Channel]:
-    """``channels``, each response pointed at its row's slice of
-    ``plan.response``, a mirror channel's at its partner's reversed."""
-    for ch, start, mate in zip(channels, plan.offsets.tolist(), plan.partner.tolist()):
-        view = plan.response[start:start + len(ch.response)]
-        ch.response = view[::-1] if mate >= 0 else view
-    return channels
+    return BankPlan(groups, bins, np.empty(total), slots, offsets, coefs, frames, partner,
+                    paired, paired_entries, paired_size, direct_size)
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:
@@ -553,23 +522,27 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> Warp
     pairs = {} if half else _reflections(ms, factors, warped, starts, stops, window.support)
     frames = [grid.length // factors[m] for m in ms]
     residuals = [ResidualChannel(0), ResidualChannel(grid.length // 2)] if half else []
-    layout = _lay_out(frames + [1] * len(residuals), (stops - starts).tolist()
-                      + [1] * len(residuals), len(ms) if half else 0, pairs)
+    first_bins, ones = (lo_bin + starts).tolist(), [1] * len(residuals)
+    plan = _build_plan(first_bins + [res.bin_index for res in residuals],
+                       frames + ones, (stops - starts).tolist() + ones,
+                       len(ms) if half else 0, pairs, grid.length)
     # each direct row is sampled straight into its slice of the plan's
-    # entries: the probe F - m first, then the window over it in place
-    response = np.empty(int(layout.sizes.sum()))
-    response[layout.offsets[len(ms):len(ms) + len(residuals)]] = 1.0
-    rows = [None] * len(ms)
+    # entries: the probe F - m first, then the window over it in place; a
+    # mirror channel's response is its partner's slice reversed
+    response = plan.response
+    response[plan.offsets[len(ms):len(ms) + len(residuals)]] = 1.0
+    rows = []
     for k, (m, j0, j1, start) in enumerate(zip(ms, starts.tolist(), stops.tolist(),
-                                               layout.offsets.tolist())):
-        if k not in pairs:
-            row = rows[k] = response[start:start + j1 - j0]
+                                               plan.offsets.tolist())):
+        row = response[start:start + j1 - j0]
+        if k in pairs:
+            row = row[::-1]
+        else:
             window(np.subtract(warped[j0:j1], m, out=row), out=row)
             row *= np.sqrt(factors[m] / grid.length)
-    for j, k in pairs.items():
-        rows[j] = rows[k][::-1]
+        rows.append(row)
     channels = []
-    for m, center, j0, n_frames, row in zip(ms, centers, starts, frames, rows):
+    for m, center, first, n_frames, row in zip(ms, centers, first_bins, frames, rows):
         # painless iff no two nonzero response bins alias to the same
         # coefficient slot, i.e. the nonzero span stays below N_m; the
         # span is the whole response unless an end entry is 0
@@ -579,16 +552,15 @@ def build_bank(warping: WarpingFunction, window, grid: GridSpec, policy) -> Warp
             span = int(nz[-1] - nz[0]) if len(nz) else 0
         channels.append(Channel(
             m=m, center_hz=float(center), a=factors[m], n_frames=n_frames,
-            start_bin=lo_bin + int(j0), response=row, painless=span < n_frames,
+            start_bin=first, response=row, painless=span < n_frames,
         ))
     tight = _is_tight(warped, window, indices, channels)
-    plan = _build_plan(channels, residuals, grid, layout, response)
     bank = WarpedBank(
         warping=warping,
         window=window,
         grid=grid,
         kind="tight" if tight else "analysis",
-        channels=_plan_views(channels, plan),
+        channels=channels,
         residuals=residuals,
         policy_record=policy_record,
         fingerprint=_geometry_fingerprint(warping, window, grid, factors),

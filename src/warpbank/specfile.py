@@ -30,12 +30,10 @@ KINDS = ("analysis", "tight", "dual")
 
 def bank_spec_record(bank: WarpedBank) -> dict:
     """The JSON-ready dict for a bank."""
-    warp = dict(bank.warping.params)
-    warp["C"] = bank.warping.moderate_constant
     return {
         "format_version": FORMAT_VERSION,
         "kind": bank.kind,
-        "warping": warp,
+        "warping": dict(bank.warping.params),
         "prototype": dict(bank.window.record),
         "grid": {
             "L": bank.grid.length,
@@ -56,9 +54,11 @@ def bank_spec_record(bank: WarpedBank) -> dict:
 
 
 def save_bank_spec(bank: WarpedBank, path) -> None:
+    """Write ``bank``'s spec to ``path``; the record is built before the
+    file is opened, so a save that fails leaves no file."""
+    text = json.dumps(bank_spec_record(bank), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(bank_spec_record(bank), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _field(record, name: str):

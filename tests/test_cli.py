@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (InvalidParameter, Signal, analyze, cli, errors, load_bank_spec,
-                      load_coefficients, painless_dual, save_bank_spec,
-                      with_scaled_factors)
+from warpbank import (GridSpec, InvalidParameter, Signal, analyze, cli, design_tight, errors,
+                      load_bank_spec, load_coefficients, make_warping, painless_dual,
+                      save_bank_spec, specfile, with_scaled_factors)
 from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_raw, read_wav,
                                 render_spectrogram, write_raw, write_wav)
 
@@ -57,6 +57,37 @@ def test_checked_in_banks_regenerate_byte_identically(spec, tmp_path):
     copy = tmp_path / "copy.json"
     save_bank_spec(bank, copy)
     assert copy.read_bytes() == Path(spec).read_bytes()
+
+
+def test_spec_of_a_map_without_a_moderateness_constant_saves(tmp_path):
+    """A tight design never uses C, and no spec records it, so a sympow
+    map with no C up to 1024 still designs to a file."""
+    out = design_bank(tmp_path, warp="sympow", params="c=0.1,l=0.25", fs=8.0)
+    warping = make_warping("sympow", c=0.1, l=0.25)
+    bank = design_tight(warping, GridSpec(length=512, fs=8.0, domain=warping.domain))
+    assert load_bank_spec(out).fingerprint == bank.fingerprint
+
+
+def test_failed_spec_save_leaves_no_file(tmp_path, monkeypatch):
+    def refuse(bank):
+        raise InvalidParameter("no record")
+
+    bank, path = load_bank_spec(BANKS[0]), tmp_path / "x.json"
+    monkeypatch.setattr(specfile, "bank_spec_record", refuse)
+    with pytest.raises(InvalidParameter):
+        save_bank_spec(bank, path)
+    assert not path.exists()
+
+
+def test_spec_that_records_a_moderateness_constant_loads_alike(tmp_path):
+    """Older specs wrote C into their warping; loading ignores it."""
+    record = json.loads(BANKS[0].read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(dict(record, warping=dict(record["warping"], C=4.0))))
+    bank, plain = load_bank_spec(old), load_bank_spec(BANKS[0])
+    assert bank.fingerprint == plain.fingerprint
+    for name in ("bins", "response", "slots", "offsets", "coefs", "frames", "partner"):
+        assert getattr(bank.plan, name).tobytes() == getattr(plain.plan, name).tobytes()
 
 
 def test_wav_round_trip(tmp_path):
