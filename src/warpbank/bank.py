@@ -107,7 +107,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Natural:
-    """a_m = a_tilde / (C v(m)); a_tilde defaults to the m = 0 painless bound."""
+    """a_m = a_tilde / v(m); a_tilde defaults to the m = 0 painless bound."""
 
     a_tilde: float | None = None
 
@@ -250,11 +250,12 @@ class WarpedBank:
 # factor computations
 
 def natural_factors(warping: WarpingFunction, a_tilde: float, m_range) -> np.ndarray:
-    """a_m = a_tilde / (C v(m)) for m over the given range (seconds)."""
+    """a_m = a_tilde / v(m) for m over the given range (seconds); with the
+    m = 0 painless bound for a_tilde, each a_m is painless (see warping)."""
     if not np.isfinite(a_tilde) or a_tilde <= 0:
         raise InvalidParameter(f"a_tilde must be positive, got {a_tilde}")
     m = np.asarray(m_range, dtype=float)
-    return a_tilde / (warping.moderate_constant * warping.aux_weight(m))
+    return a_tilde / warping.aux_weight(m)
 
 
 def painless_factors(warping: WarpingFunction, support: tuple[float, float], m_range) -> np.ndarray:

@@ -212,9 +212,11 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     levels /= -SPECTROGRAM_FLOOR_DB
     levels *= 255.0
     levels = np.round(levels, out=levels).astype(np.uint8)
-    sources, starts = coeffs.sources, plan.coefs.tolist()
+    starts, stored = plan.coefs.tolist(), len(coeffs.buffer)
     for row, i in enumerate(order):
-        start, n = starts[sources[i]], bank.channels[i].n_frames
+        start, n = starts[i], bank.channels[i].n_frames
+        if start >= stored:  # implicit: its partner's, as in CoefficientSet.row
+            start -= plan.direct_size
         if n_cols % n:
             image[row] = levels[start + (np.arange(n_cols) * n) // n_cols]
         else:

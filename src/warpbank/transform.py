@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, partial, wraps
+from functools import partial, wraps
 
 import numpy as np
 
@@ -99,22 +99,17 @@ class CoefficientSet:
     def half_line(self) -> bool:
         return self.bank.grid.domain is Domain.POSITIVE_HALF_LINE
 
-    @cached_property
-    def sources(self) -> tuple:
-        """For every plan row, the row whose coefficients the buffer holds
-        for it: the row itself, or for an implicit mirror row its partner,
-        whose conjugates they are."""
-        plan, size = self.bank.plan, len(self.buffer)
-        return tuple(i if o < size else p for i, (o, p)
-                     in enumerate(zip(plan.coefs.tolist(), plan.partner.tolist())))
-
     def row(self, i: int) -> np.ndarray:
         """Plan row i's coefficients: a view of the buffer, or for an
-        implicit mirror row a conjugate copy of its partner's."""
-        source, plan = self.sources[i], self.bank.plan
-        start = int(plan.coefs[source])
-        view = self.buffer[start:start + int(plan.frames[source])]
-        return view if source == i else np.conj(view)
+        implicit mirror row, whose slots lie past the buffer, a conjugate
+        copy of its partner's, ``plan.direct_size`` slots before its own
+        (the mirror block copies the paired rows' layout)."""
+        plan = self.bank.plan
+        start = int(plan.coefs[i])
+        implicit = start >= len(self.buffer)
+        start -= implicit * plan.direct_size
+        view = self.buffer[start:start + int(plan.frames[i])]
+        return np.conj(view) if implicit else view
 
     @property
     def channels(self) -> tuple:
@@ -127,10 +122,10 @@ class CoefficientSet:
 
     @property
     def mirrors(self) -> tuple | None:
-        first = len(self.bank.channels) + len(self.bank.residuals)
-        if first == len(self.sources) or self.sources[first] != first:
+        plan, first = self.bank.plan, len(self.bank.channels) + len(self.bank.residuals)
+        if first == len(plan.frames) or plan.coefs[first] >= len(self.buffer):
             return None
-        return tuple(self.row(i) for i in range(first, len(self.sources)))
+        return tuple(self.row(i) for i in range(first, len(plan.frames)))
 
     @property
     def energy(self) -> float:

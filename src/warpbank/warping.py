@@ -11,13 +11,16 @@ inverse map fixes channel centers and the inverse derivative
     w = (F^{-1})'
 
 fixes channel bandwidths.  Every family below carries a companion weight v
-and a constant C >= 1 with
+with
 
-    w(x + y) <= C * v(x) * w(y)          (moderateness)
+    w(x + y) <= v(x) * w(y)   for all real x, y          (moderateness)
 
-where v is submultiplicative, v(x + y) <= v(x) * v(y).  Downsampling
-policies use C and v to thin coefficients channel by channel without
-breaking the painless support condition.
+where v is submultiplicative, v(x + y) <= v(x) * v(y); each family's
+docstring proves its pair.  A constant C >= 1 in w(x + y) <= C v(x) w(y)
+folds into v, since C v is submultiplicative too (Groechenig, "Weight
+functions in time-frequency analysis", 2007), so no family keeps one.
+Downsampling policies use v to thin coefficients channel by channel
+without breaking the painless support condition.
 
 Built-in families:
 
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -100,16 +102,10 @@ class WarpingFunction:
         raise NotImplementedError
 
     def aux_weight(self, x):
-        """Submultiplicative companion weight v for the moderateness bound."""
+        """Submultiplicative companion weight v with w(x+y) <= v(x) w(y)."""
         raise NotImplementedError
 
     # -- shared plumbing -------------------------------------------------
-    @property
-    def moderate_constant(self) -> float:
-        """C in w(x+y) <= C v(x) w(y); 1 for every family except sympow,
-        which determines it by grid search at construction."""
-        return 1.0
-
     @property
     def params(self) -> dict:
         return {"family": self.family, "c": self.c, "d": self.d, "l": None}
@@ -123,7 +119,8 @@ class WarpingFunction:
 
 @dataclass(frozen=True)
 class LogWarping(WarpingFunction):
-    """F(t) = c log(t/d) on t > 0; inverse d e^{x/c}."""
+    """F(t) = c log(t/d) on t > 0; inverse d e^{x/c}.  With v(x) = e^{x/c},
+    moderateness is the equality w(x + y) = e^{x/c} w(y)."""
 
     family: ClassVar[str] = "log"
     domain: ClassVar[Domain] = Domain.POSITIVE_HALF_LINE
@@ -145,7 +142,7 @@ class LogWarping(WarpingFunction):
         return (self.d / self.c) * np.exp(x / self.c)
 
     def aux_weight(self, x):
-        # one-sided on purpose: w(x+y) = e^{x/c} w(y) exactly, so C = 1
+        # one-sided on purpose: w(x+y) = e^{x/c} w(y) exactly
         x = np.asarray(x, dtype=float)
         return np.exp(x / self.c)
 
@@ -178,12 +175,23 @@ class SymPowWarping(_PowerLaw):
 
     The weight w is written out analytically (not as 1/F'(F^{-1})) so the
     derivative identity stays a nontrivial cross-check.  The companion
-    weight is the symmetrized power
-
-        v(x) = (1 + |x|/c + sqrt((x/c)^2 + 4))^{(1+l)/l},
-
-    and the moderateness constant is the smallest power of two that
-    validates the inequality on a probe grid.
+    weight is v(x) = (1 + |x|/c)^{2/l}.  Proof of moderateness: with
+    h = x/(2c), k = y/(2c), K(z) = sqrt(1 + z^2) and E(z) = z + K(z) =
+    e^{asinh z}, w(y) = d E(k)^{1/l} / (2cl K(k)), so the claim is
+    R = (E(h+k)/E(k))^{1/l} K(k)/K(h+k) <= (1 + 2|h|)^{2/l}.  Use that
+    asinh is subadditive on [0, inf), 1 <= E(z) <= 1 + 2z for z >= 0,
+    E(-z) = 1/E(z), E/K = 1 + z/K(z) increases, and 1/l >= 1.
+    - h <= 0: E(h+k)/E(k) <= 1, so R <= (E/K)(h+k) / (E/K)(k) <= 1.
+    - h > 0, k >= 0: E(h+k)/E(k) <= E(h), K(k) <= K(h+k), so R <= E(h)^{1/l}.
+    - h > 0, h + k <= 0: r = E(h+k)/E(k) <= E(h), K(k)/K(h+k) <= r as
+      E/K increases, so R <= r^{1+1/l} <= E(h)^{2/l}.
+    - k < 0 < p = h + k, q = -k: R = (E(p) E(q))^{1/l} K(q)/K(p).  For
+      q <= p, (1 + 2p)(1 + 2q) <= (1 + 2p + 2q)^2.  For q > p,
+      R <= (E(p) E(q) K(q)/K(p))^{1/l}, and (1 + p/K(p))(q K(q) + 1 + q^2)
+      is at most (1 + p)(1 + q) + 4q^2 for p <= 1 and below 2 + 2q + 4q^2
+      for p > 1, so within (1 + 2p + 2q)^2.
+    Numerically the supremum of w(x + y) / (v(x) w(y)) is 1, at x = 0.  v
+    is submultiplicative: 1 + |x + y|/c <= (1 + |x|/c)(1 + |y|/c).
     """
 
     family: ClassVar[str] = "sympow"
@@ -213,29 +221,7 @@ class SymPowWarping(_PowerLaw):
 
     def aux_weight(self, x):
         x = np.asarray(x, dtype=float)
-        u = x / self.c
-        return (1.0 + np.abs(u) + np.sqrt(u * u + 4.0)) ** ((1.0 + self.l) / self.l)
-
-    @cached_property
-    def _moderate_constant(self) -> float:
-        probe = np.concatenate(
-            [-np.geomspace(20.0, 1e-3, 80), [0.0], np.geomspace(1e-3, 20.0, 80)]
-        )
-        x, y = np.meshgrid(probe, probe)
-        lhs = self.weight(x + y)
-        rhs = self.aux_weight(x) * self.weight(y)
-        constant = 1.0
-        while constant <= 1024.0:
-            if np.all(lhs <= constant * rhs * (1.0 + 1e-12)):
-                return constant
-            constant *= 2.0
-        raise InvalidParameter(
-            f"no moderateness constant up to 1024 for sympow(c={self.c}, d={self.d}, l={self.l})"
-        )
-
-    @property
-    def moderate_constant(self) -> float:
-        return self._moderate_constant
+        return (1.0 + np.abs(x) / self.c) ** (2.0 / self.l)
 
 
 @dataclass(frozen=True)
@@ -243,6 +229,7 @@ class ErbLikeWarping(WarpingFunction):
     """F(t) = sgn(t) c log(1 + |t|/d) on the full line.
 
     Defaults to the auditory ERB calibration c = 9.265, d = 228.8 (Hz).
+    With v(x) = e^{|x|/c}, moderateness is |x + y| <= |x| + |y|.
     """
 
     c: float = ERB_SLOPE
@@ -272,7 +259,11 @@ class ErbLikeWarping(WarpingFunction):
 
 @dataclass(frozen=True)
 class SignedPowWarping(_PowerLaw):
-    """F(t) = sgn(t) c((|t|/d + 1)^l - 1) on the full line."""
+    """F(t) = sgn(t) c((|t|/d + 1)^l - 1) on the full line.
+
+    With v(x) = (1 + |x|/c)^{1/l - 1}, moderateness is
+    1 + |x + y|/c <= (1 + |x|/c)(1 + |y|/c), raised to 1/l - 1 >= 0.
+    """
 
     family: ClassVar[str] = "signedpow"
     domain: ClassVar[Domain] = Domain.FULL_LINE
@@ -328,18 +319,17 @@ def make_warping(family: str, c: float | None = None, d: float | None = None,
 
 
 def check_moderate_inequality(warping: WarpingFunction, x, y) -> bool:
-    """Check F(y) + F(x + F^{-1}(0)) <= F(y + C v(F(y)) x) pointwise.
-
-    ``x`` and ``y`` may be scalars or arrays (broadcast together); x >= 0,
-    and y must be a valid frequency in D.  Returns True when the
-    inequality holds at every probed point up to a relative slack of
-    1e-10.
-    """
+    """Check F(y) + F(x + F^{-1}(0)) <= F(y + v(F(y)) x) pointwise, up to a
+    relative slack of 1e-10.  Moderateness implies it: with s = F(y) and
+    u = F(x + F^{-1}(0)), F^{-1}(s + u) - y integrates w(s + .) over
+    [0, u], so is at most v(s) x.  ``x`` (>= 0) and ``y`` (in D) may be
+    scalars or arrays, broadcast together; returns True if it holds
+    at every point."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise InvalidParameter("x must be nonnegative")
     y = warping._require_domain(y)
     fy = warping.f(y)
     lhs = fy + warping.f(x + warping.f_inv(0.0))
-    rhs = warping.f(y + warping.moderate_constant * warping.aux_weight(fy) * x)
+    rhs = warping.f(y + warping.aux_weight(fy) * x)
     return bool(np.all(lhs <= rhs + 1e-10 * np.maximum(1.0, np.abs(rhs))))

@@ -234,17 +234,26 @@ def test_factor_formulas_validation():
         painless_factors(w, (1.5, 1.5), [0])
 
 
-def test_natural_default_respects_painless_bound():
+@pytest.mark.parametrize("family,kw", [
+    ("log", {}), ("sympow", {"l": 1.0}), ("sympow", {"l": 0.5}), ("erblike", {}),
+    ("signedpow", {"l": 0.5}), ("signedpow", {"l": 1.0}),
+    ("sympow", {"c": 0.1, "l": 0.25}), ("sympow", {"c": 1.0, "l": 0.1}),
+    ("sympow", {"c": 0.5, "l": 0.3}),
+])
+def test_natural_default_respects_painless_bound(family, kw):
     # default a_tilde = painless bound at m = 0, which by moderateness
-    # keeps every channel painless
-    w, grid = log_grid()
-    bank = build_bank(w, HANN, grid, Natural())
+    # (w(m + x) <= v(m) w(x), see warping) keeps every channel painless
+    w = make_warping(family, **kw)
+    fs = 44100.0 if family == "erblike" else 2.0
+    bank = build_bank(w, HANN, GridSpec(length=1024, fs=fs, domain=w.domain), Natural())
     assert bank.painless
     assert bank.policy_record["policy"] == "natural"
-    lo_s, hi_s = HANN.support
-    ms = [ch.m for ch in bank.channels]
-    nat = natural_factors(w, bank.policy_record["a_tilde"], ms)
-    cap = painless_factors(w, (lo_s, hi_s), ms)
+    ms = np.arange(-300, 301)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(w.f_inv(ms + HANN.support[0])) & np.isfinite(
+            w.f_inv(ms + HANN.support[1]))
+    nat = natural_factors(w, bank.policy_record["a_tilde"], ms[finite])
+    cap = painless_factors(w, HANN.support, ms[finite])
     assert np.all(nat <= cap * (1.0 + 1e-12))
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (GridSpec, InvalidParameter, Signal, analyze, cli, design_tight, errors,
-                      load_bank_spec, load_coefficients, make_warping, painless_dual,
-                      save_bank_spec, specfile, with_scaled_factors)
+from warpbank import (GridSpec, InvalidParameter, Natural, Signal, analyze, build_bank, cli,
+                      design_tight, errors, load_bank_spec, load_coefficients, make_warping,
+                      named_window, painless_dual, save_bank_spec, specfile,
+                      with_scaled_factors)
 from warpbank.signal_io import (SPECTROGRAM_FLOOR_DB, read_raw, read_wav,
                                 render_spectrogram, write_raw, write_wav)
 
@@ -60,11 +61,21 @@ def test_checked_in_banks_regenerate_byte_identically(spec, tmp_path):
 
 
 def test_spec_of_a_map_without_a_moderateness_constant_saves(tmp_path):
-    """A tight design never uses C, and no spec records it, so a sympow
-    map with no C up to 1024 still designs to a file."""
+    """A tight design of a sympow map with a small exponent designs to a
+    file; no spec records a moderateness constant."""
     out = design_bank(tmp_path, warp="sympow", params="c=0.1,l=0.25", fs=8.0)
     warping = make_warping("sympow", c=0.1, l=0.25)
     bank = design_tight(warping, GridSpec(length=512, fs=8.0, domain=warping.domain))
+    assert load_bank_spec(out).fingerprint == bank.fingerprint
+
+
+def test_natural_design_of_a_steep_sympow_map_saves(tmp_path):
+    """Natural steps follow from the companion weight v alone, which every
+    sympow map has, so a steep map's Natural design saves."""
+    out = design_bank(tmp_path, warp="sympow", params="c=0.1,l=0.25", policy="natural", fs=8.0)
+    warping = make_warping("sympow", c=0.1, l=0.25)
+    grid = GridSpec(length=512, fs=8.0, domain=warping.domain)
+    bank = build_bank(warping, named_window("hann", 3.0), grid, Natural())
     assert load_bank_spec(out).fingerprint == bank.fingerprint
 
 

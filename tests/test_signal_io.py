@@ -184,7 +184,11 @@ def per_row_spectrogram(coeffs, bank):
     kept as the reference: levels per stored row, resampled by gather."""
     order = np.argsort([ch.center_hz for ch in bank.channels])
     n_cols = max(ch.n_frames for ch in bank.channels)
-    sources = coeffs.sources[:len(bank.channels)]
+    # the row whose coefficients the buffer holds: an implicit mirror
+    # row's are its partner's
+    plan, size = bank.plan, len(coeffs.buffer)
+    sources = [i if plan.coefs[i] < size else int(plan.partner[i])
+               for i in range(len(bank.channels))]
     mags = {row: np.abs(coeffs.row(row)) for row in set(sources)}
     peak = max(float(m.max()) for m in mags.values())
     image = np.zeros((len(order), n_cols), dtype=np.uint8)

@@ -86,7 +86,7 @@ def test_weight_moderate(family, kw):
     g = np.linspace(-20.0, 20.0, 81)
     x, y = np.meshgrid(g, g)
     lhs = w.weight(x + y)
-    rhs = w.moderate_constant * w.aux_weight(x) * w.weight(y)
+    rhs = w.aux_weight(x) * w.weight(y)
     assert np.all(lhs <= rhs * (1.0 + 1e-12))
 
 
@@ -114,14 +114,29 @@ def test_translation_inequality_rejects_negative_x():
         check_moderate_inequality(w, -0.5, 1.0)
 
 
-def test_moderate_constants():
-    assert make_warping("log").moderate_constant == 1.0
-    assert make_warping("erblike").moderate_constant == 1.0
-    assert make_warping("signedpow", l=0.5).moderate_constant == 1.0
-    assert make_warping("sympow", l=1.0).moderate_constant == 1.0
-    # this corner genuinely needs a constant above 1
-    tight_corner = make_warping("sympow", c=0.5, l=0.3)
-    assert tight_corner.moderate_constant == 4.0
+def sympow_log_weight(w, x):
+    """log w(x) for sympow from the asinh form, finite where w overflows:
+    w(x) = d/(2cl) e^{asinh(h)/l} / sqrt(1 + h^2) with h = x/(2c)."""
+    h = x / (2.0 * w.c)
+    return (np.log(w.d / (2.0 * w.c * w.l)) + np.arcsinh(h) / w.l
+            - 0.5 * np.log1p(h * h))
+
+
+@pytest.mark.parametrize("l", [0.1, 0.25, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("c", [0.1, 1.0, 9.0])
+def test_sympow_weight_moderate_far_out(c, l):
+    """w(x + y) <= v(x) w(y) on every real x, y, not just near zero: a
+    signed log-spaced grid out to |x|, |y| = 1e4, compared in logs."""
+    w = make_warping("sympow", c=c, l=l)
+    near = np.linspace(-20.0, 20.0, 81)
+    np.testing.assert_allclose(sympow_log_weight(w, near), np.log(w.weight(near)),
+                               rtol=1e-12, atol=1e-12)
+    g = np.geomspace(1e-3, 1e4, 160)
+    g = np.concatenate([-g[::-1], [0.0], g])
+    x, y = np.meshgrid(g, g)
+    lhs = sympow_log_weight(w, x + y)
+    rhs = np.log(w.aux_weight(x)) + sympow_log_weight(w, y)
+    assert np.all(lhs <= rhs + 1e-12)
 
 
 def test_half_line_domain_errors():
