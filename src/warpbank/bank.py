@@ -49,9 +49,13 @@ that prefix.  The plan is built whole before any row is sampled, from
 each row's N, first bin, entry count and reflected partner
 (``_build_plan``); the window then writes each direct row straight into
 its slice of the plan's one response array.  Each channel's response is
-a view of it, which every consumer reads.  The painless dual shares the
-plan and the channels: it is the analysis bank with a ``weight`` on the
-DFT bins, S^{-1} as a division of spectra (see ``painless_dual``).
+a view of it, which every consumer reads.  The plan's ``fold`` and
+``spread``, real or complex, are the only sums over its entries, so the
+only code that knows the mirror rule: the transforms, the diagonal and
+S's Walnut form (``WarpedBank.walnut``) run on them.  The painless dual
+shares the plan and the channels: it is the analysis bank with a
+``weight`` on the DFT bins, S^{-1} as a division of spectra (see
+``painless_dual``).
 """
 
 from __future__ import annotations
@@ -166,7 +170,7 @@ class BankPlan:
     ``response`` in place; a painless dual shares the plan, sampled
     responses and all.  ``frames[i]`` is row i's coefficient count N and
     ``partner[i]`` the row that row i mirrors, or -1 for a direct row.
-    ``bins`` (0..L-1), ``response`` and ``slots`` run group after group,
+    ``bins`` (0..L-1, L = ``length``), ``response`` and ``slots`` run by group,
     one entry per sampled bin of a direct row; row i's response starts at
     ``response[offsets[i]]``, a mirror row's at its partner's.  All
     coefficients live in one flat buffer, row i's N of them at
@@ -194,12 +198,61 @@ class BankPlan:
     paired_entries: int
     paired_size: int
     direct_size: int
+    length: int
 
     @cached_property
     def slot_frames(self) -> np.ndarray:
-        """N of the row of every buffer slot."""
+        """N of the row of every buffer slot, as floats that scale data."""
         frames = self.frames[np.argsort(self.coefs)]
-        return np.repeat(frames, frames)
+        return np.repeat(frames, frames).astype(float)
+
+    def fold(self, fhat: np.ndarray, response: np.ndarray, size: int) -> np.ndarray:
+        """fhat[bins] * ``response`` (one entry per plan entry) summed onto
+        the slots of a ``size`` buffer of fhat's dtype, and past the direct
+        prefix, if it reaches there, the same fold of the reflected
+        spectrum fhat[-k] through the paired entries: the mirror rows."""
+        out = np.zeros(size, dtype=fhat.dtype)
+        _gather_sum(fhat, self.bins, response, self.slots, out)
+        stop = self.paired_entries
+        if size > self.direct_size:
+            _gather_sum(fhat, -self.bins[:stop], response[:stop], self.slots[:stop],
+                        out[self.direct_size:])
+        return out
+
+    def spread(self, spectra: np.ndarray, response: np.ndarray, size: int) -> np.ndarray:
+        """Adjoint of ``fold`` onto ``size`` bins: the row spectra gathered
+        through the slots, times ``response``, summed onto the bins, then
+        the paired entries' gather from the mirror block, or without one
+        (real input) the paired part of the first gather conjugated,
+        summed onto the negated bins.  A half spectrum (``size`` below L),
+        which irfft extends, takes the first sum alone: on a half-line
+        grid every negated bin lies past it."""
+        stop = self.paired_entries
+        out = np.zeros(size, dtype=spectra.dtype)
+        values = _gather_sum(spectra, self.slots, response, self.bins, out)[:stop]
+        if size < self.length:
+            return out
+        negated = -self.bins[:stop]
+        if len(spectra) > self.direct_size:
+            _gather_sum(spectra[self.direct_size:], self.slots[:stop], response[:stop],
+                        negated, out)
+        else:
+            np.add.at(out, negated, np.conjugate(values, out=values))
+        return out
+
+
+def _gather_sum(source, take, weights, index, out: np.ndarray) -> np.ndarray:
+    """Add the sums of source[take] * weights over equal ``index`` entries
+    onto ``out``, allocated before the temporary gather, which page-faults
+    less over repeated calls: one gather and one unbuffered scatter-add in
+    the data's own dtype, so real data stays real.  The real weights scale
+    complex data's two parts in place; a complex product would first cast
+    them to complex.  Returns the weighted gather."""
+    values = source[take]
+    for part in (values.real, values.imag) if np.iscomplexobj(values) else (values,):
+        part *= weights
+    np.add.at(out, index, values)
+    return values
 
 
 @dataclass
@@ -228,22 +281,36 @@ class WarpedBank:
         return all(ch.painless for ch in self.channels)
 
     def diagonal(self) -> np.ndarray:
-        """Frame-operator diagonal over all L bins (cached): entry j of
-        row m adds N_m response_m[j]^2 at its bin, and a paired entry
-        adds it again at the negated bin for its mirror row; a weighted
-        bank's is that times ``weight`` squared."""
+        """Frame-operator diagonal over all L bins (cached): the plan's
+        spread of N_m response_m[j]^2, which adds each entry at its bin
+        and a paired entry again at the negated bin for its mirror row; a
+        weighted bank's is that times ``weight`` squared."""
         if self._diag is None:
-            plan, length, stop = self.plan, self.grid.length, self.plan.paired_entries
-            frames = np.repeat([n for n, _, _ in plan.groups],
-                               [span.stop - span.start for _, _, span in plan.groups])
-            weights = plan.response ** 2 * frames
-            diag = np.bincount(plan.bins, weights, minlength=length)
-            diag += np.bincount(plan.bins[:stop], weights[:stop],
-                                minlength=length)[-np.arange(length)]
+            plan = self.plan
+            diag = plan.spread(plan.slot_frames[:plan.direct_size], plan.response ** 2,
+                               plan.length)
             if self.weight is not None:
                 diag *= self.weight ** 2
             self._diag = diag
         return self._diag
+
+    def walnut(self, fhat: np.ndarray, response: np.ndarray) -> np.ndarray:
+        """The Walnut form of S applied to the spectrum ``fhat``, with
+        ``response`` (one entry per plan entry) in place of the sampled
+        responses: the plan's fold into a complex analysis's buffer, each
+        slot scaled by its row's N, and its spread back, for every row,
+        aliasing or not.  Responses and weights are real, so S is real on
+        the DFT grid: real ``fhat`` gives real output, in real arithmetic.
+        A weighted bank's weight multiplies ``fhat`` and the result."""
+        plan, weight = self.plan, self.weight
+        if weight is not None:
+            fhat = fhat * weight
+        folded = plan.fold(fhat, response, plan.direct_size + plan.paired_size)
+        folded *= plan.slot_frames
+        out = plan.spread(folded, response, plan.length)
+        if weight is not None:
+            out *= weight
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +491,7 @@ def _build_plan(first_bins: list[int], frames: list[int], sizes: list[int], bran
     ends = [(0, 0)] + [(span.stop, block.stop) for _, block, span in groups]
     (paired_entries, paired_size), direct_size = ends[paired], ends[-1][1]
     return BankPlan(groups, bins, np.empty(total), slots, offsets, coefs, frames, partner,
-                    paired, paired_entries, paired_size, direct_size)
+                    paired, paired_entries, paired_size, direct_size, length)
 
 
 def _require_coverage(bank: WarpedBank, consequence: str) -> None:

@@ -8,8 +8,9 @@ Three layers, from cheap to expensive:
   read off the bank's plan (see ``sufficient_bounds``).  A_suff <= 0
   proves nothing and is reported as inconclusive;
 * empirical bounds: for non-painless banks one Lanczos run (``_lanczos``)
-  on the Walnut form of the frame operator gives both A_emp and B_emp, as
-  the extreme Ritz values, once their residual bounds reach 1e-13 B_emp.
+  on the Walnut form of the frame operator, a real symmetric matrix on
+  the DFT grid, in real arithmetic, gives both A_emp and B_emp, as the
+  extreme Ritz values, once their residual bounds reach 1e-13 B_emp.
   An A_emp within that bound of 0 may be a singular S, so the report
   gives A_emp 0 and calls the bank not a frame to working precision.
   ``FrameReport.bounds_method`` says which of the diagonal (exact) and
@@ -25,7 +26,6 @@ import numpy as np
 
 from .bank import WarpedBank, with_scaled_factors
 from .errors import InvalidParameter, NoConvergence, as_integer
-from .transform import _walnut
 
 # Lanczos steps after which empirical_bounds stops with a NoConvergence warning
 LANCZOS_MAX_STEPS = 2048
@@ -69,11 +69,11 @@ def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
     """(A_suff, B_suff): Gershgorin bounds of the sampled frame operator.
 
     In the DFT domain S[j, j'] = sum_m N_m g_m[j] g_m[j'] over the plan's
-    rows, a mirror row as its partner reflected (see ``_walnut``), with
-    j = j' (mod N_m), so every eigenvalue lies within R_j - S[j, j] of
-    some diagonal entry S[j, j], R_j being the absolute row sum.  S's own
-    fold and gather run on the all-ones spectrum with |g_m| in place of
-    g_m give sum_m N_m |g_m[j]| sum_j' |g_m[j']| >= R_j: the triangle
+    rows, a mirror row as its partner reflected, with j = j' (mod N_m), so
+    every eigenvalue lies within R_j - S[j, j] of some diagonal entry
+    S[j, j], R_j being the absolute row sum.  S's Walnut form
+    (``WarpedBank.walnut``) run on the all-ones vector with |g_m| in place
+    of g_m gives sum_m N_m |g_m[j]| sum_j' |g_m[j']| >= R_j: the triangle
     inequality per channel only adds, so A_suff = min_j (2 S[j, j] - R_j)
     and B_suff = max_j R_j stay valid.  A painless channel puts each
     nonzero bin alone in its slot, so on a painless bank R_j = S[j, j] and
@@ -81,21 +81,20 @@ def sufficient_bounds(bank: WarpedBank) -> tuple[float, float]:
     """
     if bank.painless:
         return diagonal_bounds(bank)
-    plan = bank.plan
-    ones = np.ones(bank.grid.length, dtype=complex)
-    rows = _walnut(ones, np.abs(plan.response), bank).real
+    rows = bank.walnut(np.ones(bank.grid.length), np.abs(bank.plan.response))
     return (float(np.min(2.0 * bank.diagonal() - rows)), float(rows.max()))
 
 
 def _lanczos(apply, q):
-    """Plain three-term Lanczos on the Hermitian ``apply`` from the unit
-    vector ``q``, without reorthogonalization: step k yields (alpha_k,
-    beta_k, q_k), where beta_k q_{k+1} = S q_k - alpha_k q_k - beta_{k-1} q_{k-1}.
+    """Plain three-term Lanczos on the real symmetric ``apply`` from the
+    real unit vector ``q``, without reorthogonalization: step k yields
+    (alpha_k, beta_k, q_k), where
+    beta_k q_{k+1} = S q_k - alpha_k q_k - beta_{k-1} q_{k-1}.
     It stops after a step whose beta_k is 0 (an invariant Krylov space)."""
     q_prev, beta = np.zeros_like(q), 0.0
     while True:
         w = apply(q) - beta * q_prev
-        alpha = float(np.vdot(q, w).real)
+        alpha = float(q @ w)
         w -= alpha * q
         beta = float(np.linalg.norm(w))
         yield alpha, beta, q
@@ -109,10 +108,11 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
 
     Painless banks short-circuit to the diagonal extremes, the exact
     spectrum.  Otherwise one ``_lanczos`` run on S gives both ends.  It works
-    on unitary-DFT spectra, where S is the Walnut form (``_walnut``): one
-    fold and one gather per step, no FFT.  The start vector is the
-    normalized DFT of a fixed complex Gaussian draw (``default_rng(0)``),
-    so the Ritz values are those of the time-domain run from that draw.
+    on unitary-DFT spectra, where S is the Walnut form
+    (``WarpedBank.walnut``), a real symmetric matrix: one real fold and one
+    real spread per step, no FFT.  The start vector is a fixed real
+    Gaussian draw (``default_rng(0)``) on the DFT bins, normalized, so the
+    Ritz values are those of the time-domain run from its inverse DFT.
     Every max(8, k // 8) steps the Ritz values theta_i of the tridiagonal
     T_k and the last components s_i of its eigenvectors bound the
     spectrum: S has an eigenvalue within beta_k |s_i| of each theta_i.
@@ -127,14 +127,12 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
     """
     if bank.painless:
         return diagonal_bounds(bank)
-    length = bank.grid.length
-    rng = np.random.default_rng(0)
-    q = np.fft.fft(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    q = np.random.default_rng(0).standard_normal(bank.grid.length)
     q /= np.linalg.norm(q)
     response = bank.plan.response
     alphas, betas = [], []
     check = 8
-    for alpha, beta, _ in _lanczos(lambda v: _walnut(v, response, bank), q):
+    for alpha, beta, _ in _lanczos(lambda v: bank.walnut(v, response), q):
         alphas.append(alpha)
         betas.append(beta)
         k = len(alphas)

@@ -8,30 +8,30 @@ hop a and N = L / a coefficients computes
 done by folding fhat * response onto N slots (j mod N) and one inverse
 FFT of length N.  The bank's plan (see bank) gives every sampled entry of
 a direct row its slot in one flat coefficient buffer and groups the rows
-by N, so an analysis costs one length-L FFT, one complex scatter-add
-(``np.add.at``) of the entries onto the buffer, then per group one
-batched in-place inverse FFT of its rows x N block (none where N = 1); a
-CoefficientSet holds that buffer.  Synthesis is the exact adjoint: per
-group one batched FFT, out of place from the caller's buffer into a
-fresh one, then one gather through the slots and one complex scatter-add
-of fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0 coefficient sits at time 0; there is no
-per-channel phase ramp.  A residual is a row with N = 1 and response 1,
-so its coefficient is the spectrum at its bin.
+by N, so an analysis costs one length-L FFT, the plan's fold of the
+entries onto the buffer, then per group one batched in-place inverse FFT
+of its rows x N block (none where N = 1); a CoefficientSet holds that
+buffer.  Synthesis is the exact adjoint: per group one batched FFT, out
+of place from the caller's buffer into a fresh one, then the plan's
+spread of fft(c_m)[j mod N] * response_m[j] onto the bins.  The n = 0
+coefficient sits at time 0; there is no per-channel phase ramp.  A
+residual is a row with N = 1 and response 1, so its coefficient is the
+spectrum at its bin.
 
 A mirror row (see bank) is its partner seen through f -> conj(f(-.)), so
 its coefficients are the conjugates of its partner's for conj f: the
 fold of the reflected spectrum fhat[-k] through the partner's entries,
-then a forward FFT.  Complex analysis adds that fold of the paired
-entries into the mirror block; synthesis gathers the mirror block
-through them after inverse FFTs and scatters the result onto the
-negated bins.  Real input computes the direct rows only, into the direct
-prefix of the buffer, from the rfft, extended by conjugate symmetry on
-the full line, whose direct rows reach negative bins; its mirror rows
-conjugate their partners, so synthesis scatters the paired rows' own
-gather, conjugated, onto the negated bins.  On a half-line grid the direct rows sit on bins 0..L/2 and
-the residuals on the self-conjugate DC and Nyquist bins, so that is one
-irfft and the result is real.  On the full line the rows at the Nyquist
-bin have no mirror, so the result stays complex.
+then a forward FFT.  For complex analysis the fold fills the mirror
+block that way; the spread gathers it after inverse FFTs and sums the
+result onto the negated bins.  Real input computes the direct rows only,
+into the direct prefix of the buffer, from the rfft, extended by
+conjugate symmetry on the full line, whose direct rows reach negative
+bins; its mirror rows conjugate their partners, so the spread sums the
+paired rows' own gather, conjugated, onto the negated bins.  On a
+half-line grid the direct rows sit on bins 0..L/2 and the residuals on
+the self-conjugate DC and Nyquist bins, so the spread stops at bin L/2,
+one irfft adds the rest and the result is real.  On the full line the
+rows at the Nyquist bin have no mirror, so the result stays complex.
 
 A painless dual (see bank) is its analysis bank with a ``weight`` on the
 DFT bins: analysis multiplies the input spectrum by it, synthesis the
@@ -176,33 +176,6 @@ def _in_float_range(fn):
     return checked
 
 
-def _gather_sum(source, take, weights, index, out: np.ndarray) -> np.ndarray:
-    """Add the complex sums of source[take] * weights over equal ``index``
-    entries onto ``out``, allocated before the temporary gather, which
-    page-faults less over repeated calls: one complex gather and one
-    unbuffered complex scatter-add.  The real weights scale the two parts
-    in place; a complex product would first cast them to complex.
-    Returns the weighted gather."""
-    values = source[take]
-    values.real *= weights
-    values.imag *= weights
-    np.add.at(out, index, values)
-    return values
-
-
-def _fold(plan, fhat: np.ndarray, response: np.ndarray, size: int) -> np.ndarray:
-    """fhat[bins] * ``response`` summed onto the slots of a ``size`` buffer,
-    and past the direct prefix, if it reaches there, the same fold of the
-    reflected spectrum fhat[-k] through the paired entries."""
-    out = np.zeros(size, dtype=complex)
-    _gather_sum(fhat, plan.bins, response, plan.slots, out)
-    stop = plan.paired_entries
-    if size > plan.direct_size:
-        _gather_sum(fhat, -plan.bins[:stop], response[:stop], plan.slots[:stop],
-                    out[plan.direct_size:])
-    return out
-
-
 def _row_ffts(flat: np.ndarray, plan, inverse: bool, out: np.ndarray | None = None) -> None:
     """Per group one batched FFT of its rows x N block of ``flat``, the
     unscaled inverse one if ``inverse``, and the other one on the copies
@@ -246,7 +219,7 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
         fhat, size = np.fft.rfft(samples) / np.sqrt(length), plan.direct_size
     if weight is not None:
         fhat *= weight[:len(fhat)]
-    flat = _fold(plan, fhat, plan.response, size)
+    flat = plan.fold(fhat, plan.response, size)
     _row_ffts(flat, plan, inverse=True)
     return CoefficientSet(flat, bank)
 
@@ -267,24 +240,6 @@ def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
         )
 
 
-def _spread(plan, spectra: np.ndarray, response: np.ndarray, length: int) -> np.ndarray:
-    """Adjoint of ``_fold`` onto ``length`` bins: the row spectra gathered
-    through the slots, times ``response``, summed onto the bins, then the
-    paired entries' gather from the mirror block, or without one (real
-    input) the paired part of the first gather conjugated, summed onto the
-    negated bins."""
-    stop = plan.paired_entries
-    out = np.zeros(length, dtype=complex)
-    values = _gather_sum(spectra, plan.slots, response, plan.bins, out)[:stop]
-    negated = -plan.bins[:stop]
-    if len(spectra) > plan.direct_size:
-        _gather_sum(spectra[plan.direct_size:], plan.slots[:stop], response[:stop],
-                    negated, out)
-    else:
-        np.add.at(out, negated, np.conjugate(values, out=values))
-    return out
-
-
 @_in_float_range
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     """Weighted sum of ``bank``'s atoms.  Pass the analysis bank itself for
@@ -298,11 +253,7 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     # the row FFTs run out of place, so the caller's buffer stays untouched
     spectra = np.empty(len(coeffs.buffer), dtype=complex)
     _row_ffts(np.asarray(coeffs.buffer, dtype=complex), plan, inverse=False, out=spectra)
-    if half:
-        spec = np.zeros(length // 2 + 1, dtype=complex)
-        _gather_sum(spectra, plan.slots, plan.response, plan.bins, spec)
-    else:
-        spec = _spread(plan, spectra, plan.response, length)
+    spec = plan.spread(spectra, plan.response, length // 2 + 1 if half else length)
     del spectra  # free before the inverse FFT allocates
     if bank.weight is not None:
         spec *= bank.weight[:len(spec)]
@@ -315,38 +266,19 @@ def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     return Signal(samples=out, fs=bank.grid.fs)
 
 
-def _walnut(fhat: np.ndarray, response: np.ndarray, bank: WarpedBank) -> np.ndarray:
-    """The Walnut form of S applied to the complex spectrum ``fhat``, with
-    ``response`` (one entry per plan entry) in place of the sampled
-    responses: ``_fold`` into a complex analysis's buffer, each slot scaled
-    by its row's N, and ``_spread`` back.  Every row, residual and mirror
-    ones included, runs through the same scatter-adds, aliasing or not.
-    A weighted bank's weight multiplies ``fhat`` and the result."""
-    plan, weight = bank.plan, bank.weight
-    if weight is not None:
-        fhat = fhat * weight
-    folded = _fold(plan, fhat, response, plan.direct_size + plan.paired_size)
-    folded *= plan.slot_frames
-    out = _spread(plan, folded, response, bank.grid.length)
-    if weight is not None:
-        out *= weight
-    return out
-
-
 @_in_float_range
 def apply_frame_operator(signal, bank: WarpedBank) -> Signal:
     """S f = sum over atoms of <f, g> g, in the unitary DFT domain.
 
     Analysis then synthesis would run an inverse and a forward FFT of the
     same N-point block, which cancel to a factor N; what is left is S's
-    Walnut form, a fold and a gather per group (see ``_walnut``).  Real
-    input gives a real output on half-line grids only, where the mirror
-    branches make S commute with conjugation.
+    Walnut form, the plan's fold and spread in complex arithmetic (see
+    ``WarpedBank.walnut``).  Real input gives a real output on half-line
+    grids only, where the mirror branches make S commute with conjugation.
     """
     samples = _checked_samples(signal, bank)
     length = bank.grid.length
-    fhat = np.fft.fft(samples) / np.sqrt(length)
-    spec = _walnut(fhat, bank.plan.response, bank)
+    spec = bank.walnut(np.fft.fft(samples) / np.sqrt(length), bank.plan.response)
     out = np.sqrt(length) * np.fft.ifft(spec)
     if bank.grid.domain is Domain.POSITIVE_HALF_LINE and not np.iscomplexobj(samples):
         out = out.real

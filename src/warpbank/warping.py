@@ -202,10 +202,15 @@ class SymPowWarping(_PowerLaw):
         u = t / self.d
         return self.c * (u**self.l - u ** (-self.l))
 
+    def _e_and_k(self, x):
+        """(E(h), K(h)) at h = x / (2c); for h < 0, E = 1 / (K - h), as h + K cancels."""
+        h = np.asarray(x, dtype=float) / (2.0 * self.c)
+        root = np.sqrt(h * h + 1.0)
+        e = np.abs(h) + root
+        return np.where(h < 0, 1.0 / e, e), root
+
     def f_inv(self, x):
-        x = np.asarray(x, dtype=float)
-        h = x / (2.0 * self.c)
-        return self.d * (h + np.sqrt(h * h + 1.0)) ** (1.0 / self.l)
+        return self.d * self._e_and_k(x)[0] ** (1.0 / self.l)
 
     def f_deriv(self, t):
         t = self._require_domain(t)
@@ -213,11 +218,8 @@ class SymPowWarping(_PowerLaw):
         return (self.c * self.l / self.d) * (u ** (self.l - 1.0) + u ** (-self.l - 1.0))
 
     def weight(self, x):
-        x = np.asarray(x, dtype=float)
-        h = x / (2.0 * self.c)
-        root = np.sqrt(h * h + 1.0)
-        g = h + root
-        return (self.d / (2.0 * self.c * self.l)) * g ** (1.0 / self.l) / root
+        e, root = self._e_and_k(x)
+        return (self.d / (2.0 * self.c * self.l)) * e ** (1.0 / self.l) / root
 
     def aux_weight(self, x):
         x = np.asarray(x, dtype=float)

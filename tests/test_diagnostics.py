@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpbank import (Explicit, GridSpec, Natural, NoConvergence, Painless, build_bank, cli,
-                      design_tight, diagnostics, diagonal_bounds,
+from warpbank import (Explicit, GridSpec, Natural, NoConvergence, Painless, WarpedBank,
+                      build_bank, cli, design_tight, diagnostics, diagonal_bounds,
                       empirical_bounds, format_report, frame_report,
                       load_bank_spec, make_warping, named_window,
                       painless_dual, save_bank_spec, sufficient_bounds,
@@ -109,7 +109,7 @@ def test_sufficient_bounds_of_painless_banks_are_the_diagonal_without_a_pass(
     def broken(*args):
         raise AssertionError("Walnut pass run on a painless bank")
 
-    monkeypatch.setattr(diagnostics, "_walnut", broken)
+    monkeypatch.setattr(WarpedBank, "walnut", broken)
     for bank in (erb_tight, painless_dual(erb_tight), untight, far):
         assert bank.painless
         assert sufficient_bounds(bank) == diagonal_bounds(bank)
@@ -201,30 +201,49 @@ def test_lanczos_runs_without_the_time_domain_frame_operator(erb_tight, dense_at
 
 
 def walnut_operator(bank):
-    return lambda v: transform._walnut(v, bank.plan.response, bank)
+    return lambda v: bank.walnut(v, bank.plan.response)
 
 
 def test_lanczos_kernel_tridiagonalizes_the_frame_operator(dense_atoms):
     # 12 of the 24 steps this hop-doubled bank takes to converge, against
-    # the dense frame operator in the unitary-DFT domain
+    # the dense frame operator in the unitary-DFT domain, which is real:
+    # the run starts from a real vector and stays real
     w = make_warping("erblike", c=1.0, d=1.0)
     tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain), "hann", 3.0)
     bank = with_scaled_factors(tight, 2)
     atoms, length = dense_atoms(bank), bank.grid.length
     dft = np.fft.fft(np.eye(length)) / np.sqrt(length)
     frame_op = dft @ (atoms.T @ atoms.conj()) @ dft.conj().T
-    rng = np.random.default_rng(24)
-    start = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    upper = np.linalg.eigvalsh(frame_op)[-1]
+    assert np.abs(frame_op.imag).max() <= 1e-13 * upper
+    start = np.random.default_rng(24).standard_normal(length)
     steps = itertools.islice(
         diagnostics._lanczos(walnut_operator(bank), start / np.linalg.norm(start)), 12)
     alphas, betas, vectors = (np.array(column) for column in zip(*steps))
     basis = vectors.T
-    assert basis.shape == (length, 12) and np.all(betas > 0.0)
-    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(12), rtol=0, atol=1e-12)
+    assert basis.shape == (length, 12) and basis.dtype == np.float64
+    assert np.all(betas > 0.0)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(12), rtol=0, atol=1e-12)
     tridiagonal = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    upper = np.linalg.eigvalsh(frame_op)[-1]
-    np.testing.assert_allclose(basis.conj().T @ frame_op @ basis, tridiagonal,
+    np.testing.assert_allclose(basis.T @ frame_op.real @ basis, tridiagonal,
                                rtol=0, atol=1e-12 * upper)
+
+
+def test_diagnostics_run_the_walnut_form_on_real_vectors(erb_doubled, monkeypatch):
+    # S is real on the DFT grid, so the Gershgorin pass and every Lanczos
+    # step apply it to float64 vectors and get float64 vectors back
+    walnut, dtypes = WarpedBank.walnut, set()
+
+    def recording(bank, fhat, response):
+        out = walnut(bank, fhat, response)
+        dtypes.update((fhat.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(WarpedBank, "walnut", recording)
+    for bounds in (sufficient_bounds, empirical_bounds):
+        dtypes.clear()
+        bounds(erb_doubled)
+        assert dtypes == {np.dtype(np.float64)}, bounds.__name__
 
 
 def test_lanczos_kernel_stops_on_an_eigenvector():
@@ -234,7 +253,7 @@ def test_lanczos_kernel_stops_on_an_eigenvector():
     bank = build_bank(w, HANN, GridSpec(length=1024, fs=44100.0, domain=w.domain), Painless())
     assert bank.painless
     for bin_index in (0, 5, 512, 1000):
-        unit = np.zeros(1024, dtype=complex)
+        unit = np.zeros(1024)
         unit[bin_index] = 1.0
         [(alpha, beta, q)] = diagnostics._lanczos(walnut_operator(bank), unit)
         assert beta == 0.0 and q is unit

@@ -4,10 +4,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "warpbank"
 
 # (importing module, module imported from, name): the private names one
-# module may take from another.  The diagnostics run the frame operator's
-# Walnut form on DFT spectra: the Gershgorin row sums with |g_m| in place
-# of g_m, and every Lanczos step with the bank's own responses.
-ALLOWED = {("diagnostics", "transform", "_walnut")}
+# module may take from another.  None: the sums over a bank's plan, the
+# frame operator's Walnut form among them, are methods of the plan and the
+# bank (see bank), which the transforms and the diagnostics call.
+ALLOWED = set()
 
 
 def private_imports(path):

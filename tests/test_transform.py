@@ -657,6 +657,40 @@ def test_diagonal_is_the_dense_frame_operator_diagonal(family, kw, fs, dense_ato
         assert np.abs(want.imag).max() <= 1e-12 * diag.max()
 
 
+def implied_buffer(buffer, plan):
+    """The full buffer that ``buffer`` stands for: a direct prefix (real
+    input) implies mirror rows that conjugate their partners."""
+    if len(buffer) == plan.direct_size:
+        return np.concatenate((buffer, np.conj(buffer[:plan.paired_size])))
+    return buffer
+
+
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 1.0}, 8.0), ("erblike", {}, 44100.0),
+    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
+])
+def test_fold_and_spread_are_adjoints(family, kw, fs, plan_test_banks):
+    # <fold(x), y> = <x, spread(y)> for real and complex data, onto the
+    # full buffer and onto the direct prefix.  The prefix stands for real
+    # input: x is then the spectrum of a real signal, x[-k] = conj(x[k]),
+    # and y the full buffer its mirror rows imply.  Real data stays real
+    rng = np.random.default_rng(31)
+    for name, bank in plan_test_banks(family, kw, fs).items():
+        plan, length = bank.plan, bank.grid.length
+        response = rng.standard_normal(len(plan.response))
+        for real in (True, False):
+            for size in (plan.direct_size, plan.direct_size + plan.paired_size):
+                x, y = random_signal(length, rng, real), random_signal(size, rng, real)
+                if size == plan.direct_size:
+                    x = (x + np.conj(x[-np.arange(length)])) / 2
+                folded, spread = plan.fold(x, response, size), plan.spread(y, response, length)
+                assert folded.dtype == spread.dtype == x.dtype, name
+                lhs = np.vdot(implied_buffer(folded, plan), implied_buffer(y, plan))
+                rhs = np.vdot(x, spread)
+                scale = np.linalg.norm(x) * np.linalg.norm(y) * np.abs(response).max()
+                assert abs(lhs - rhs) <= 1e-12 * scale, (name, real, size)
+
+
 def reflected_pairs(bank):
     """{row of channel -m: row of channel m} wherever channel -m has m's
     hop, m's bins negated and m's response reversed, bit for bit."""

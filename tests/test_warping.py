@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,22 @@ def test_sympow_weight_moderate_far_out(c, l):
     lhs = sympow_log_weight(w, x + y)
     rhs = np.log(w.aux_weight(x)) + sympow_log_weight(w, y)
     assert np.all(lhs <= rhs + 1e-12)
+
+
+@pytest.mark.parametrize("l", [0.1, 0.25, 1.0])
+@pytest.mark.parametrize("c", [0.1, 1.0])
+def test_sympow_inverse_keeps_its_digits_far_below_zero(c, l):
+    """h + sqrt(h^2 + 1) cancels for h = x/(2c) << 0; in logs, against
+    math.asinh, log F^{-1}(x) = log d + asinh(h)/l and log w(x) is
+    ``sympow_log_weight``, down to x = -1e5."""
+    w = make_warping("sympow", c=c, d=2.0, l=l)
+    x = -np.geomspace(1e-3, 1e5, 161)
+    asinh = np.array([math.asinh(v) for v in x / (2.0 * c)])
+    np.testing.assert_allclose(np.log(w.f_inv(x)), np.log(w.d) + asinh / l,
+                               rtol=0, atol=1e-13)
+    log_weight = (np.log(w.d / (2.0 * c * l)) + asinh / l
+                  - 0.5 * np.log1p((x / (2.0 * c)) ** 2))
+    np.testing.assert_allclose(np.log(w.weight(x)), log_weight, rtol=0, atol=1e-13)
 
 
 def test_half_line_domain_errors():
