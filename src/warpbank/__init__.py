@@ -17,9 +17,8 @@ from .diagnostics import (FrameReport, diagonal_bounds,
 from .errors import (CoverageError, DegenerateWindow, DomainError, EmptyBank,
                      FingerprintMismatch, InvalidParameter, LengthMismatch,
                      NoConvergence, NotPainless, WarpBankError)
-from .prototypes import (BSplineWindow, CosineSumWindow, make_cosine_window,
-                         named_window, normalize_for_tightness,
-                         sum_of_squares)
+from .prototypes import (BSplineWindow, CosineSumWindow, named_window,
+                         normalize_for_tightness, sum_of_squares)
 from .specfile import load_bank_spec, save_bank_spec
 from .transform import (CoefficientSet, Signal, analyze, apply_frame_operator,
                         load_coefficients, save_coefficients, synthesize)
@@ -40,7 +39,7 @@ __all__ = [
     "channel_response_continuous", "check_moderate_inequality",
     "design_tight", "diagonal_bounds",
     "empirical_bounds", "format_report", "frame_report", "load_bank_spec",
-    "load_coefficients", "make_cosine_window", "make_warping",
+    "load_coefficients", "make_warping",
     "named_window", "natural_factors", "normalize_for_tightness",
     "painless_dual", "painless_factors", "round_factors_to_grid",
     "save_bank_spec", "save_coefficients", "sufficient_bounds",

@@ -55,7 +55,9 @@ only code that knows the mirror rule: the transforms, the diagonal and
 S's Walnut form (``WarpedBank.walnut``) run on them.  The painless dual
 shares the plan and the channels: it is the analysis bank with a
 ``weight`` on the DFT bins, S^{-1} as a division of spectra (see
-``painless_dual``).
+``painless_dual``).  A bank's ``fingerprint`` hashes its geometry alone
+(warping, window record, grid, hops), so ``design_tight`` and
+``build_bank`` of a window already normalized give one fingerprint.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ class BankPlan:
     ``response[offsets[i]]``, a mirror row's at its partner's.  All
     coefficients live in one flat buffer, row i's N of them at
     ``coefs[i]``, and an entry folds onto the slot ``slots`` = its row's
-    ``coefs`` + bin % N.  Group (N, block, span) has the direct rows of one
-    frame length, paired or not: their entries ``span`` fold onto the
-    contiguous buffer slice ``block``, rows x N.  The first ``paired``
+    ``coefs`` + bin % N.  Group (N, block) has the direct rows of one
+    frame length, paired or not, whose coefficients fill the contiguous
+    buffer slice ``block``, rows x N.  The first ``paired``
     groups, ``paired_entries`` entries and ``paired_size`` slots, hold the
     rows that have a mirror row, and all direct rows fill ``direct_size``
     slots: a real-input buffer.  A complex-input one, and on the full line
@@ -186,7 +188,7 @@ class BankPlan:
     -b reads bin L - b (and -0 bin 0), the negation on the DFT grid; every
     mirror lookup finds a paired entry's negated bin that way."""
 
-    groups: list[tuple[int, slice, slice]]
+    groups: list[tuple[int, slice]]
     bins: np.ndarray
     response: np.ndarray
     slots: np.ndarray
@@ -483,13 +485,13 @@ def _build_plan(first_bins: list[int], frames: list[int], sizes: list[int], bran
     groups, paired, lo = [], 0, 0
     for (unpaired, n), rows in groupby(order, key=key.__getitem__):
         hi = lo + len(list(rows))
-        block = slice(row_coefs[order[lo]], row_coefs[order[lo]] + (hi - lo) * n)
-        span = slice(int(starts[lo]), int(starts[lo] + sizes[lo:hi].sum()))
-        groups.append((n, block, span))
+        groups.append((n, slice(row_coefs[order[lo]], row_coefs[order[lo]] + (hi - lo) * n)))
         paired += not unpaired
         lo = hi
-    ends = [(0, 0)] + [(span.stop, block.stop) for _, block, span in groups]
-    (paired_entries, paired_size), direct_size = ends[paired], ends[-1][1]
+    ends = [0] + [block.stop for _, block in groups]
+    paired_size, direct_size = ends[paired], ends[-1]
+    # the paired rows lead ``order``, one for each distinct partner
+    paired_entries = int(sizes[:len(partners - {-1})].sum())
     return BankPlan(groups, bins, np.empty(total), slots, offsets, coefs, frames, partner,
                     paired, paired_entries, paired_size, direct_size, length)
 
@@ -667,12 +669,11 @@ def design_tight(warping: WarpingFunction, grid: GridSpec, window="hann",
     painless factors; the frame operator is the identity.  ``build_bank``
     derives that from the geometry, so no diagonal is computed here.
 
-    ``window`` is a catalog name or a coefficient sequence.
+    ``window`` is a catalog name or a coefficient sequence, stretched by
+    ``stretch``; anything else, a window instance too, is InvalidParameter.
     """
     if isinstance(window, str):
         proto = named_window(window, stretch)
-    elif isinstance(window, CosineSumWindow):
-        proto = window
     else:
         proto = CosineSumWindow(window, stretch)
     bank = build_bank(warping, normalize_for_tightness(proto), grid, Painless())

@@ -138,10 +138,10 @@ def cmd_analyze(args) -> int:
     built = specfile.load_bank_spec(args.bank)
     sig = _read_input(args.input, built, args.pad)
     coeffs = transform.analyze(sig, built)
-    transform.save_coefficients(coeffs, built, args.out)
+    transform.save_coefficients(coeffs, args.out)
     print(f"# wrote {args.out}")
     if args.spectrogram:
-        image, centers = signal_io.render_spectrogram(coeffs, built)
+        image, centers = signal_io.render_spectrogram(coeffs)
         signal_io.write_pgm(args.spectrogram, image)
         signal_io.write_csv(csv_path, centers, header="row_center_hz")
         print(f"# wrote {args.spectrogram} ({image.shape[1]}x{image.shape[0]}) "

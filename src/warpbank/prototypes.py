@@ -8,7 +8,8 @@ an exact constant,
     sum_m theta(t - m)^2 = R b_0^2 + (R/2) sum_{k>=1} b_k^2,
 
 whenever R exceeds twice the highest cosine order.  That constant is what
-tight designs divide out.  The identity genuinely needs an integer
+tight designs divide out; a window scaled to a unit constant is known by
+its coefficients alone.  The identity genuinely needs an integer
 stretch: the squared window only has Fourier content at multiples of 1/R,
 and integer translates cancel it exactly only when those multiples land
 on integers.  (A quick numeric probe confirms the failure for, say,
@@ -41,7 +42,6 @@ class CosineSumWindow:
 
     coeffs: tuple[float, ...]
     stretch: float
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         try:
@@ -132,7 +132,6 @@ class CosineSumWindow:
             "kind": "cosine_sum",
             "coeffs": list(self.coeffs),
             "stretch": self.stretch,
-            "normalized": self.normalized,
         }
 
 
@@ -183,20 +182,14 @@ class BSplineWindow:
             "kind": "bspline",
             "order": self.order,
             "stretch": self.stretch,
-            "normalized": False,
         }
-
-
-def make_cosine_window(coeffs, stretch: float) -> CosineSumWindow:
-    """Cosine-sum window with coefficients b_0..b_K and support width R."""
-    return CosineSumWindow(coeffs, stretch)
 
 
 def named_window(name: str, stretch: float):
     """Catalog lookup: hann, hamming, blackman, boxcar, bspline2, bspline3."""
     key = name.lower() if isinstance(name, str) else None
     if key in WINDOW_COEFFS:
-        return make_cosine_window(WINDOW_COEFFS[key], stretch)
+        return CosineSumWindow(WINDOW_COEFFS[key], stretch)
     if key in ("bspline2", "bspline3"):
         return BSplineWindow(order=int(key[-1]), stretch=stretch)
     raise InvalidParameter(
@@ -232,5 +225,4 @@ def normalize_for_tightness(window: CosineSumWindow) -> CosineSumWindow:
     if c_t <= 0.0:
         raise DegenerateWindow("window has no energy to normalize")
     scale = 1.0 / np.sqrt(c_t)
-    return CosineSumWindow(tuple(b * scale for b in window.coeffs), window.stretch,
-                           normalized=True)
+    return CosineSumWindow(tuple(b * scale for b in window.coeffs), window.stretch)

@@ -176,8 +176,8 @@ def write_csv(path, values, header: str | None = None) -> None:
             fh.write(f"{value:.12g}\n")
 
 
-def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[float]]:
-    """Log-magnitude image of the warped channels.
+def render_spectrogram(coeffs: CoefficientSet) -> tuple[np.ndarray, list[float]]:
+    """Log-magnitude image of the warped channels of the set's own bank.
 
     Rows are the warped channels ordered by ascending center frequency
     (residual and mirror channels are omitted); each row's coefficients
@@ -189,7 +189,7 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     the uint8 image.  Returns the image and the row center frequencies
     in Hz.
     """
-    plan = bank.plan
+    bank, plan = coeffs.bank, coeffs.bank.plan
     order = np.argsort([ch.center_hz for ch in bank.channels])
     n_cols = max(ch.n_frames for ch in bank.channels)
     centers = [bank.channels[i].center_hz for i in order]
@@ -212,11 +212,8 @@ def render_spectrogram(coeffs: CoefficientSet, bank) -> tuple[np.ndarray, list[f
     levels /= -SPECTROGRAM_FLOOR_DB
     levels *= 255.0
     levels = np.round(levels, out=levels).astype(np.uint8)
-    starts, stored = plan.coefs.tolist(), len(coeffs.buffer)
     for row, i in enumerate(order):
-        start, n = starts[i], bank.channels[i].n_frames
-        if start >= stored:  # implicit: its partner's, as in CoefficientSet.row
-            start -= plan.direct_size
+        start, n = coeffs.stored_at(i)[0], bank.channels[i].n_frames
         if n_cols % n:
             image[row] = levels[start + (np.arange(n_cols) * n) // n_cols]
         else:

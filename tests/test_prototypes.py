@@ -3,8 +3,8 @@ import pytest
 
 from warpbank import (BSplineWindow, CosineSumWindow, DegenerateWindow, GridSpec,
                       InvalidParameter, Painless, build_bank, design_tight,
-                      make_cosine_window, make_warping, named_window,
-                      normalize_for_tightness, sum_of_squares)
+                      make_warping, named_window, normalize_for_tightness,
+                      sum_of_squares)
 from warpbank.prototypes import WINDOW_COEFFS
 
 
@@ -38,7 +38,7 @@ def test_squared_translates_sum_to_constant(name, stretch, expected):
 def test_constancy_fails_for_fractional_stretch():
     # the closed-form constant only describes integer stretches; at
     # R = 2.5 the translated sum genuinely oscillates
-    win = make_cosine_window((0.5, 0.5), 2.5)
+    win = CosineSumWindow((0.5, 0.5), 2.5)
     assert not win.constant_overlap
     t = np.linspace(-3.0, 3.0, 4001)
     total = sum_of_squares(win, t)
@@ -49,10 +49,10 @@ def test_constancy_fails_for_fractional_stretch():
 
 def test_stretch_must_clear_twice_the_order():
     with pytest.raises(InvalidParameter):
-        make_cosine_window((0.5, 0.5), 2.0)  # K=1 needs R > 2
+        CosineSumWindow((0.5, 0.5), 2.0)  # K=1 needs R > 2
     with pytest.raises(InvalidParameter):
-        make_cosine_window((0.42, 0.5, 0.08), 4.0)  # K=2 needs R > 4
-    make_cosine_window((0.42, 0.5, 0.08), 4.5)  # fractional but admissible
+        CosineSumWindow((0.42, 0.5, 0.08), 4.0)  # K=2 needs R > 4
+    CosineSumWindow((0.42, 0.5, 0.08), 4.5)  # fractional but admissible
 
 
 def test_cosine_window_support_and_edges():
@@ -188,11 +188,11 @@ def test_bank_samples_each_response_point_once(monkeypatch, family, kw, length, 
 
 def test_cosine_window_rejects_bad_coefficients():
     with pytest.raises(InvalidParameter):
-        make_cosine_window((), 3.0)
+        CosineSumWindow((), 3.0)
     with pytest.raises(InvalidParameter):
-        make_cosine_window((0.5, np.nan), 3.0)
+        CosineSumWindow((0.5, np.nan), 3.0)
     with pytest.raises(InvalidParameter):
-        make_cosine_window((1.0,), -1.0)
+        CosineSumWindow((1.0,), -1.0)
 
 
 def test_bspline_windows():
@@ -216,7 +216,9 @@ def test_bspline_windows():
 def test_normalize_for_tightness():
     win = named_window("hann", 3.0)
     unit = normalize_for_tightness(win)
-    assert unit.normalized
+    # the scaled coefficients are all a normalized window is: no label
+    assert unit == CosineSumWindow(unit.coeffs, 3.0) and unit.record == {
+        "kind": "cosine_sum", "coeffs": list(unit.coeffs), "stretch": 3.0}
     np.testing.assert_allclose(unit.sum_of_squares_constant, 1.0, rtol=1e-15)
     t = np.linspace(-2.0, 2.0, 2001)
     np.testing.assert_allclose(sum_of_squares(unit, t), 1.0, atol=1e-13)
@@ -224,12 +226,11 @@ def test_normalize_for_tightness():
     again = normalize_for_tightness(unit)
     np.testing.assert_allclose(again.coeffs, unit.coeffs, rtol=1e-15)
     with pytest.raises(DegenerateWindow):
-        normalize_for_tightness(make_cosine_window((0.0, 0.0), 3.0))
+        normalize_for_tightness(CosineSumWindow((0.0, 0.0), 3.0))
 
 
 def test_window_records():
     win = named_window("hann", 3.0)
-    assert win.record == {"kind": "cosine_sum", "coeffs": [0.5, 0.5],
-                          "stretch": 3.0, "normalized": False}
+    assert win.record == {"kind": "cosine_sum", "coeffs": [0.5, 0.5], "stretch": 3.0}
     rec = BSplineWindow(order=2, stretch=3.0).record
-    assert rec["kind"] == "bspline" and rec["order"] == 2
+    assert rec == {"kind": "bspline", "order": 2, "stretch": 3.0}

@@ -220,13 +220,28 @@ def test_spectrogram_matches_the_per_row_renderer(family, kw, fs, length):
         gathered += any(n_cols % ch.n_frames for ch in bank.channels)
         for signal in (x, x + 1j * rng.standard_normal(length), np.zeros(length)):
             coeffs = analyze(signal, bank)
-            image, centers = render_spectrogram(coeffs, bank)
+            image, centers = render_spectrogram(coeffs)
             want = per_row_spectrogram(coeffs, bank)
             assert image.dtype == np.uint8 and image.tobytes() == want.tobytes()
             assert centers == sorted(ch.center_hz for ch in bank.channels)
             assert image.max() == (255 if signal.any() else 0)
     # at L=360 some rows have an N that does not divide the column count
     assert gathered if length == 360 else not gathered
+
+
+def test_spectrogram_has_its_own_banks_shape():
+    # the set names its bank: channels x the longest N of that bank, not
+    # of another bank of the same warping and grid
+    w = make_warping("erblike")
+    tight = design_tight(w, GridSpec(length=1024, fs=44100.0, domain=w.domain))
+    x = np.random.default_rng(11).standard_normal(1024)
+    shapes = []
+    for bank in (tight, with_scaled_factors(tight, 2)):
+        image, centers = render_spectrogram(analyze(x, bank))
+        shapes.append(image.shape)
+        assert image.shape == (len(bank.channels), max(ch.n_frames for ch in bank.channels))
+        assert len(centers) == len(bank.channels)
+    assert shapes[0] != shapes[1]
 
 
 def test_pgm_holds_the_image_rows(tmp_path):

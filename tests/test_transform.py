@@ -245,7 +245,7 @@ def test_coefficient_set_shape_is_checked(edit, entries, tmp_path):
     with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
         synthesize(coeffs, bank)
     with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
-        save_coefficients(coeffs, bank, tmp_path / "c.wfbc")
+        save_coefficients(coeffs, tmp_path / "c.wfbc")
     assert not (tmp_path / "c.wfbc").exists()
 
 
@@ -329,7 +329,7 @@ def test_coefficient_file_round_trip(tmp_path):
         f = random_signal(512, rng, real=real)
         coeffs = analyze(f, bank)
         path = tmp_path / f"{family}_{real}.wfbc"
-        save_coefficients(coeffs, bank, path)
+        save_coefficients(coeffs, path)
         back = load_coefficients(path, bank)
         for a, b in zip(coeffs.channels, back.channels):
             np.testing.assert_array_equal(a, b)
@@ -351,7 +351,7 @@ def test_coefficient_file_byte_layout(family, real, tmp_path):
     bank = tight_bank(family, length=256)
     coeffs = analyze(random_signal(256, rng, real=real), bank)
     path = tmp_path / "c.wfbc"
-    save_coefficients(coeffs, bank, path)
+    save_coefficients(coeffs, path)
     blob = path.read_bytes()
     assert blob[:4] == b"WFBC"
     version, count = struct.unpack_from("<II", blob, 4)
@@ -398,8 +398,8 @@ def test_real_full_line_file_keeps_its_layout_and_loads_as_the_prefix(tmp_path):
     real = analyze(x, bank)
     assert len(real.buffer) < plan.frames.sum()
     path = tmp_path / "real.wfbc"
-    save_coefficients(real, bank, path)
-    save_coefficients(analyze(random_signal(512, rng), bank), bank, tmp_path / "complex.wfbc")
+    save_coefficients(real, path)
+    save_coefficients(analyze(random_signal(512, rng), bank), tmp_path / "complex.wfbc")
     # every channel in order, the implicit ones as their partners' conjugates
     size = 12 + sum(8 + 16 * ch.n_frames for ch in bank.channels)
     assert path.stat().st_size == (tmp_path / "complex.wfbc").stat().st_size == size
@@ -435,7 +435,7 @@ def test_coefficient_file_rejects_corruption(tmp_path):
     bank = tight_bank("log")
     coeffs = analyze(random_signal(512, rng), bank)
     path = tmp_path / "c.wfbc"
-    save_coefficients(coeffs, bank, path)
+    save_coefficients(coeffs, path)
     blob = path.read_bytes()
 
     bad_magic = tmp_path / "magic.wfbc"
@@ -464,9 +464,6 @@ def test_coefficient_file_rejects_corruption(tmp_path):
     other = tight_bank("erblike")
     with pytest.raises(FingerprintMismatch):
         load_coefficients(path, other)
-
-    with pytest.raises(FingerprintMismatch):
-        save_coefficients(coeffs, other, tmp_path / "never.wfbc")
 
 
 @pytest.mark.parametrize("family,kw,fs", [
@@ -528,17 +525,20 @@ def test_plan_has_a_row_per_generator(family, kw, fs, plan_test_banks):
         # the direct rows' coefficient blocks tile the direct prefix group
         # after group, the paired ones first; each mirror row's block lies
         # past it, where its partner's lies in the paired prefix
-        ends = [0] + [block.stop for _, block, _ in plan.groups]
-        assert [block.start for _, block, _ in plan.groups] == ends[:-1]
+        ends = [0] + [block.stop for _, block in plan.groups]
+        assert [block.start for _, block in plan.groups] == ends[:-1]
         order = direct[np.argsort(plan.coefs[direct])]
         np.testing.assert_array_equal(
             plan.coefs[order], np.cumsum(plan.frames[order]) - plan.frames[order])
-        for n, block, span in plan.groups:
+        for n, block in plan.groups:
             members = (plan.coefs >= block.start) & (plan.coefs < block.stop)
             assert set(plan.frames[members].tolist()) == {n}
             assert np.count_nonzero(members) * n == block.stop - block.start
-            assert sum(sizes[i] for i in np.flatnonzero(members)) == span.stop - span.start
         is_paired = np.isin(np.arange(len(plan.frames)), plan.partner)
+        # the paired rows' entries lead the entry arrays
+        assert plan.paired_entries == sum(sizes[i] for i in np.flatnonzero(is_paired))
+        assert (plan.offsets[is_paired] + np.array(sizes)[is_paired]).max(
+            initial=0) <= plan.paired_entries
         pstop, cstop = ends[plan.paired], ends[-1]
         assert (plan.coefs[is_paired] + plan.frames[is_paired]).max(initial=0) <= pstop
         assert (plan.coefs[~is_paired & ~is_mirror] >= pstop).all()
@@ -864,7 +864,7 @@ def test_half_line_plans_pair_only_the_mirror_branches(family, kw):
             np.testing.assert_array_equal(plan.partner, [-1] * (n + 2) + list(range(n)))
             assert bank.kind != "dual" or plan is tight.plan
             # channels, then the residuals, then the mirror branches
-            sizes = [block.stop - block.start for _, block, _ in plan.groups]
+            sizes = [block.stop - block.start for _, block in plan.groups]
             assert sum(sizes[:plan.paired]) == plan.frames[:n].sum()
             assert sizes[plan.paired:] == [2]
 
