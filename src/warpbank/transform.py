@@ -81,19 +81,34 @@ class Signal:
         return len(self.samples)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientSet:
     """Coefficients of one analysis by ``bank`` in the plan's flat buffer,
-    row i's N at ``plan.coefs[i]``; a real-input analysis holds the direct
-    prefix only, and its mirror rows are implicit, except through a
-    full-line dual, whose real-input analysis holds the full buffer (see
-    ``analyze``).  ``channels`` are views of the buffer, and for implicit
-    rows conjugate copies of their partners.  ``residuals`` (DC / Nyquist
-    on half-line grids) and the half-line ``mirrors`` are views, the
-    latter None when implicit."""
+    row i's N at ``plan.coefs[i]``, checked when the set is made: any
+    buffer but a one-dimensional one of the plan's full size or of its
+    direct prefix (real input; see ``analyze``), whose mirror rows are
+    then ``implicit``, raises FingerprintMismatch.  ``channels`` are views
+    of the buffer, and for implicit rows conjugate copies of their
+    partners.  ``residuals`` (DC / Nyquist on half-line grids) and the
+    half-line ``mirrors`` are views, the latter None when implicit."""
 
     buffer: np.ndarray
     bank: WarpedBank = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "buffer", np.asarray(self.buffer))
+        prefix = self.bank.plan.direct_size
+        full = prefix + self.bank.plan.paired_size
+        if self.buffer.shape not in ((prefix,), (full,)):
+            raise FingerprintMismatch(
+                f"coefficient buffer has shape {self.buffer.shape}; the bank takes "
+                f"{full} coefficients, or {prefix} for real input"
+            )
+
+    @property
+    def implicit(self) -> bool:
+        """Whether the mirror rows are implicit: the buffer is the direct prefix."""
+        return len(self.buffer) == self.bank.plan.direct_size
 
     @property
     def half_line(self) -> bool:
@@ -129,7 +144,7 @@ class CoefficientSet:
     @property
     def mirrors(self) -> tuple | None:
         plan, first = self.bank.plan, len(self.bank.channels) + len(self.bank.residuals)
-        if first == len(plan.frames) or plan.coefs[first] >= len(self.buffer):
+        if first == len(plan.frames) or self.implicit:
             return None
         return tuple(self.row(i) for i in range(first, len(plan.frames)))
 
@@ -138,10 +153,9 @@ class CoefficientSet:
         """Sum of |c|^2 over the full atom set.  An implicit mirror row
         counts as its partner, so a real-input set counts each paired
         row twice."""
-        plan = self.bank.plan
-        if len(self.buffer) > plan.direct_size:
+        if not self.implicit:
             return float(np.vdot(self.buffer, self.buffer).real)
-        head, tail = self.buffer[:plan.paired_size], self.buffer[plan.paired_size:]
+        head, tail = np.split(self.buffer, [self.bank.plan.paired_size])
         return float(2.0 * np.vdot(head, head).real + np.vdot(tail, tail).real)
 
 
@@ -230,32 +244,19 @@ def analyze(signal, bank: WarpedBank) -> CoefficientSet:
     return CoefficientSet(flat, bank)
 
 
-def _check_shape(coeffs: CoefficientSet, bank: WarpedBank) -> None:
-    """Raise FingerprintMismatch unless ``coeffs`` has ``bank``'s fingerprint
-    and a one-dimensional buffer of the plan's direct or full size."""
-    if coeffs.bank.fingerprint != bank.fingerprint:
-        raise FingerprintMismatch(
-            "coefficient set was produced by a bank with different geometry"
-        )
-    prefix = bank.plan.direct_size
-    full = prefix + bank.plan.paired_size
-    if np.shape(coeffs.buffer) not in ((prefix,), (full,)):
-        raise FingerprintMismatch(
-            f"coefficient buffer has shape {np.shape(coeffs.buffer)}; the bank takes "
-            f"{full} coefficients, or {prefix} for real input"
-        )
-
-
 @_in_float_range
 def synthesize(coeffs: CoefficientSet, bank: WarpedBank) -> Signal:
     """Weighted sum of ``bank``'s atoms.  Pass the analysis bank itself for
     a tight design, or its painless dual, to invert ``analyze``.  The sum
     is real only for a real-input analysis on a half-line grid.
     Coefficients holding NaN or inf raise InvalidParameter."""
-    _check_shape(coeffs, bank)
+    if coeffs.bank.fingerprint != bank.fingerprint:
+        raise FingerprintMismatch(
+            "coefficient set was produced by a bank with different geometry"
+        )
     length, plan = bank.grid.length, bank.plan
     # a real-input set on a half-line grid sits on bins 0..L/2; irfft adds the rest
-    half = coeffs.half_line and len(coeffs.buffer) == plan.direct_size
+    half = coeffs.half_line and coeffs.implicit
     # the row FFTs run out of place, so the caller's buffer stays untouched
     spectra = np.empty(len(coeffs.buffer), dtype=complex)
     _row_ffts(np.asarray(coeffs.buffer, dtype=complex), plan, inverse=False, out=spectra)
@@ -310,9 +311,7 @@ def _entry_plan(bank: WarpedBank, with_mirrors: bool) -> list[tuple[int, int]]:
 def save_coefficients(coeffs: CoefficientSet, path) -> None:
     """Write a coefficient set to the binary WFBC container, in the layout
     of its own bank."""
-    bank = coeffs.bank
-    _check_shape(coeffs, bank)
-    entries = _entry_plan(bank, len(coeffs.buffer) > bank.plan.direct_size)
+    entries = _entry_plan(coeffs.bank, not coeffs.implicit)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(entries)))

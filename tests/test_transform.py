@@ -1,14 +1,18 @@
+import dataclasses
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from warpbank import (CoefficientSet, Domain, Explicit, FingerprintMismatch,
                       GridSpec, InvalidParameter, LengthMismatch, Natural, Painless,
-                      Signal, analyze, apply_frame_operator, build_bank, design_tight,
-                      load_bank_spec, load_coefficients, make_warping, named_window,
-                      painless_dual, save_coefficients, synthesize, with_scaled_factors)
+                      Signal, WarpBankError, analyze, apply_frame_operator, build_bank,
+                      design_tight, load_bank_spec, load_coefficients, make_warping,
+                      named_window, painless_dual, save_coefficients, synthesize,
+                      with_scaled_factors)
 from warpbank import bank as bank_mod
 
 HANN = named_window("hann", 3.0)
@@ -222,8 +226,9 @@ def test_synthesize_checks_fingerprint():
     ("short mirrors", "mirror"), ("short channel", "channel"),
     ("mirrors on the full line", "mirror"),
 ])
-def test_coefficient_set_shape_is_checked(edit, entries, tmp_path):
+def test_coefficient_set_shape_is_checked(edit, entries):
     # a buffer edited as if the named entries were dropped, padded or cut
+    # is refused where the set is made
     rng = np.random.default_rng(19)
     bank = tight_bank("log", length=256)
     buffer = analyze(random_signal(256, rng), bank).buffer
@@ -241,12 +246,91 @@ def test_coefficient_set_shape_is_checked(edit, entries, tmp_path):
         bank = tight_bank("erblike", length=256)
         buffer = analyze(random_signal(256, rng), bank).buffer
         buffer = np.concatenate([buffer, buffer])
+    with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
+        CoefficientSet(buffer, bank)
+
+
+# the full-line ERB audio bank and the half-line bank of the stream benchmark
+CHECKED_BANKS = [("erblike", {}, 1024, 44100.0),
+                 ("sympow", {"c": 1.0, "d": 1.0, "l": 1.0}, 4096, 8.0)]
+
+
+@pytest.mark.parametrize("family,kw,length,fs", CHECKED_BANKS)
+def test_malformed_buffers_are_refused_where_the_set_is_made(family, kw, length, fs):
+    rng = np.random.default_rng(41)
+    bank = tight_bank(family, kw, length=length, fs=fs)
+    prefix = analyze(random_signal(length, rng, real=True), bank).buffer
+    full = analyze(random_signal(length, rng), bank).buffer
+    assert len(prefix) == bank.plan.direct_size < len(full)
+    for bad in (np.ones(5), np.concatenate((prefix, np.zeros(3))), full[:-1],
+                prefix.reshape(1, -1)):
+        with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
+            CoefficientSet(bad, bank)
+
+
+@pytest.mark.parametrize("family,kw,length,fs", CHECKED_BANKS)
+def test_any_numeric_buffer_of_a_valid_length_builds_a_set(family, kw, length, fs):
+    # a list or a float64 array is taken as an array, and reads and
+    # synthesizes as its complex128 copy
+    rng = np.random.default_rng(43)
+    bank = tight_bank(family, kw, length=length, fs=fs)
+    plan = bank.plan
+    for size in (plan.direct_size, plan.direct_size + plan.paired_size):
+        values = rng.standard_normal(size)
+        want = CoefficientSet(values.astype(complex), bank)
+        for buffer in (values.tolist(), values):
+            coeffs = CoefficientSet(buffer, bank)
+            assert coeffs.energy == pytest.approx(want.energy, rel=1e-14)
+            for i in range(len(plan.frames)):
+                assert np.array_equal(coeffs.row(i), want.row(i))
+            got = synthesize(coeffs, bank).samples
+            assert got.tobytes() == synthesize(want, bank).samples.tobytes()
+
+
+def test_a_coefficient_set_is_frozen():
+    bank = tight_bank("log", length=256)
+    coeffs = analyze(np.ones(256), bank)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        coeffs.buffer = np.zeros_like(coeffs.buffer)
+
+
+# one rate per family: erblike at 44.1 kHz pairs channel -m with m on the full line
+PROPERTY_FAMILIES = [("log", {}, 2.0), ("sympow", {"l": 0.5}, 2.0),
+                     ("erblike", {}, 44100.0), ("signedpow", {"l": 0.5}, 256.0)]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=1000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(family=st.sampled_from(PROPERTY_FAMILIES), half_length=st.integers(4, 256),
+       doubled=st.booleans(), real=st.booleans(), full_size=st.booleans(),
+       offset=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+def test_a_set_is_made_exactly_at_the_two_valid_sizes(family, half_length, doubled, real,
+                                                      full_size, offset, seed, tmp_path):
+    # a buffer within 3 slots of the direct prefix or of the full buffer
+    # builds a set only at those two sizes; each set survives the WFBC
+    # round trip row for row and synthesizes as the reloaded set
+    name, kw, fs = family
+    length = 2 * half_length
+    try:
+        bank = tight_bank(name, kw, length=length, fs=fs)
+        bank = with_scaled_factors(bank, 2) if doubled else bank
+    except WarpBankError:
+        reject()
+    plan, rng = bank.plan, np.random.default_rng(seed)
+    sizes = (plan.direct_size, plan.direct_size + plan.paired_size)
+    size = sizes[full_size] + offset
+    stored = analyze(random_signal(length, rng, real=real), bank).buffer
+    buffer = np.concatenate((stored, random_signal(max(size - len(stored), 0), rng)))[:size]
+    if size not in sizes:
+        with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
+            CoefficientSet(buffer, bank)
+        return
     coeffs = CoefficientSet(buffer, bank)
-    with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
-        synthesize(coeffs, bank)
-    with pytest.raises(FingerprintMismatch, match="coefficient buffer"):
-        save_coefficients(coeffs, tmp_path / "c.wfbc")
-    assert not (tmp_path / "c.wfbc").exists()
+    save_coefficients(coeffs, tmp_path / "c.wfbc")
+    back = load_coefficients(tmp_path / "c.wfbc", bank)
+    for i in range(len(plan.frames)):
+        assert back.row(i).tobytes() == coeffs.row(i).tobytes()
+    assert synthesize(back, bank).samples.tobytes() == synthesize(coeffs, bank).samples.tobytes()
 
 
 BUFFER_SETS = [("log", True), ("log", False), ("erblike", True), ("erblike", False)]
@@ -261,7 +345,7 @@ def test_rows_are_views_and_synthesis_leaves_the_buffer(family, real):
     plan = bank.plan
     coeffs = analyze(random_signal(256, rng, real=real), bank)
     implicit = (plan.partner >= 0) & (plan.coefs >= len(coeffs.buffer))
-    assert implicit.any() == real
+    assert implicit.any() == coeffs.implicit == real
     assert len(coeffs.buffer) == plan.frames[~implicit].sum()
     assert [len(c) for c in coeffs.channels] == [ch.n_frames for ch in bank.channels]
     # direct rows view the buffer; an implicit row is its partner's conjugate
@@ -931,7 +1015,7 @@ def test_dual_matches_the_inverse_frame_operator(make, dense_atoms):
         tol = 1e-12 * np.linalg.norm(x)
         want = duals.conj() @ x
         coeffs = analyze(x, dual)
-        if coeffs.half_line and len(coeffs.buffer) == dual.plan.direct_size:
+        if coeffs.half_line and coeffs.implicit:
             n_direct = sum(len(c) for c in coeffs.channels)
             got = np.concatenate(list(coeffs.channels) + list(coeffs.residuals))
             want = np.concatenate([want[:n_direct], want[len(want) - 2:]])
