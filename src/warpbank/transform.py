@@ -155,7 +155,8 @@ class CoefficientSet:
         row twice."""
         if not self.implicit:
             return float(np.vdot(self.buffer, self.buffer).real)
-        head, tail = np.split(self.buffer, [self.bank.plan.paired_size])
+        n = self.bank.plan.paired_size
+        head, tail = self.buffer[:n], self.buffer[n:]
         return float(2.0 * np.vdot(head, head).real + np.vdot(tail, tail).real)
 
 
