@@ -50,9 +50,12 @@ each row's N, first bin, entry count and reflected partner
 (``_build_plan``); the window then writes each direct row straight into
 its slice of the plan's one response array.  Each channel's response is
 a view of it, which every consumer reads.  The plan's ``fold`` and
-``spread``, real or complex, are the only sums over its entries, so the
-only code that knows the mirror rule: the transforms, the diagonal and
-S's Walnut form (``WarpedBank.walnut``) run on them.  The painless dual
+``spread``, real or complex, are the only sums over its entries, and with
+``WarpedBank._entries``, which lists them for S's couplings and
+components, the only code that knows the mirror rule: the transforms,
+the diagonal and S's Walnut form (``WarpedBank.walnut``) run on them.
+S is block diagonal on the components of its aliasing graph, which
+``WarpedBank.components`` finds once per bank.  The painless dual
 shares the plan and the channels: it is the analysis bank with a
 ``weight`` on the DFT bins, S^{-1} as a division of spectra (see
 ``painless_dual``).  A bank's ``fingerprint`` hashes its geometry alone
@@ -277,10 +280,83 @@ class WarpedBank:
     plan: BankPlan = field(repr=False)
     weight: np.ndarray | None = field(default=None, repr=False)
     _diag: np.ndarray | None = field(init=False, default=None, repr=False)
+    _couplings: tuple | None = field(init=False, default=None, repr=False)
+    _components: tuple | None = field(init=False, default=None, repr=False)
 
     @property
     def painless(self) -> bool:
         return all(ch.painless for ch in self.channels)
+
+    def _entries(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bins, slots, responses) of the plan's nonzero entries where the
+        mask ``keep`` holds, a paired one twice: at its bin and slot, and
+        for its mirror row at the negated bin and in the mirror block."""
+        plan, stop = self.plan, self.plan.paired_entries
+        keep = keep & (plan.response != 0.0)
+        mirrored = keep[:stop]
+        return (np.concatenate((plan.bins[keep], -plan.bins[:stop][mirrored] % plan.length)),
+                np.concatenate((plan.slots[keep], plan.slots[:stop][mirrored] + plan.direct_size)),
+                np.concatenate((plan.response[keep], plan.response[:stop][mirrored])))
+
+    def couplings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """S off its diagonal on the DFT grid (cached), as (rows, cols,
+        values) with repeats to be summed: for every slot and every
+        ordered pair of distinct bins j, j' that it folds with nonzero
+        responses g, N g[j] g[j'].  Only non-painless rows couple bins: a
+        painless row's nonzero bins each have a slot of their own.  So
+        only their entries are read, and a weighted bank, a painless dual,
+        has none."""
+        if self._couplings is None:
+            plan = self.plan
+            keep = np.zeros(len(plan.bins), dtype=bool)
+            for k, ch in enumerate(self.channels):
+                if not ch.painless and plan.partner[k] < 0:
+                    keep[plan.offsets[k]:plan.offsets[k] + len(ch.response)] = True
+            bins, slots, values = self._entries(keep)
+            order = np.argsort(slots, kind="stable")
+            bins, slots, values = bins[order], slots[order], values[order]
+            # runs of entries on one slot: entry i meets every other entry p
+            # of its run
+            bounds = np.concatenate(([0], np.flatnonzero(slots[1:] != slots[:-1]) + 1,
+                                     [len(slots)]))
+            counts = bounds[1:] - bounds[:-1]
+            run = np.repeat(counts, counts)
+            head = np.repeat(bounds[:-1], counts)
+            i = np.repeat(np.arange(len(slots)), run)
+            p = np.repeat(head, run) + np.arange(len(i)) - np.repeat(np.cumsum(run) - run, run)
+            i, p = i[i != p], p[i != p]
+            values = plan.slot_frames[slots[i]] * values[i] * values[p]
+            self._couplings = (bins[i], bins[p], values)
+        return self._couplings
+
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """Connected components of S's aliasing graph (cached), whose
+        edges are the ``couplings``, so S is block diagonal on them:
+        ``labels``, each bin's component, numbered 0.. in the order of
+        their first bins, and ``slots``, each component's count of slots
+        with a nonzero entry.  A component with fewer slots than bins has
+        a singular block.  Each bin takes the least label over its
+        couplings, with pointer jumping, until nothing moves; that least
+        label is the component's first bin."""
+        if self._components is None:
+            plan, length = self.plan, self.plan.length
+            rows, cols, _ = self.couplings()
+            label = np.arange(length)
+            while True:
+                moved = label.copy()
+                np.minimum.at(moved, rows, moved[cols])
+                moved = moved[moved]
+                if (moved == label).all():
+                    break
+                label = moved
+            first = label == np.arange(length)
+            labels = (np.cumsum(first) - 1)[label]
+            bins, slots, _ = self._entries(np.ones(len(plan.bins), dtype=bool))
+            owner = np.full(plan.direct_size + plan.paired_size, -1)
+            owner[slots] = labels[bins]
+            counts = np.bincount(owner[owner >= 0], minlength=int(first.sum()))
+            self._components = (labels, counts)
+        return self._components
 
     def diagonal(self) -> np.ndarray:
         """Frame-operator diagonal over all L bins (cached): the plan's

@@ -179,7 +179,7 @@ def cmd_diagnose(args) -> int:
     if args.sweep_a is not None:
         text += "sweep:\n"
         for scale in scales:
-            if scale == 1:  # the report's own Lanczos run
+            if scale == 1:  # the report's own bounds, step-cap note and all
                 ratio, notes = report.tightness_ratio, report.bounds_warnings
             else:  # a Lanczos run that hit its step cap is noted on its row
                 with warnings.catch_warnings(record=True) as caught:

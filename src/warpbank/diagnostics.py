@@ -7,14 +7,21 @@ Three layers, from cheap to expensive:
 * sufficient bounds: a Gershgorin test on the sampled frame operator,
   read off the bank's plan (see ``sufficient_bounds``).  A_suff <= 0
   proves nothing and is reported as inconclusive;
-* empirical bounds: for non-painless banks one Lanczos run (``_lanczos``)
-  on the Walnut form of the frame operator, a real symmetric matrix on
-  the DFT grid, in real arithmetic, gives both A_emp and B_emp, as the
-  extreme Ritz values, once their residual bounds reach 1e-13 B_emp.
-  An A_emp within that bound of 0 may be a singular S, so the report
-  gives A_emp 0 and calls the bank not a frame to working precision.
-  ``FrameReport.bounds_method`` says which of the diagonal (exact) and
-  Lanczos gave them.
+* empirical bounds: S is block diagonal on the connected components of
+  its aliasing graph (``WarpedBank.components``).  A painless bank's
+  components are single bins, so its diagonal extremes are exact, read
+  without the label pass.  Otherwise the blocks of the components of at
+  most ``DENSE_BLOCK_MAX`` bins are summed from the bank's ``couplings``
+  and decomposed densely, exact to rounding, and a component with fewer
+  coefficient slots than bins makes S singular by counting: A_emp is 0
+  exactly.  Only the bins of larger components go to one Lanczos run
+  (``_lanczos``) on the Walnut form of the frame operator, a real
+  symmetric matrix on the DFT grid, in real arithmetic, whose extreme
+  Ritz values count once their residual bounds reach 1e-13 B_emp.  When
+  Lanczos ran, an A_emp within that bound of 0 may be a singular S, so
+  the report gives A_emp 0 and calls the bank not a frame to working
+  precision.  ``FrameReport.bounds_method`` names the split: how many
+  components, the largest, and how many bins went to Lanczos.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from .errors import InvalidParameter, NoConvergence, as_integer
 
 # Lanczos steps after which empirical_bounds stops with a NoConvergence warning
 LANCZOS_MAX_STEPS = 2048
+# components of at most this many bins get their block of S decomposed
+# densely; the blocks then take at most 8 L DENSE_BLOCK_MAX bytes
+DENSE_BLOCK_MAX = 128
 # both extreme Ritz values must lie this close to S's spectrum, relative to B_emp
 _RESIDUAL_TOL = 1e-13
 
@@ -103,32 +113,45 @@ def _lanczos(apply, q):
         q_prev, q = q, w / beta
 
 
-def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
-    """(A_emp, B_emp): extreme eigenvalues of the frame operator.
+def _block_extremes(bank: WarpedBank, labels: np.ndarray, sizes: np.ndarray,
+                    chosen: np.ndarray) -> tuple[float, float]:
+    """The lowest and the highest eigenvalue of S's blocks on the
+    ``chosen`` components: the blocks, laid out by size in one buffer,
+    take the diagonal and sum the ``couplings``, then one batched
+    ``eigvalsh`` runs per block size."""
+    order = np.argsort(labels, kind="stable")
+    position = np.empty_like(labels)  # of each bin in its component
+    position[order] = np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    picked = np.flatnonzero(chosen)
+    picked = picked[np.argsort(sizes[picked], kind="stable")]
+    areas = sizes[picked] ** 2
+    base = np.zeros_like(sizes)
+    base[picked] = np.cumsum(areas) - areas
+    # S[j, k] of a chosen block adds onto its base + position[j] * size +
+    # position[k]: the diagonal, then the couplings
+    inside = chosen[labels]
+    bins = np.flatnonzero(inside)
+    rows, cols, values = bank.couplings()
+    inside = inside[rows]
+    rows, cols = np.concatenate((bins, rows[inside])), np.concatenate((bins, cols[inside]))
+    values = np.concatenate((bank.diagonal()[bins], values[inside]))
+    owner = labels[rows]
+    blocks = np.zeros(int(areas.sum()))
+    np.add.at(blocks, base[owner] + position[rows] * sizes[owner] + position[cols], values)
+    lows, highs, start = [], [], 0
+    counts = np.bincount(sizes[picked])
+    for s in np.flatnonzero(counts).tolist():
+        stop = start + int(counts[s]) * s * s
+        spectra = np.linalg.eigvalsh(blocks[start:stop].reshape(-1, s, s))
+        lows.append(spectra[:, 0].min())
+        highs.append(spectra[:, -1].max())
+        start = stop
+    return float(min(lows)), float(max(highs))
 
-    Painless banks short-circuit to the diagonal extremes, the exact
-    spectrum.  Otherwise one ``_lanczos`` run on S gives both ends.  It works
-    on unitary-DFT spectra, where S is the Walnut form
-    (``WarpedBank.walnut``), a real symmetric matrix: one real fold and one
-    real spread per step, no FFT.  The start vector is a fixed real
-    Gaussian draw (``default_rng(0)``) on the DFT bins, normalized, so the
-    Ritz values are those of the time-domain run from its inverse DFT.
-    Every max(8, k // 8) steps the Ritz values theta_i of the tridiagonal
-    T_k and the last components s_i of its eigenvectors bound the
-    spectrum: S has an eigenvalue within beta_k |s_i| of each theta_i.
-    The run stops when, at both ends,
-    min_i (beta_k |s_i| + |theta_i - theta_end|) <= 1e-13 theta_max, or
-    when beta_k = 0.  The minimum runs over all Ritz values because,
-    without reorthogonalization, a converged extreme returns as a "ghost"
-    copy that can carry the small residual while the extreme's own bound
-    jumps back up; the bounds stay valid (Paige 1980).  After
-    ``LANCZOS_MAX_STEPS`` steps a NoConvergence warning names the step
-    count and the residual bound.
-    """
-    if bank.painless:
-        return diagonal_bounds(bank)
-    q = np.random.default_rng(0).standard_normal(bank.grid.length)
-    q /= np.linalg.norm(q)
+
+def _lanczos_extremes(bank: WarpedBank, q: np.ndarray) -> tuple[float, float]:
+    """The extreme Ritz values of one ``_lanczos`` run on S from the unit
+    vector ``q``, by the stopping rule of ``empirical_bounds``."""
     response = bank.plan.response
     alphas, betas = [], []
     check = 8
@@ -153,12 +176,71 @@ def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
     return (float(theta[0]), float(theta[-1]))
 
 
+def empirical_bounds(bank: WarpedBank) -> tuple[float, float]:
+    """(A_emp, B_emp): extreme eigenvalues of the frame operator.
+
+    S is block diagonal on the components of its aliasing graph
+    (``WarpedBank.components``), so A and B are the extremes over its
+    blocks.  A painless bank's components are single bins and its blocks
+    its diagonal, whose extremes it returns without the label pass.
+    Otherwise a bin alone in its component gives its diagonal entry, the
+    blocks of components of at most ``DENSE_BLOCK_MAX`` bins are
+    decomposed densely (``_block_extremes``), and one ``_lanczos`` run
+    gives the extremes on the bins of the rest.  A component with fewer
+    slots than bins has a singular block, so then A is 0 exactly.
+
+    The run works on unitary-DFT spectra, where S is the Walnut form
+    (``WarpedBank.walnut``), a real symmetric matrix: one real fold and one
+    real spread per step, no FFT.  The start vector is a fixed real
+    Gaussian draw (``default_rng(0)``) on the DFT bins with the dense
+    components' bins set to 0, normalized; S keeps it on the bins of the
+    large components.  When every bin is in one, the Ritz values are those
+    of the time-domain run from its inverse DFT.
+    Every max(8, k // 8) steps the Ritz values theta_i of the tridiagonal
+    T_k and the last components s_i of its eigenvectors bound the
+    spectrum: S has an eigenvalue within beta_k |s_i| of each theta_i.
+    The run stops when, at both ends,
+    min_i (beta_k |s_i| + |theta_i - theta_end|) <= 1e-13 theta_max, or
+    when beta_k = 0.  The minimum runs over all Ritz values because,
+    without reorthogonalization, a converged extreme returns as a "ghost"
+    copy that can carry the small residual while the extreme's own bound
+    jumps back up; the bounds stay valid (Paige 1980).  After
+    ``LANCZOS_MAX_STEPS`` steps a NoConvergence warning names the step
+    count and the residual bound.
+    """
+    if bank.painless:
+        return diagonal_bounds(bank)
+    labels, slots = bank.components()
+    sizes = np.bincount(labels)
+    small = sizes <= DENSE_BLOCK_MAX
+    alone = bank.diagonal()[(sizes == 1)[labels]]
+    extremes = [(alone.min(initial=np.inf), alone.max(initial=-np.inf))]
+    if np.any(small & (sizes > 1)):
+        extremes.append(_block_extremes(bank, labels, sizes, small & (sizes > 1)))
+    if not small.all():
+        q = np.random.default_rng(0).standard_normal(bank.grid.length)
+        q[small[labels]] = 0.0
+        q /= np.linalg.norm(q)
+        extremes.append(_lanczos_extremes(bank, q))
+    lows, highs = zip(*extremes)
+    return (0.0 if np.any(slots < sizes) else float(min(lows))), float(max(highs))
+
+
+def _lanczos_bins(bank: WarpedBank) -> int:
+    """How many bins ``empirical_bounds`` hands to Lanczos."""
+    if bank.painless:
+        return 0
+    sizes = np.bincount(bank.components()[0])
+    return int(sizes[sizes > DENSE_BLOCK_MAX].sum())
+
+
 def _verdict(bank: WarpedBank, a_emp: float, b_emp: float) -> tuple[float, float]:
-    """(A_emp, B_emp / A_emp) as reported.  A Lanczos A_emp of at most
-    ``_RESIDUAL_TOL`` B_emp lies within the run's residual bound of 0, so
-    S may be singular: it is reported as 0 and the ratio as inf.  Painless
-    banks keep their exact diagonal extremes."""
-    if not bank.painless and a_emp <= _RESIDUAL_TOL * b_emp:
+    """(A_emp, B_emp / A_emp) as reported.  When some bins went to
+    Lanczos, an A_emp of at most ``_RESIDUAL_TOL`` B_emp lies within the
+    run's residual bound of 0, so S may be singular: it is reported as 0
+    and the ratio as inf.  The diagonal and dense blocks are exact: only
+    an A_emp of 0 or below (a singular block) is reported so."""
+    if a_emp <= (_RESIDUAL_TOL * b_emp if _lanczos_bins(bank) else 0.0):
         a_emp = 0.0
     return a_emp, (b_emp / a_emp if a_emp > 0.0 else float("inf"))
 
@@ -180,15 +262,27 @@ def frame_report(bank: WarpedBank) -> FrameReport:
         a_emp, b_emp = empirical_bounds(bank)
     run_notes = [str(w.message) for w in caught]
     notes += run_notes
+    if bank.painless:
+        method = "diagonal (painless, exact)"
+    else:
+        labels, slots = bank.components()
+        sizes = np.bincount(labels)
+        short = int(np.count_nonzero(slots < sizes))
+        if short:
+            notes.append("singular by counting: fewer coefficient slots than bins "
+                         f"in {short} of {len(sizes)} components")
+        lanczos = _lanczos_bins(bank)
+        method = (f"blocks (components {len(sizes)}, largest {sizes.max()} bins, "
+                  f"lanczos bins {lanczos}): ")
+        if not lanczos:
+            method += "exact"
+        elif any(issubclass(w.category, NoConvergence) for w in caught):
+            method += f"lanczos stopped at its cap of {LANCZOS_MAX_STEPS} steps"
+        else:
+            method += f"lanczos residual bound {_RESIDUAL_TOL:g} of B_emp"
     a_emp, ratio = _verdict(bank, a_emp, b_emp)
     if a_emp <= 0.0:
         notes.append("not a frame to working precision")
-    if bank.painless:
-        method = "diagonal (painless, exact)"
-    elif any(issubclass(w.category, NoConvergence) for w in caught):
-        method = f"lanczos (stopped at its cap of {LANCZOS_MAX_STEPS} steps)"
-    else:
-        method = f"lanczos (residual bound {_RESIDUAL_TOL:g} of B_emp)"
     flags = [ch.painless for ch in bank.channels]
     if not all(flags):
         bad = [ch.m for ch in bank.channels if not ch.painless]

@@ -187,7 +187,7 @@ def render_spectrogram(coeffs: CoefficientSet) -> tuple[np.ndarray, list[float]]
     over the stored channel rows, where an implicit mirror row reads its
     partner's (|conj c| = |c|), and only then resampled, straight into
     the uint8 image.  Returns the image and the row center frequencies
-    in Hz.
+    in Hz.  A peak that is not finite raises InvalidParameter.
     """
     bank, plan = coeffs.bank, coeffs.bank.plan
     order = np.argsort([ch.center_hz for ch in bank.channels])
@@ -201,6 +201,8 @@ def render_spectrogram(coeffs: CoefficientSet) -> tuple[np.ndarray, list[float]]
     # peak is the peak over all channels
     levels = np.abs(stored)
     peak = float(levels.max())
+    if not np.isfinite(peak):
+        raise InvalidParameter("coefficient set has non-finite coefficients")
     if peak <= 0.0:  # silence: every pixel at the floor level
         return image, centers
     levels /= peak

@@ -85,12 +85,13 @@ class Signal:
 class CoefficientSet:
     """Coefficients of one analysis by ``bank`` in the plan's flat buffer,
     row i's N at ``plan.coefs[i]``, checked when the set is made: any
-    buffer but a one-dimensional one of the plan's full size or of its
-    direct prefix (real input; see ``analyze``), whose mirror rows are
-    then ``implicit``, raises FingerprintMismatch.  ``channels`` are views
-    of the buffer, and for implicit rows conjugate copies of their
-    partners.  ``residuals`` (DC / Nyquist on half-line grids) and the
-    half-line ``mirrors`` are views, the latter None when implicit."""
+    buffer but a one-dimensional numeric one (booleans, integers, floats
+    or complex numbers) of the plan's full size or of its direct prefix
+    (real input; see ``analyze``), whose mirror rows are then
+    ``implicit``, raises FingerprintMismatch.  ``channels`` are views of
+    the buffer, and for implicit rows conjugate copies of their partners.
+    ``residuals`` (DC / Nyquist on half-line grids) and the half-line
+    ``mirrors`` are views, the latter None when implicit."""
 
     buffer: np.ndarray
     bank: WarpedBank = field(repr=False)
@@ -99,10 +100,12 @@ class CoefficientSet:
         object.__setattr__(self, "buffer", np.asarray(self.buffer))
         prefix = self.bank.plan.direct_size
         full = prefix + self.bank.plan.paired_size
-        if self.buffer.shape not in ((prefix,), (full,)):
+        if (self.buffer.shape not in ((prefix,), (full,))
+                or self.buffer.dtype.kind not in "biufc"):
             raise FingerprintMismatch(
-                f"coefficient buffer has shape {self.buffer.shape}; the bank takes "
-                f"{full} coefficients, or {prefix} for real input"
+                f"coefficient buffer has shape {self.buffer.shape} and dtype "
+                f"{self.buffer.dtype}; the bank takes {full} numeric coefficients, "
+                f"or {prefix} for real input"
             )
 
     @property
@@ -311,7 +314,10 @@ def _entry_plan(bank: WarpedBank, with_mirrors: bool) -> list[tuple[int, int]]:
 
 def save_coefficients(coeffs: CoefficientSet, path) -> None:
     """Write a coefficient set to the binary WFBC container, in the layout
-    of its own bank."""
+    of its own bank.  Non-finite coefficients, which ``load_coefficients``
+    refuses, raise InvalidParameter before the file is opened."""
+    if not np.isfinite(coeffs.buffer).all():
+        raise InvalidParameter("coefficient set has non-finite coefficients")
     entries = _entry_plan(coeffs.bank, not coeffs.implicit)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

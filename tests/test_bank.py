@@ -522,6 +522,54 @@ def test_each_channel_views_its_sampled_response_in_the_plan(plan_test_banks):
         assert np.all(plan.response[plan.offsets[n:n + len(bank.residuals)]] == 1.0)
 
 
+def linked_components(pattern):
+    """Each node's least linked node, by union-find over the nonzero
+    entries of a square ``pattern``."""
+    root = list(range(len(pattern)))
+
+    def find(j):
+        while root[j] != j:
+            j = root[j]
+        return j
+
+    for j, k in zip(*np.nonzero(pattern)):
+        a, b = find(j), find(k)
+        root[max(a, b)] = min(a, b)
+    return np.array([find(j) for j in range(len(pattern))])
+
+
+@pytest.mark.parametrize("family,kw,fs", [
+    ("log", {}, 2.0), ("sympow", {"l": 0.5}, 64.0), ("erblike", {}, 44100.0),
+    ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0), ("erblike", {"c": 1.0, "d": 1.0}, 256.0),
+])
+def test_components_split_the_frame_operator(family, kw, fs, plan_test_banks):
+    # against S from one Walnut apply per bin, and the analysis map F
+    # from one fold per bin: the couplings and the diagonal sum to S, the
+    # components are those of S's nonzero pattern, and each counts the
+    # rows of F that hold one of its bins
+    banks = list(plan_test_banks(family, kw, fs).values())
+    banks += [with_scaled_factors(banks[0], 8), painless_dual(banks[0])]
+    for bank in banks:
+        plan, length = bank.plan, bank.grid.length
+        unit = np.eye(length)
+        frame_op = np.stack([bank.walnut(e, plan.response) for e in unit], axis=1)
+        fold = np.stack([plan.fold(e, plan.response, plan.direct_size + plan.paired_size)
+                         for e in unit], axis=1)
+        rows, cols, values = bank.couplings()
+        assert np.all(rows != cols)
+        coupled = np.diag(bank.diagonal())
+        np.add.at(coupled, (rows, cols), values)
+        np.testing.assert_allclose(coupled, frame_op, rtol=0, atol=1e-15 * frame_op.max())
+        labels, slots = bank.components()
+        first = linked_components(frame_op)
+        assert labels.tolist() == np.unique(first, return_inverse=True)[1].tolist()
+        assert slots.tolist() == [np.count_nonzero(fold[:, labels == c].any(axis=1))
+                                  for c in range(labels.max() + 1)]
+        if bank.painless:
+            assert len(rows) == 0 and labels.tolist() == list(range(length))
+        assert bank.components() is bank.components()  # cached
+
+
 def test_design_tight_accepts_raw_coefficients():
     w, grid = erb_grid(length=512)
     bank = design_tight(w, grid, window=(0.5, 0.5), stretch=3.0)

@@ -289,7 +289,9 @@ def test_diagnose_leaves_scipy_eigensolvers_unimported(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "painless: false" in done.stdout
-    assert "bounds_method: lanczos" in done.stdout
+    # 85 components of at most 12 bins: every block is dense, no Lanczos step
+    assert ("bounds_method: blocks (components 85, largest 12 bins, lanczos bins 0): exact\n"
+            in done.stdout)
     assert done.stdout.splitlines()[-1] == "[]"
 
 

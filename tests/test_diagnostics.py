@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from warpbank import (Explicit, GridSpec, Natural, NoConvergence, Painless, WarpedBank,
                       build_bank, cli, design_tight, diagnostics, diagonal_bounds,
@@ -27,6 +29,12 @@ def erb_tight():
 @pytest.fixture(scope="module")
 def erb_doubled(erb_tight):
     return with_scaled_factors(erb_tight, 2)
+
+
+@pytest.fixture(scope="module")
+def erb_quadrupled(erb_tight):
+    # one component of the aliasing graph holds all 1024 bins: Lanczos
+    return with_scaled_factors(erb_tight, 4)
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +169,16 @@ def test_sufficient_bounds_need_no_continuous_evaluator(erb_tight, monkeypatch):
     assert sufficient_bounds(bank) == want
 
 
-def test_empirical_bounds_painless_fast_path(erb_tight):
-    assert empirical_bounds(erb_tight) == diagonal_bounds(erb_tight)
+def test_empirical_bounds_painless_fast_path(erb_tight, gapped_bank, monkeypatch):
+    # a painless bank's components are its bins: no label pass runs
+    def broken(*args):
+        raise AssertionError("label pass run on a painless bank")
+
+    monkeypatch.setattr(WarpedBank, "components", broken)
+    for bank in (erb_tight, painless_dual(erb_tight), gapped_bank):
+        assert bank.painless
+        assert empirical_bounds(bank) == diagonal_bounds(bank)
+        assert frame_report(bank).bounds_method == "diagonal (painless, exact)"
 
 
 @pytest.mark.parametrize("family,kw,fs", FAMILIES)
@@ -174,9 +190,42 @@ def test_empirical_bounds_match_dense_spectrum(family, kw, fs, dense_atoms,
         a_emp, b_emp = empirical_bounds(bank)
         if bank.painless:
             assert (a_emp, b_emp) == diagonal_bounds(bank)
-        scale = 1e-12 * spectrum[-1]
+        scale = 1e-13 * spectrum[-1]
         assert abs(a_emp - spectrum[0]) <= scale, name
         assert abs(b_emp - spectrum[-1]) <= scale, name
+
+
+# two rates per family: erblike at 44.1 kHz pairs channel -m with m on the full line
+PROPERTY_DESIGNS = [
+    ("log", {}, 2.0), ("log", {}, 8.0), ("erblike", {}, 44100.0),
+    ("erblike", {"c": 1.0, "d": 1.0}, 256.0), ("sympow", {"l": 0.5}, 64.0),
+    ("sympow", {"l": 1.0}, 8.0), ("signedpow", {"l": 0.5, "c": 1.0, "d": 1.0}, 256.0),
+    ("signedpow", {"l": 0.5}, 16.0),
+]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(design=st.sampled_from(PROPERTY_DESIGNS), half_length=st.integers(2, 128),
+       scale=st.sampled_from([1, 2, 4, 8]))
+def test_block_bounds_are_the_dense_spectrum(design, half_length, scale, dense_atoms):
+    # exact blocks, counting and Lanczos on what is left against eigvalsh
+    # of the dense atoms; a component with fewer slots than bins is
+    # singular, and so is the whole frame operator then
+    family, kw, fs = design
+    w = make_warping(family, **kw)
+    tight = design_tight(w, GridSpec(length=2 * half_length, fs=fs, domain=w.domain),
+                         "hann", 3.0)
+    bank = with_scaled_factors(tight, scale)
+    atoms = dense_atoms(bank)
+    spectrum = np.linalg.eigvalsh(atoms.T @ atoms.conj())
+    a_emp, b_emp = empirical_bounds(bank)
+    slack = 1e-12 * spectrum[-1]
+    assert abs(a_emp - spectrum[0]) <= slack and abs(b_emp - spectrum[-1]) <= slack
+    if not bank.painless:
+        labels, slots = bank.components()
+        if np.any(slots < np.bincount(labels)):
+            assert a_emp == 0.0 and spectrum[0] <= 1e-13 * spectrum[-1]
 
 
 def test_lanczos_runs_without_the_time_domain_frame_operator(erb_tight, dense_atoms,
@@ -204,13 +253,11 @@ def walnut_operator(bank):
     return lambda v: bank.walnut(v, bank.plan.response)
 
 
-def test_lanczos_kernel_tridiagonalizes_the_frame_operator(dense_atoms):
-    # 12 of the 24 steps this hop-doubled bank takes to converge, against
+def test_lanczos_kernel_tridiagonalizes_the_frame_operator(erb_quadrupled, dense_atoms):
+    # 12 of the 144 steps this connected bank takes to converge, against
     # the dense frame operator in the unitary-DFT domain, which is real:
     # the run starts from a real vector and stays real
-    w = make_warping("erblike", c=1.0, d=1.0)
-    tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain), "hann", 3.0)
-    bank = with_scaled_factors(tight, 2)
+    bank = erb_quadrupled
     atoms, length = dense_atoms(bank), bank.grid.length
     dft = np.fft.fft(np.eye(length)) / np.sqrt(length)
     frame_op = dft @ (atoms.T @ atoms.conj()) @ dft.conj().T
@@ -229,21 +276,27 @@ def test_lanczos_kernel_tridiagonalizes_the_frame_operator(dense_atoms):
                                rtol=0, atol=1e-12 * upper)
 
 
-def test_diagnostics_run_the_walnut_form_on_real_vectors(erb_doubled, monkeypatch):
+def test_diagnostics_run_the_walnut_form_on_real_vectors(erb_doubled, erb_quadrupled,
+                                                        monkeypatch):
     # S is real on the DFT grid, so the Gershgorin pass and every Lanczos
-    # step apply it to float64 vectors and get float64 vectors back
-    walnut, dtypes = WarpedBank.walnut, set()
+    # step apply it to float64 vectors and get float64 vectors back; the
+    # dense blocks of the hop-doubled bank take no apply at all
+    walnut, dtypes = WarpedBank.walnut, []
 
     def recording(bank, fhat, response):
         out = walnut(bank, fhat, response)
-        dtypes.update((fhat.dtype, out.dtype))
+        dtypes.extend((fhat.dtype, out.dtype))
         return out
 
     monkeypatch.setattr(WarpedBank, "walnut", recording)
-    for bounds in (sufficient_bounds, empirical_bounds):
+    for bounds, bank in ((sufficient_bounds, erb_doubled), (sufficient_bounds, erb_quadrupled),
+                         (empirical_bounds, erb_quadrupled)):
         dtypes.clear()
-        bounds(erb_doubled)
-        assert dtypes == {np.dtype(np.float64)}, bounds.__name__
+        bounds(bank)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}, bounds.__name__
+    dtypes.clear()
+    empirical_bounds(erb_doubled)
+    assert dtypes == []
 
 
 def test_lanczos_kernel_stops_on_an_eigenvector():
@@ -280,17 +333,17 @@ def test_frame_report_flags_coverage_hole(gapped_bank):
     assert any("inconclusive" in w for w in rep.warnings)
 
 
-def test_frame_report_collects_convergence_and_painless_notes(tmp_path, capsys, monkeypatch):
-    # the hop-doubled bank takes 24 Lanczos steps; a cap of 8 stops it
-    w = make_warping("erblike", c=1.0, d=1.0)
-    tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain), "hann", 3.0)
-    doubled = with_scaled_factors(tight, 2)
+def test_frame_report_collects_convergence_and_painless_notes(erb_tight, erb_quadrupled,
+                                                             tmp_path, capsys, monkeypatch):
+    # the connected bank takes 144 Lanczos steps; a cap of 8 stops it
+    tight, quadrupled = erb_tight, erb_quadrupled
+    split = "blocks (components 1, largest 1024 bins, lanczos bins 1024): "
     monkeypatch.setattr(diagnostics, "LANCZOS_MAX_STEPS", 8)
     with pytest.warns(NoConvergence, match=r"within 8 steps; residual bound \d\.\d{3}e-\d\d$"):
-        empirical_bounds(doubled)
-    rep = frame_report(doubled)
+        empirical_bounds(quadrupled)
+    rep = frame_report(quadrupled)
     assert not rep.painless
-    assert rep.bounds_method == "lanczos (stopped at its cap of 8 steps)"
+    assert rep.bounds_method == split + "lanczos stopped at its cap of 8 steps"
     assert f"bounds_method: {rep.bounds_method}\n" in format_report(rep)
     [note] = [w for w in rep.warnings if "did not converge within 8 steps" in w]
     assert any("non-painless" in w for w in rep.warnings)
@@ -299,25 +352,25 @@ def test_frame_report_collects_convergence_and_painless_notes(tmp_path, capsys, 
     save_bank_spec(tight, spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error", NoConvergence)  # an escaping warning fails the run
-        assert cli.main(["diagnose", "--bank", str(spec), "--sweep-a", "1,2"]) == 0
+        assert cli.main(["diagnose", "--bank", str(spec), "--sweep-a", "1,4"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     rows = out.split("sweep:\n")[1].splitlines()
     assert rows[0] == "  a_m x1: tightness_ratio 1"
-    assert rows[1].startswith("  a_m x2: tightness_ratio ") and rows[1].endswith(f"  ({note})")
+    assert rows[1].startswith("  a_m x4: tightness_ratio ") and rows[1].endswith(f"  ({note})")
     monkeypatch.undo()
-    rep = frame_report(doubled)
-    assert rep.bounds_method == "lanczos (residual bound 1e-13 of B_emp)"
+    rep = frame_report(quadrupled)
+    assert rep.bounds_method == split + "lanczos residual bound 1e-13 of B_emp"
     assert not any("converge" in w for w in rep.warnings)
 
 
-def test_sweep_reads_its_unit_row_off_the_report(tmp_path, capsys, monkeypatch):
+def test_sweep_reads_its_unit_row_off_the_report(erb_quadrupled, tmp_path, capsys,
+                                                 monkeypatch):
     # the x1 row is the report's own Lanczos run, step-cap note included:
     # the bank's Lanczos runs once for the report and once per other scale
-    w = make_warping("erblike", c=1.0, d=1.0)
-    tight = design_tight(w, GridSpec(length=128, fs=256.0, domain=w.domain), "hann", 3.0)
-    spec = tmp_path / "doubled.json"
-    save_bank_spec(with_scaled_factors(tight, 2), spec)
+    # (x2 of this bank is hops x8, also one component)
+    spec = tmp_path / "quadrupled.json"
+    save_bank_spec(erb_quadrupled, spec)
     calls, bounds = [], diagnostics.empirical_bounds
 
     def counted(bank):
@@ -346,21 +399,31 @@ def test_sweep_reads_its_unit_row_off_the_report(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("family,kw,fs", [
     ("log", {}, 2.0), ("erblike", {}, 44100.0), ("sympow", {"l": 0.5}, 64.0),
+    ("erblike", {"c": 1.0, "d": 1.0}, 256.0),
 ])
-def test_singular_bank_is_not_called_a_frame(family, kw, fs, dense_atoms, tmp_path, capsys):
-    # every hop x8: Lanczos gives A_emp within its residual bound of 0,
-    # -1.7e-16, 1.8e-16 and -3.6e-16 here
+def test_singular_bank_is_not_called_a_frame(family, kw, fs, dense_atoms, tmp_path, capsys,
+                                             monkeypatch):
+    # every hop x8: some component of the aliasing graph has fewer slots
+    # than bins, so counting alone gives A_emp = 0, with no Lanczos step
+    def broken(*args):
+        raise AssertionError("Lanczos run on a bank whose blocks are all dense")
+
+    monkeypatch.setattr(diagnostics, "_lanczos", broken)
     w = make_warping(family, **kw)
     tight = design_tight(w, GridSpec(length=128, fs=fs, domain=w.domain), "hann", 3.0)
     bank = with_scaled_factors(tight, 8)
+    labels, slots = bank.components()
+    assert np.any(slots < np.bincount(labels))
     atoms = dense_atoms(bank)
     spectrum = np.linalg.eigvalsh(atoms.T @ atoms.conj())
     assert spectrum[0] <= 1e-13 * spectrum[-1]
     a_raw, b_raw = empirical_bounds(bank)
-    assert a_raw != 0.0 and abs(a_raw) <= 1e-13 * b_raw
+    assert a_raw == 0.0 and abs(b_raw - spectrum[-1]) <= 1e-13 * spectrum[-1]
     rep = frame_report(bank)
     assert (rep.a_emp, rep.b_emp, rep.tightness_ratio) == (0.0, b_raw, math.inf)
+    assert rep.bounds_method.endswith("lanczos bins 0): exact")
     assert "not a frame to working precision" in rep.warnings
+    assert any(w.startswith("singular by counting: ") for w in rep.warnings)
     assert "\nA_emp: 0  (not a frame to working precision)\n" in format_report(rep)
     assert tightness_sweep(tight, scales=(1, 8))[1] == (8, math.inf)
     spec = tmp_path / "tight.json"

@@ -244,6 +244,19 @@ def test_spectrogram_has_its_own_banks_shape():
     assert shapes[0] != shapes[1]
 
 
+@pytest.mark.parametrize("family,kw,fs", [("erblike", {}, 44100.0), ("log", {}, 2.0)])
+def test_spectrogram_of_non_finite_coefficients_raises(family, kw, fs):
+    # a NaN or inf peak would scale every level to NaN: an all-zero image
+    # and a numpy warning (an error under this suite's warning filters)
+    w = make_warping(family, **kw)
+    bank = design_tight(w, GridSpec(length=1024, fs=fs, domain=w.domain))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        coeffs = analyze(np.ones(1024), bank)
+        coeffs.buffer[0] = bad
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            render_spectrogram(coeffs)
+
+
 def test_pgm_holds_the_image_rows(tmp_path):
     image = np.arange(60, dtype=np.uint8).reshape(6, 10)[:, ::2]  # not contiguous
     write_pgm(tmp_path / "s.pgm", image)

@@ -287,6 +287,37 @@ def test_any_numeric_buffer_of_a_valid_length_builds_a_set(family, kw, length, f
             assert got.tobytes() == synthesize(want, bank).samples.tobytes()
 
 
+@pytest.mark.parametrize("family,kw,length,fs", CHECKED_BANKS)
+def test_non_numeric_buffers_are_refused_where_the_set_is_made(family, kw, length, fs):
+    # strings and objects of a valid length raise the shape check's one
+    # typed error, not a ValueError, AttributeError or TypeError later on
+    bank = tight_bank(family, kw, length=length, fs=fs)
+    plan = bank.plan
+    for size in (plan.direct_size, plan.direct_size + plan.paired_size):
+        for bad in (np.array(["a"] * size), ["a"] * size,
+                    np.array([None] * size, dtype=object),
+                    np.array([1.0 + 0j] * size, dtype=object)):
+            with pytest.raises(FingerprintMismatch, match="numeric coefficients"):
+                CoefficientSet(bad, bank)
+        for good in (np.ones(size, dtype=bool), np.ones(size, dtype=np.int32),
+                     np.ones(size, dtype=np.uint8), np.ones(size, dtype=np.float32)):
+            assert CoefficientSet(good, bank).buffer.dtype == good.dtype
+
+
+@pytest.mark.parametrize("family,fs", [("erblike", 44100.0), ("log", 2.0)])
+def test_non_finite_sets_are_not_saved(family, fs, tmp_path):
+    # load_coefficients refuses non-finite coefficients, so the save does
+    # too, before it opens the file
+    bank = tight_bank(family, length=1024, fs=fs)
+    for x in (np.ones(1024), np.ones(1024) * (1 + 1j)):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            coeffs = analyze(x, bank)
+            coeffs.buffer[-1] = bad
+            with pytest.raises(InvalidParameter, match="non-finite"):
+                save_coefficients(coeffs, tmp_path / "c.wfbc")
+            assert not (tmp_path / "c.wfbc").exists()
+
+
 def test_a_coefficient_set_is_frozen():
     bank = tight_bank("log", length=256)
     coeffs = analyze(np.ones(256), bank)
